@@ -7,6 +7,8 @@ validation engine, the registry and the CLI.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.ccts.bie import Abie
 from repro.ccts.core_components import Acc
 from repro.ccts.data_types import CoreDataType, QualifiedDataType
@@ -23,6 +25,7 @@ from repro.ccts.libraries import (
     library_wrapper_for,
 )
 from repro.errors import CctsError
+from repro.obs.metrics import counter
 from repro.profile import (
     ABIE,
     ACC,
@@ -37,6 +40,9 @@ from repro.uml.elements import structural_revision
 from repro.uml.model import Model
 from repro.uml.package import Package
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.validation.diagnostics import ValidationReport
+
 
 class CctsModel:
     """A core-components model: the root object users interact with."""
@@ -45,6 +51,7 @@ class CctsModel:
         self.model = model if model is not None else Model(name)
         self.profile = UPCC
         self._libraries_cache: tuple[int, list[Library]] | None = None
+        self._basic_report_cache: tuple[int, ValidationReport] | None = None
 
     @property
     def name(self) -> str:
@@ -88,6 +95,26 @@ class CctsModel:
                     found.append(wrapper)
         self._libraries_cache = (revision, found)
         return list(found)
+
+    def basic_validation_report(self) -> ValidationReport:
+        """The report of the basic UPCC rules on the model as it is now.
+
+        Memoized against :func:`~repro.uml.elements.structural_revision`
+        like :meth:`libraries`: rules only read the model, so while no
+        element has changed they find the same things.  The report is kept
+        whatever its outcome and shared between callers, who must not
+        modify it; ``validation.memo_hits`` counts the reuses.
+        """
+        from repro.validation.engine import validate_model
+
+        revision = structural_revision()
+        cached = self._basic_report_cache
+        if cached is not None and cached[0] == revision:
+            counter("validation.memo_hits").inc()
+            return cached[1]
+        report = validate_model(self, basic_only=True)
+        self._basic_report_cache = (revision, report)
+        return report
 
     def _libraries_of(self, wrapper_type: type) -> list:
         return [library for library in self.libraries() if type(library) is wrapper_type]

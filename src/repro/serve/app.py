@@ -42,7 +42,7 @@ from repro.instances.pipeline import ValidationPipeline
 from repro.obs.logging_bridge import get_logger
 from repro.obs.metrics import counter, get_registry
 from repro.xmi import read_xmi
-from repro.xsd.compiled import fingerprint_schema_set
+from repro.xsd.compiled import fingerprint_schema_set, fingerprint_schema_texts
 from repro.xsd.parser import parse_schema
 from repro.xsd.validator import SchemaSet
 from repro.xsdgen import GenerationOptions, SchemaGenerator
@@ -170,17 +170,18 @@ class ServeApp:
             result = SchemaGenerator(model, options).generate(library, root=root)
         except ReproError as error:
             return 400, {"error": str(error)}
-        schema_set = result.schema_set()
-        set_id = fingerprint_schema_set(schema_set)
+        # Serialize once: the registry id hashes the same texts the
+        # response carries (equal to fingerprint_schema_set of the set).
+        texts = {urn: generated.to_string() for urn, generated in result.schemas.items()}
+        set_id = fingerprint_schema_texts(texts.items())
         schemas = {
-            f"{generated.namespace.folder}/{generated.namespace.file_name}":
-                generated.to_string()
-            for generated in result.schemas.values()
+            f"{generated.namespace.folder}/{generated.namespace.file_name}": texts[urn]
+            for urn, generated in result.schemas.items()
         }
         self.register_schema_set(
             SchemaSetEntry(
                 id=set_id,
-                schema_set=schema_set,
+                schema_set=result.schema_set(),
                 schemas=schemas,
                 provenance=result.provenance,
                 library=library,

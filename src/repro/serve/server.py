@@ -27,7 +27,9 @@ Observability: every request runs under a ``serve.request`` span (the
 worker executes the job inside the connection thread's snapshot of the
 trace context, so pipeline child spans parent under it across the thread
 hop) and records ``serve.requests_total{endpoint=..}``,
-``serve.responses_total{code=..}``, ``serve.request_ms{endpoint=..}``,
+``serve.responses_total{code=..}``, ``serve.request_ms{endpoint=..}`` (from
+before the body read to after the socket write),
+``serve.stage_ms{endpoint=..,stage=read|decode|queue|work|encode|write}``,
 ``serve.queue_depth`` and ``serve.rejected_total{reason=..}``.  Incoming
 W3C ``traceparent``/``tracestate`` headers are adopted: the trace id is
 echoed on the response, stamped on the access-log record and the
@@ -44,6 +46,7 @@ from __future__ import annotations
 import contextvars
 import json
 import queue
+import re
 import select
 import threading
 import time
@@ -85,7 +88,10 @@ describe("serve.requests_total", "Requests handled, by endpoint.")
 describe("serve.responses_total", "Responses sent, by HTTP status code.")
 describe("serve.rejected_total",
          "Requests refused at admission (backpressure, draining) or abandoned at the deadline.")
-describe("serve.request_ms", "End-to-end request latency in milliseconds, by endpoint.")
+describe("serve.request_ms",
+         "Whole-request latency in milliseconds (body read to socket write), by endpoint.")
+describe("serve.stage_ms",
+         "Milliseconds per request stage (read, decode, queue, work, encode, write), by endpoint.")
 describe("serve.queue_depth", "Jobs currently waiting in the bounded work queue.")
 describe("serve.slow_requests_total",
          "Requests over the --slow-ms threshold whose span tree was captured.")
@@ -140,7 +146,7 @@ class _Job:
 
     __slots__ = (
         "endpoint", "fn", "context", "done", "result", "_state", "_lock",
-        "enqueued_at", "claimed_at", "worker",
+        "enqueued_at", "claimed_at", "finished_at", "worker",
     )
 
     def __init__(self, endpoint: str, fn: Callable[[], tuple[int, dict]]) -> None:
@@ -155,6 +161,7 @@ class _Job:
         self._lock = threading.Lock()
         self.enqueued_at = time.perf_counter()
         self.claimed_at: float | None = None
+        self.finished_at: float | None = None
         self.worker: str | None = None
 
     @property
@@ -163,6 +170,13 @@ class _Job:
         if self.claimed_at is None:
             return 0.0
         return (self.claimed_at - self.enqueued_at) * 1000.0
+
+    @property
+    def work_ms(self) -> float:
+        """Milliseconds a worker spent executing the job."""
+        if self.claimed_at is None or self.finished_at is None:
+            return 0.0
+        return (self.finished_at - self.claimed_at) * 1000.0
 
     def claim(self) -> bool:
         """Worker-side: take the job; False if the client already gave up."""
@@ -189,6 +203,11 @@ class _Handler(BaseHTTPRequestHandler):
     """Connection-thread side: routing, framing, admission control."""
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection (set by the stdlib's
+    # StreamRequestHandler.setup): with Nagle on, a small response written
+    # behind another unacknowledged segment waits out the client's
+    # delayed-ACK timer (~40 ms) on keep-alive connections.
+    disable_nagle_algorithm = True
     # Backstop so an idle keep-alive (or dead) client can't pin its
     # connection thread forever -- drain joins these threads.
     timeout = 5
@@ -211,8 +230,15 @@ class _Handler(BaseHTTPRequestHandler):
     #: stamped on the access log, the serve.request span and the latency
     #: exemplar, so one trace id follows the request everywhere.
     _trace_context: TraceContext | None = None
+    #: perf_counter() at the start of the request (before the body read).
+    _started: float = 0.0
+    #: Milliseconds per request stage, observed into serve.stage_ms once
+    #: the response is written.
+    _stages: dict[str, float]
 
     def _begin_request(self) -> None:
+        self._started = time.perf_counter()
+        self._stages = {}
         incoming = self.headers.get("X-Request-Id", "").strip()
         self._request_id = incoming[:64] if incoming else new_request_id()
         context = parse_traceparent(self.headers.get(TRACEPARENT_HEADER))
@@ -234,36 +260,35 @@ class _Handler(BaseHTTPRequestHandler):
         self._begin_request()
         url = urlsplit(self.path)
         if url.path == "/healthz":
-            self._respond_inline("healthz", self.upcc.app.health(self.upcc.draining))
+            self._respond_inline("healthz", lambda: self.upcc.app.health(self.upcc.draining))
         elif url.path == "/stats":
-            self._respond_inline("stats", self.upcc.app.stats())
+            self._respond_inline("stats", self.upcc.app.stats)
         elif url.path == "/metrics":
             # Answered inline (like /healthz) so scrapes stay responsive
             # while the worker pool is saturated.  Exemplars are an
             # OpenMetrics-only feature the classic 0.0.4 parser rejects,
             # so they are served only to scrapers that Accept the
             # OpenMetrics content type.
-            started = time.perf_counter()
             openmetrics = (
                 "application/openmetrics-text" in self.headers.get("Accept", "")
             )
+            work_started = time.perf_counter()
             body = get_registry().render_prometheus(openmetrics=openmetrics)
-            self._count("metrics", started, status=200)
-            self._access("GET", url.path, 200, started)
-            self._send_text(
-                200, body,
+            self._timed("work", work_started)
+            self._reply(
+                "metrics", 200, body,
                 OPENMETRICS_CONTENT_TYPE if openmetrics else PROMETHEUS_CONTENT_TYPE,
             )
         elif url.path == "/slow":
             params = {
                 key: values[0] for key, values in parse_qs(url.query).items()
             }
-            self._respond_inline("slow", self.upcc.slow_requests(
+            self._respond_inline("slow", lambda: self.upcc.slow_requests(
                 trace_id=params.get("trace_id"),
                 request_id=params.get("request_id"),
             ))
         elif url.path == "/alerts":
-            self._respond_inline("alerts", self.upcc.alerts())
+            self._respond_inline("alerts", self.upcc.alerts)
         elif url.path == "/explain":
             params = {
                 key: values[0] for key, values in parse_qs(url.query).items()
@@ -282,53 +307,82 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send(404, {"error": f"no such endpoint: POST {url.path}"})
             return
-        started = time.perf_counter()
         try:
             payload = self._read_json()
         except _BadRequest as error:
             # Malformed requests are real traffic: count them by status
             # (SLO availability objectives watch these) and log them, so
             # an error burst is visible in the same trails as successes.
-            self._count(endpoint, status=error.status)
-            self._access(self.command, self.path, error.status, started)
+            self._count(endpoint, error.status)
+            self._access(error.status)
+            if error.close:
+                # The body's framing is unknown: nothing after it on this
+                # connection can be parsed as the next request.
+                self.close_connection = True
             self._send(error.status, {"error": str(error)})
             return
         self._dispatch(endpoint, lambda: handler(payload))
 
     # -- plumbing --------------------------------------------------------------
 
+    def _timed(self, stage: str, started: float) -> float:
+        """Record ``stage`` as running from ``started`` until now; returns now."""
+        now = time.perf_counter()
+        self._stages[stage] = (now - started) * 1000.0
+        return now
+
     def _read_json(self) -> Any:
         length_header = self.headers.get("Content-Length")
-        try:
-            length = int(length_header or "")
-        except ValueError:
-            raise _BadRequest(411, "Content-Length required") from None
+        if length_header is None:
+            raise _BadRequest(411, "Content-Length required", close=True)
+        # Decimal digits only: int() would also take "-1" (rfile.read(-1)
+        # then blocks until the client hangs up), "+5" and " 5 ".
+        if not _DECIMAL.fullmatch(length_header):
+            raise _BadRequest(
+                400, f"invalid Content-Length {length_header[:32]!r}", close=True
+            )
+        length = int(length_header)
         if length > self.upcc.config.max_body_bytes:
             raise _BadRequest(
-                413, f"request body exceeds {self.upcc.config.max_body_bytes} bytes"
+                413, f"request body exceeds {self.upcc.config.max_body_bytes} bytes",
+                close=True,
             )
-        body = self.rfile.read(length)
+        started = time.perf_counter()
         try:
-            return json.loads(body.decode("utf-8"))
+            body = self.rfile.read(length)
+        except TimeoutError:
+            raise _BadRequest(
+                400, f"request body not received in full within {self.timeout}s",
+                close=True,
+            ) from None
+        started = self._timed("read", started)
+        if len(body) < length:
+            raise _BadRequest(
+                400,
+                f"request body is shorter than its Content-Length "
+                f"({len(body)} of {length} bytes)",
+                close=True,
+            )
+        try:
+            payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise _BadRequest(400, f"request body is not valid JSON: {error}") from None
+        self._timed("decode", started)
+        return payload
 
-    def _respond_inline(self, endpoint: str, result: tuple[int, dict]) -> None:
+    def _respond_inline(self, endpoint: str, fn: Callable[[], tuple[int, Any]]) -> None:
         """Answer on the connection thread (healthz/stats never queue)."""
-        started = time.perf_counter()
         with use_trace_context(self._trace_context):
             with span("serve.request", **self._span_attributes(endpoint)) as request_span:
-                status, payload = result
+                started = time.perf_counter()
+                status, payload = fn()
+                self._timed("work", started)
                 request_span.set(status=status)
-        self._count(endpoint, started, status=status)
-        self._access(self.command, self.path, status, started,
-                     request_span=request_span)
-        self._send(status, payload)
+        self._reply(endpoint, status, payload, request_span=request_span)
 
     def _dispatch(self, endpoint: str, fn: Callable[[], tuple[int, dict]]) -> None:
         """Admit work onto the queue and wait for (or give up on) its result."""
         upcc = self.upcc
-        started = time.perf_counter()
         # The trace context is entered before the job exists: _Job's
         # contextvars snapshot then carries it (with the serve.request
         # span) across the worker-thread hop.
@@ -336,51 +390,67 @@ class _Handler(BaseHTTPRequestHandler):
             with span("serve.request", **self._span_attributes(endpoint)) as request_span:
                 status, payload, job = upcc.submit_job(endpoint, fn)
                 request_span.set(status=status)
-        self._count(endpoint, started, status=status)
-        self._access(self.command, self.path, status, started,
-                     request_span=request_span, job=job)
+        if job is not None:
+            self._stages["queue"] = job.queue_wait_ms
+            self._stages["work"] = job.work_ms
         headers = {"Retry-After": "1"} if status == 503 else None
-        self._send(status, payload, headers)
+        self._reply(endpoint, status, payload, headers=headers,
+                    request_span=request_span, job=job)
 
-    def _count(
+    def _reply(
         self,
         endpoint: str,
-        started: float | None = None,
-        status: int | None = None,
+        status: int,
+        payload: dict | str,
+        content_type: str = "application/json",
+        headers: dict[str, str] | None = None,
+        request_span: Any = None,
+        job: "_Job | None" = None,
     ) -> None:
-        counter("serve.requests_total", endpoint=endpoint).inc()
-        if status is not None:
-            counter("serve.responses_total", code=status).inc()
-        if started is not None:
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            exemplar = None
-            if self._trace_context is not None:
-                exemplar = Exemplar(
-                    self._trace_context.trace_id, self._request_id, elapsed_ms
-                )
-            histogram("serve.request_ms", endpoint=endpoint).observe(
-                elapsed_ms, exemplar
+        """Count, log, encode and send one response, then time the request.
+
+        ``serve.request_ms`` and ``serve.stage_ms`` are observed after the
+        socket write, so they cover everything the client waits for.
+        """
+        self._count(endpoint, status)
+        self._access(status, request_span=request_span, job=job)
+        started = time.perf_counter()
+        if isinstance(payload, str):
+            body = payload.encode("utf-8")
+        else:
+            body = _encode_json(payload)
+        self._timed("encode", started)
+        self._send_bytes(status, body, content_type, headers)
+        elapsed_ms = (time.perf_counter() - self._started) * 1000.0
+        exemplar = None
+        if self._trace_context is not None:
+            exemplar = Exemplar(
+                self._trace_context.trace_id, self._request_id, elapsed_ms
             )
+        histogram("serve.request_ms", endpoint=endpoint).observe(elapsed_ms, exemplar)
+        for stage, stage_ms in self._stages.items():
+            histogram("serve.stage_ms", endpoint=endpoint, stage=stage).observe(stage_ms)
+
+    def _count(self, endpoint: str, status: int) -> None:
+        counter("serve.requests_total", endpoint=endpoint).inc()
+        counter("serve.responses_total", code=status).inc()
 
     def _access(
         self,
-        method: str,
-        path: str,
         status: int,
-        started: float,
         request_span: Any = None,
         job: "_Job | None" = None,
     ) -> None:
         """Write the request's access-log record and, past the slow
         threshold, hand its span tree to the capture store."""
-        duration_ms = (time.perf_counter() - started) * 1000.0
+        duration_ms = (time.perf_counter() - self._started) * 1000.0
         real_span = request_span if isinstance(request_span, Span) else None
         trace_id = (
             self._trace_context.trace_id if self._trace_context is not None else ""
         )
         self.upcc.access.log(
-            method=method,
-            path=path,
+            method=self.command,
+            path=self.path,
             status=status,
             duration_ms=duration_ms,
             queue_wait_ms=job.queue_wait_ms if job is not None else 0.0,
@@ -394,16 +464,8 @@ class _Handler(BaseHTTPRequestHandler):
                 real_span, self._request_id, trace_id=trace_id
             )
 
-    def _send(
-        self, status: int, payload: dict, headers: dict[str, str] | None = None
-    ) -> None:
-        body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-        self._send_bytes(status, body, "application/json", headers)
-
-    def _send_text(
-        self, status: int, text: str, content_type: str
-    ) -> None:
-        self._send_bytes(status, text.encode("utf-8"), content_type)
+    def _send(self, status: int, payload: dict) -> None:
+        self._send_bytes(status, _encode_json(payload), "application/json")
 
     def _send_bytes(
         self,
@@ -430,16 +492,36 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         if self.upcc.draining:
             # Nudge keep-alive clients off so drain's thread joins finish.
-            self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # Status line, headers and body leave in one write: a body sent as
+        # a second small segment would wait for the client to ACK the first.
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+            head = b"".join(self._headers_buffer)
+            self._headers_buffer = []
+        started = time.perf_counter()
+        self.wfile.write(head + body)
+        self._timed("write", started)
+
+
+_DECIMAL = re.compile(r"[0-9]+")
+
+
+def _encode_json(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
 class _BadRequest(Exception):
-    def __init__(self, status: int, message: str) -> None:
+    """A client fault answered with ``status``; ``close`` when the request's
+    framing is broken and the connection cannot carry another request."""
+
+    def __init__(self, status: int, message: str, close: bool = False) -> None:
         super().__init__(message)
         self.status = status
+        self.close = close
 
 
 class _HttpServer(ThreadingHTTPServer):
@@ -769,6 +851,7 @@ class UpccServer:
                 # Run inside the connection thread's context snapshot so
                 # pipeline spans parent under its serve.request span.
                 result = job.context.run(self._execute, job)
+                job.finished_at = time.perf_counter()
             finally:
                 with self._idle:
                     self._inflight -= 1

@@ -40,7 +40,7 @@ import threading
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import InstanceValidationError, SchemaError
 from repro.obs.metrics import counter, gauge
@@ -73,6 +73,7 @@ __all__ = [
     "CompiledSchemaSet",
     "compile_schema_set",
     "fingerprint_schema_set",
+    "fingerprint_schema_texts",
     "get_compilation_cache",
     "set_compilation_cache",
 ]
@@ -85,11 +86,23 @@ def fingerprint_schema_set(schema_set: SchemaSet) -> str:
     regardless of load order; any change that can alter validation
     behavior changes the serialized form and therefore the digest.
     """
+    return fingerprint_schema_texts(
+        (namespace, schema_to_string(schema_set.schema_for(namespace)))
+        for namespace in schema_set.namespaces
+    )
+
+
+def fingerprint_schema_texts(texts: Iterable[tuple[str, str]]) -> str:
+    """:func:`fingerprint_schema_set` over already serialized schemas.
+
+    ``texts`` holds one ``(target namespace, schema text)`` pair per
+    schema; callers that have the texts at hand skip serializing twice.
+    """
     digest = hashlib.sha256()
-    for namespace in sorted(schema_set.namespaces):
+    for namespace, text in sorted(texts):
         digest.update(namespace.encode("utf-8"))
         digest.update(b"\x1f")
-        digest.update(schema_to_string(schema_set.schema_for(namespace)).encode("utf-8"))
+        digest.update(text.encode("utf-8"))
         digest.update(b"\x1e")
     return digest.hexdigest()
 

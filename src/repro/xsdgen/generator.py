@@ -518,9 +518,7 @@ class SchemaGenerator:
         self._ids_revision = structural_revision()
 
     def _validate_first(self) -> None:
-        from repro.validation.engine import validate_model
-
-        report = validate_model(self.model, basic_only=True)
+        report = self.model.basic_validation_report()
         for warning in report.warnings:
             self.session.status(f"WARNING: {warning.message}")
         if not report.ok:

@@ -907,3 +907,209 @@ class TestBadRequestAccessLogging:
         assert bad, server.access.recent()
         assert bad[-1]["path"] == "/validate"
         assert bad[-1]["trace_id"] == TRACE_ID
+
+
+def _exchange(server, raw: bytes, half_close: bool = False, timeout: float = 3.0):
+    """Send raw request bytes; read until the server closes the connection.
+
+    Returns ``(response bytes, seconds until EOF)``.  A server that never
+    answers fails the read with ``socket.timeout``.
+    """
+    import socket
+
+    started = time.monotonic()
+    with socket.create_connection((server.host, server.port), timeout=timeout) as sock:
+        sock.sendall(raw)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks), time.monotonic() - started
+
+
+class TestHostileContentLength:
+    """Broken body framing gets exactly one 4xx, well inside the handler timeout."""
+
+    @staticmethod
+    def _post(length: str, body: bytes = b"{}") -> bytes:
+        return (
+            f"POST /validate HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii") + body
+
+    @pytest.mark.parametrize("length", ["-1", "+5", "1e3", "0x10", "5 5", ""])
+    def test_non_decimal_length_is_400(self, server, length):
+        # The write side stays open: a server reading "until EOF" would hang.
+        data, elapsed = _exchange(server, self._post(length))
+        assert data.count(b"HTTP/1.1 ") == 1, data
+        assert data.startswith(b"HTTP/1.1 400 "), data
+        assert b"invalid Content-Length" in data
+        assert b"Connection: close" in data
+        assert elapsed < 2.0
+
+    def test_truncated_body_is_400(self, server):
+        data, elapsed = _exchange(
+            server, self._post("100", b'{"documents": []}'), half_close=True
+        )
+        assert data.count(b"HTTP/1.1 ") == 1, data
+        assert data.startswith(b"HTTP/1.1 400 "), data
+        assert b"shorter than its Content-Length (17 of 100 bytes)" in data
+        assert elapsed < 2.0
+
+    def test_missing_length_is_411(self, server):
+        data, elapsed = _exchange(
+            server,
+            b"POST /validate HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        assert data.count(b"HTTP/1.1 ") == 1, data
+        assert data.startswith(b"HTTP/1.1 411 "), data
+        assert elapsed < 2.0
+
+
+class TestTransport:
+    """Keep-alive requests must not wait out the client's delayed-ACK timer."""
+
+    def test_accepted_socket_sets_tcp_nodelay(self, server, monkeypatch):
+        import socket
+
+        from repro.serve.server import _Handler
+
+        seen = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        assert request_json(server.url, "/healthz")[0] == 200
+        assert seen and all(seen), seen
+
+    def test_response_is_one_socket_write(self, server, easybiz_xmi, monkeypatch):
+        import socketserver
+
+        writes = []
+        write = socketserver._SocketWriter.write
+
+        def recording_write(writer, data):
+            writes.append(len(data))
+            return write(writer, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", recording_write)
+        _generate(server, easybiz_xmi)
+        assert request_json(server.url, "/healthz")[0] == 200
+        assert len(writes) == 2, writes
+
+    def test_keep_alive_requests_do_not_stall(self, server, easybiz_xmi):
+        generated = _generate(server, easybiz_xmi)
+        body = json.dumps({
+            "schema_set": generated["schema_set"],
+            "documents": [TestEndpointContracts._instance(generated)],
+        }).encode("utf-8")
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        latencies = []
+        try:
+            for _ in range(25):
+                started = time.perf_counter()
+                connection.request("POST", "/validate", body,
+                                   {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                response.read()
+                latencies.append((time.perf_counter() - started) * 1000.0)
+                assert response.status == 200
+        finally:
+            connection.close()
+        latencies.sort()
+        # The delayed-ACK timer is ~40 ms; a stalled request cannot beat it.
+        assert latencies[len(latencies) // 2] < 20.0, latencies
+
+
+class TestStageTimings:
+    def test_stage_times_fit_inside_the_request(self, server, easybiz_xmi):
+        from repro.obs.metrics import MetricsRegistry, set_registry
+
+        generated = _generate(server, easybiz_xmi)
+        payload = {
+            "schema_set": generated["schema_set"],
+            "documents": [TestEndpointContracts._instance(generated)],
+        }
+        expected = {
+            f"serve.stage_ms{{endpoint=validate,stage={stage}}}"
+            for stage in ("read", "decode", "queue", "work", "encode", "write")
+        }
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            assert request_json(server.url, "/validate", payload)[0] == 200
+            # Request timings are observed just after the socket write.
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                snapshot = registry.snapshot()
+                if expected <= set(snapshot):
+                    break
+                time.sleep(0.01)
+        finally:
+            set_registry(previous)
+        request = snapshot["serve.request_ms{endpoint=validate}"]
+        stages = {
+            key: value for key, value in snapshot.items()
+            if key.startswith("serve.stage_ms{endpoint=validate,")
+        }
+        assert set(stages) == expected
+        assert request["count"] == 1
+        assert all(stage["count"] == 1 for stage in stages.values())
+        assert sum(stage["p50"] for stage in stages.values()) <= request["p50"]
+        assert sum(stage["sum"] for stage in stages.values()) <= request["sum"]
+
+
+class TestGenerateWarmPath:
+    def test_generate_bodies_identical_across_validation_memo_hits(
+        self, server, easybiz_xmi
+    ):
+        xmi_text, library = easybiz_xmi
+        body = json.dumps(
+            {"xmi": xmi_text, "library": library, "root": "HoardingPermit"}
+        ).encode("utf-8")
+        hits = lambda: get_registry().snapshot().get("validation.memo_hits", 0)  # noqa: E731
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            bodies = []
+            for _ in range(3):
+                connection.request("POST", "/generate", body,
+                                   {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                bodies.append(response.read())
+                assert response.status == 200
+                if len(bodies) == 1:
+                    before = hits()
+        finally:
+            connection.close()
+        assert hits() - before == 2
+        assert bodies[0] == bodies[1] == bodies[2]
+
+    @pytest.mark.parametrize("catalog", ["easybiz", "ecommerce"])
+    def test_schema_set_id_hashes_the_response_texts(self, catalog):
+        from repro.catalog.easybiz import build_easybiz_model
+        from repro.catalog.ecommerce import build_ecommerce_model
+        from repro.xsd.compiled import fingerprint_schema_set, fingerprint_schema_texts
+        from repro.xsdgen import SchemaGenerator
+
+        built = {"easybiz": build_easybiz_model, "ecommerce": build_ecommerce_model}[catalog]()
+        root = built.doc_library.root_candidates()[0].name
+        result = SchemaGenerator(built.model).generate(built.doc_library, root=root)
+        expected = fingerprint_schema_set(result.schema_set())
+        texts = [(urn, schema.to_string()) for urn, schema in result.schemas.items()]
+        assert fingerprint_schema_texts(texts) == expected
+        status, payload = ServeApp().generate({
+            "xmi": write_xmi(built.model.model, None),
+            "library": built.doc_library.name,
+            "root": root,
+        })
+        assert status == 200, payload
+        assert payload["schema_set"] == expected

@@ -187,3 +187,66 @@ class TestResultScoping:
         names = sorted(g.library.name for g in result.schemas.values())
         # QDTs import their base CDTs and content enumerations -- nothing else.
         assert names == ["CommonDataTypes", "EnumerationTypes", "coredatatypes"]
+
+
+def _validation_memo_hits() -> int:
+    from repro.obs.metrics import get_registry
+
+    return get_registry().snapshot().get("validation.memo_hits", 0)
+
+
+def _warned_easybiz(easybiz):
+    """EasyBiz plus one basic-rule warning (a basedOn between two ACCs)."""
+    accs = easybiz.model.accs()
+    package = easybiz.model.model.owning_package_of(accs[0].element)
+    package.add_dependency(accs[0].element, accs[1].element, stereotype="basedOn")
+    return easybiz
+
+
+class TestValidationMemo:
+    """validate_first reuses the basic-rule report of an unchanged model."""
+
+    def _generate(self, easybiz):
+        generator = SchemaGenerator(easybiz.model)
+        result = generator.generate(easybiz.doc_library, root="HoardingPermit")
+        return generator, result
+
+    def test_unchanged_model_hits_the_memo(self, easybiz):
+        self._generate(easybiz)  # assigns xmi:ids, which moves the revision
+        self._generate(easybiz)
+        report = easybiz.model.basic_validation_report()
+        before = _validation_memo_hits()
+        self._generate(easybiz)
+        self._generate(easybiz)
+        assert _validation_memo_hits() - before == 2
+        assert easybiz.model.basic_validation_report() is report
+
+    def test_mutated_model_misses_the_memo(self, easybiz):
+        report = easybiz.model.basic_validation_report()
+        easybiz.model.abies()[0].element.documentation = "edited"
+        before = _validation_memo_hits()
+        assert easybiz.model.basic_validation_report() is not report
+        assert _validation_memo_hits() == before
+
+    def test_invalid_model_fails_identically_on_every_call(self):
+        model = CctsModel("Bad")
+        business = model.add_business_library("B", "urn:bad")
+        bies = business.add_bie_library("L")
+        bies.add_abie("Orphan")  # no basedOn -> UPCC-B01 error
+        before = _validation_memo_hits()
+        messages = []
+        for _ in range(3):
+            with pytest.raises(GenerationError, match="erroneous") as caught:
+                SchemaGenerator(model).generate(bies)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] == messages[2]
+        assert _validation_memo_hits() - before == 2
+
+    def test_warnings_are_reported_on_hits(self, easybiz):
+        _warned_easybiz(easybiz)
+        self._generate(easybiz)
+        before = _validation_memo_hits()
+        logs = [self._generate(easybiz)[0].session.log for _ in range(2)]
+        assert _validation_memo_hits() > before
+        for log in logs:
+            assert "WARNING: basedOn from 'Application'" in log
