@@ -81,18 +81,18 @@ class CctsModel:
 
         The scan is memoized against the model's
         :func:`~repro.uml.elements.structural_revision`; repeated lookups
-        on an unchanged model reuse the wrapper list.
+        on an unchanged model reuse the wrapper list.  Inside an indexed
+        pass the scan reads the pass's snapshot instead of walking.
         """
         revision = structural_revision()
         cached = self._libraries_cache
         if cached is not None and cached[0] == revision:
             return list(cached[1])
         found: list[Library] = []
-        for element in self.model.walk():
-            if isinstance(element, Package):
-                wrapper = library_wrapper_for(element, self.model)
-                if wrapper is not None:
-                    found.append(wrapper)
+        for package in self.model.all_of_type(Package):
+            wrapper = library_wrapper_for(package, self.model)
+            if wrapper is not None:
+                found.append(wrapper)
         self._libraries_cache = (revision, found)
         return list(found)
 
@@ -224,7 +224,7 @@ class CctsModel:
     def profile_problems(self) -> list[str]:
         """Every stereotype-application problem in the model."""
         problems: list[str] = []
-        for element in self.model.walk():
+        for element in self.model.all_elements():
             for problem in self.profile.check_element(element):
                 label = getattr(element, "qualified_name", repr(element))
                 problems.append(f"{label}: {problem}")

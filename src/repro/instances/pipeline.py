@@ -52,6 +52,10 @@ __all__ = [
 
 _ENGINES = ("compiled", "interpreted")
 
+#: The fault entry for a document whose element nesting exhausts the
+#: interpreter stack (both engines recurse once per element level).
+_TOO_DEEP = "document nests too deeply to validate: its element depth exceeds the recursion limit"
+
 
 # -- corpus discovery ----------------------------------------------------------
 
@@ -232,6 +236,8 @@ class ValidationPipeline:
                 # Schema-side defects (e.g. a cyclic reference) are still
                 # isolated per document so the rest of the batch completes.
                 report = DocumentReport(path=name, ok=False, error=str(error))
+            except RecursionError:
+                report = DocumentReport(path=name, ok=False, error=_TOO_DEEP)
             else:
                 report = DocumentReport(path=name, ok=not problems, problems=problems)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -251,6 +257,8 @@ class ValidationPipeline:
                 problems = self.validate_text(text)
             except ReproError as error:
                 report = DocumentReport(path=label, ok=False, error=str(error))
+            except RecursionError:
+                report = DocumentReport(path=label, ok=False, error=_TOO_DEEP)
             else:
                 report = DocumentReport(path=label, ok=not problems, problems=problems)
         elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -348,6 +348,9 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: Bumped by :meth:`reset`; code that binds instruments once keeps
+        #: the generation it bound them under and rebinds when it moves.
+        self.generation = 0
 
     # -- instrument accessors -----------------------------------------------------
 
@@ -486,6 +489,7 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self.generation += 1
 
 
 #: The process-global registry used by all pipeline instrumentation.

@@ -1,41 +1,73 @@
 """A read-only index over a model snapshot.
 
-``Model.associations_anywhere_from`` and ``Model.dependencies_of`` walk the
-whole tree per query, which makes whole-model passes (generation,
-validation) quadratic in model size.  :class:`ModelIndex` snapshots the
-associations and dependencies once and answers the same queries in O(1).
+A whole-model query on a live :class:`~repro.uml.model.Model` walks the
+whole tree: ``all_of_type``, ``all_with_stereotype``,
+``associations_anywhere_from``, ``dependencies_of`` and the library scan
+built on them.  Whole-model passes (generation, validation) ask these
+questions over and over, which makes them quadratic in model size.
+:class:`ModelIndex` walks the model once, keeps the elements in walk order,
+and answers every one of those queries from that snapshot: association and
+dependency lookups in O(1), type and stereotype queries by filtering the
+element list once per type or stereotype and caching the result, so the
+answers keep model order.
 
 The index is deliberately *not* self-invalidating: build it at the start of
 a pass that does not mutate the model (the generator and the validation
-engine qualify) and drop it afterwards.
+engine qualify) and drop it afterwards.  ``Model.indexed`` does both, and
+reuses a snapshot only while the model's structural revision has not moved.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 from repro.errors import ModelError
 from repro.uml.association import Association
 from repro.uml.classifier import Classifier
 from repro.uml.dependency import Dependency
-from repro.uml.elements import NamedElement
+from repro.uml.elements import Element, NamedElement
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.uml.model import Model
 
+ElementT = TypeVar("ElementT", bound=Element)
+
 
 class ModelIndex:
-    """O(1) association / dependency lookups over a model snapshot."""
+    """Whole-model queries answered from one walk of a model snapshot."""
 
     def __init__(self, model: "Model") -> None:
         self.model = model
+        #: Every element of the snapshot, in ``Model.walk`` order.
+        self.elements: list[Element] = list(model.walk())
         self._associations_by_source: dict[int, list[Association]] = {}
         self._dependencies_by_client: dict[int, list[Dependency]] = {}
-        for element in model.walk():
+        self._of_type: dict[type, list] = {}
+        self._with_stereotype: dict[str, list[Element]] = {}
+        for element in self.elements:
             if isinstance(element, Association):
                 self._associations_by_source.setdefault(id(element.source.type), []).append(element)
             elif isinstance(element, Dependency):
                 self._dependencies_by_client.setdefault(id(element.client), []).append(element)
+
+    def of_type(self, element_type: type[ElementT]) -> list[ElementT]:
+        """Every element that is an instance of ``element_type``, in walk order.
+
+        The list is shared by every caller of the snapshot; do not modify it.
+        """
+        found = self._of_type.get(element_type)
+        if found is None:
+            found = [element for element in self.elements if isinstance(element, element_type)]
+            self._of_type[element_type] = found
+        return found
+
+    def with_stereotype(self, stereotype: str) -> list[Element]:
+        """Every element carrying ``stereotype``, in walk order (shared; do not modify)."""
+        found = self._with_stereotype.get(stereotype)
+        if found is None:
+            found = [element for element in self.elements if element.has_stereotype(stereotype)]
+            self._with_stereotype[stereotype] = found
+        return found
 
     def associations_from(self, source: Classifier) -> list[Association]:
         """All associations whose whole end attaches to ``source``."""

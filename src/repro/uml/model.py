@@ -24,8 +24,13 @@ class Model(Package):
     class, and follow ``basedOn`` dependencies.
 
     Whole-model passes that do not mutate the model can wrap themselves in
-    :meth:`indexed` to make those queries O(1) instead of O(model) -- the
-    generator and the validation engine do.
+    :meth:`indexed` -- the generator and the validation engine do.  Inside
+    such a pass every whole-model query (elements by type or stereotype,
+    stereotyped packages, classifiers by name, associations and
+    dependencies) reads from one snapshot :class:`~repro.uml.index.ModelIndex`
+    instead of walking the tree again; outside a pass the queries walk the
+    live tree.  The snapshot does not follow mutations, so the model must
+    not be mutated inside a pass.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -65,19 +70,29 @@ class Model(Package):
 
     def all_elements(self) -> Iterator[Element]:
         """Every element in the model, depth first."""
+        if self._active_index is not None:
+            return iter(self._active_index.elements)
         return self.walk()
 
     def all_of_type(self, element_type: type[ElementT]) -> Iterator[ElementT]:
         """Every element that is an instance of ``element_type``."""
-        for element in self.walk():
-            if isinstance(element, element_type):
-                yield element
+        if self._active_index is not None:
+            return iter(self._active_index.of_type(element_type))
+        return (element for element in self.walk() if isinstance(element, element_type))
 
     def all_with_stereotype(self, stereotype: str) -> Iterator[Element]:
         """Every element carrying ``stereotype``."""
-        for element in self.walk():
-            if element.has_stereotype(stereotype):
-                yield element
+        if self._active_index is not None:
+            return iter(self._active_index.with_stereotype(stereotype))
+        return (element for element in self.walk() if element.has_stereotype(stereotype))
+
+    def packages_with_stereotype(self, stereotype: str) -> list[Package]:
+        """All (recursively) contained packages carrying the stereotype."""
+        return [
+            element
+            for element in self.all_with_stereotype(stereotype)
+            if isinstance(element, Package)
+        ]
 
     def find_classifier_anywhere(self, name: str) -> Classifier | None:
         """The first classifier named ``name`` anywhere in the model."""

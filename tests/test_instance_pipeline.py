@@ -271,6 +271,22 @@ class TestValidationPipeline:
         assert by_name["missing.xml"].error is not None
         assert report.docs_invalid == 2
 
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    def test_deep_nesting_is_a_document_fault(self, corpora, tmp_path, engine):
+        schema_set, root = corpora["easybiz"]
+        _write_corpus(schema_set, root, tmp_path, count=1, invalid_every=100)
+        valid = (tmp_path / "doc000.xml").read_text(encoding="utf-8")
+        deep = "<a>" * 5000 + "</a>" * 5000
+        (tmp_path / "deep.xml").write_text(deep, encoding="utf-8")
+        pipeline = ValidationPipeline(schema_set, engine=engine)
+        from_disk = pipeline.run(tmp_path)
+        in_memory = pipeline.run_strings([("deep.xml", deep), ("doc000.xml", valid)])
+        for report in (from_disk, in_memory):
+            by_name = {doc.path.rsplit("/", 1)[-1]: doc for doc in report.documents}
+            assert report.docs_total == 2
+            assert "nests too deeply" in by_name["deep.xml"].error
+            assert by_name["doc000.xml"].ok
+
     def test_fail_fast_stops_at_first_invalid(self, corpora, tmp_path):
         schema_set, root = corpora["easybiz"]
         _write_corpus(schema_set, root, tmp_path, count=6, invalid_every=3)

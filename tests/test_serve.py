@@ -138,6 +138,22 @@ class TestEndpointContracts:
         assert report["docs_invalid"] == 1
         assert report["documents"][0]["problems"]
 
+    def test_validate_deeply_nested_document_is_a_report_entry(self, server, easybiz_xmi):
+        generated = _generate(server, easybiz_xmi)
+        deep = "<a>" * 5000 + "</a>" * 5000
+        status, report = request_json(
+            server.url,
+            "/validate",
+            {"schema_set": generated["schema_set"],
+             "documents": [{"name": "deep.xml", "xml": deep},
+                           {"name": "permit.xml", "xml": self._instance(generated)}]},
+        )
+        assert status == 200, report
+        deep_entry, permit_entry = report["documents"]
+        assert deep_entry["path"] == "deep.xml"
+        assert "nests too deeply" in deep_entry["error"]
+        assert permit_entry == {"path": "permit.xml", "ok": True, "problems": []}
+
     def test_validate_unknown_set_404(self, server):
         status, payload = request_json(
             server.url, "/validate", {"schema_set": "deadbeef", "documents": ["<a/>"]}

@@ -1,10 +1,32 @@
 """Unit tests for the model snapshot index."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.catalog.easybiz import build_easybiz_model
+from repro.catalog.ecommerce import build_ecommerce_model
+from repro.catalog.figure1 import build_figure1_model
+from repro.ccts.libraries import library_wrapper_for
+from repro.ccts.model import CctsModel
 from repro.errors import ModelError
+from repro.profile import ABIE, BIE_LIBRARY
+from repro.profile.upcc import COMMON_STEREOTYPES, DATATYPE_STEREOTYPES, MANAGEMENT_STEREOTYPES
+from repro.uml.association import Association
+from repro.uml.classifier import Classifier
+from repro.uml.dependency import Dependency
+from repro.uml.elements import structural_revision
 from repro.uml.index import ModelIndex
 from repro.uml.model import Model
+from repro.uml.package import Package
+from repro.uml.property import Property
+from repro.xmi import read_xmi
+
+ROOT = Path(__file__).resolve().parent.parent
+_TYPES = (Classifier, Property, Association, Dependency, Package)
+_STEREOTYPES = MANAGEMENT_STEREOTYPES + DATATYPE_STEREOTYPES + COMMON_STEREOTYPES
 
 
 def _model():
@@ -120,3 +142,120 @@ class TestIndexReuse:
         outside = model.associations_anywhere_from(permit)
         with model.indexed():
             assert model.associations_anywhere_from(permit) == outside
+
+
+def _seeded_catalog() -> CctsModel:
+    """A benchmark catalog (seed 16), read back from its XMI like the benchmark does."""
+    module = sys.modules.get("bench_catalog")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("bench_catalog", ROOT / "perfbench" / "catalog.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses resolve annotations there
+        spec.loader.exec_module(module)
+    return CctsModel(model=read_xmi(module.build_catalog(16).xmi))
+
+
+_BUILDERS = {
+    "figure1": lambda: build_figure1_model().model,
+    "ecommerce": lambda: build_ecommerce_model().model,
+    "easybiz": lambda: build_easybiz_model().model,
+    "seeded": _seeded_catalog,
+}
+
+
+@pytest.fixture(params=sorted(_BUILDERS))
+def ccts_model(request) -> CctsModel:
+    """A fresh model per paper catalog plus one seeded benchmark catalog."""
+    return _BUILDERS[request.param]()
+
+
+def _ids(elements) -> list[int]:
+    return [id(element) for element in elements]
+
+
+def _forbidden_walk(self):
+    raise AssertionError("whole-model query walked the tree inside an indexed pass")
+
+
+def _queries(model: Model) -> dict:
+    """Every whole-model query answer, as element identities in order."""
+    answers = {}
+    for element_type in _TYPES:
+        answers[element_type.__name__] = _ids(model.all_of_type(element_type))
+    for stereotype in _STEREOTYPES:
+        answers[stereotype] = _ids(model.all_with_stereotype(stereotype))
+        answers[f"packages:{stereotype}"] = _ids(model.packages_with_stereotype(stereotype))
+    names = [classifier.name for classifier in model.all_of_type(Classifier)] + ["NoSuchName"]
+    answers["find_classifier_anywhere"] = [
+        id(model.find_classifier_anywhere(name)) for name in names
+    ]
+    answers["elements"] = _ids(model.all_elements())
+    return answers
+
+
+class TestSnapshotEquivalence:
+    """Inside a pass the snapshot answers exactly what a live walk answers."""
+
+    def test_queries_equal_live_walk_in_order(self, ccts_model):
+        model = ccts_model.model
+        live = _queries(model)
+        assert live["ABIE"] or live["CDT"]
+        with model.indexed():
+            first = _queries(model)
+            cached = _queries(model)
+        assert first == live
+        assert cached == live
+
+    def test_libraries_equal_live_walk(self, ccts_model):
+        model = ccts_model.model
+        expected = [
+            (type(wrapper), id(package))
+            for package in model.walk()
+            if isinstance(package, Package)
+            for wrapper in [library_wrapper_for(package, model)]
+            if wrapper is not None
+        ]
+        # A fresh model has no memoized library list, so this scan reads
+        # the snapshot.
+        with model.indexed():
+            inside = [(type(library), id(library.package)) for library in ccts_model.libraries()]
+        assert inside == expected
+        assert len(expected) >= 3
+
+    def test_no_query_walks_inside_a_pass(self, ccts_model, monkeypatch):
+        model = ccts_model.model
+        with model.indexed():
+            monkeypatch.setattr(Model, "walk", _forbidden_walk)
+            _queries(model)
+            ccts_model.libraries()
+            ccts_model.profile_problems()
+            ccts_model.accs()
+
+    def test_next_pass_sees_mutation_between_passes(self, ccts_model):
+        model = ccts_model.model
+        with model.indexed() as first:
+            abies = _ids(model.all_with_stereotype(ABIE))
+            packages = model.packages_with_stereotype(BIE_LIBRARY)
+        revision = structural_revision()
+        added = packages[0].add_class("AddedBetweenPasses", stereotype=ABIE)
+        assert structural_revision() != revision
+        live = _queries(model)
+        assert sorted(live[ABIE]) == sorted(abies + [id(added)])
+        with model.indexed() as second:
+            assert second is not first
+            assert _queries(model) == live
+            assert model.find_classifier_anywhere("AddedBetweenPasses") is added
+        added.remove_stereotype(ABIE)
+        with model.indexed():
+            assert _ids(model.all_with_stereotype(ABIE)) == abies
+
+    def test_queries_outside_a_pass_stay_live(self, ccts_model):
+        model = ccts_model.model
+        with model.indexed():
+            pass
+        lazy = model.all_with_stereotype(ABIE)
+        package = model.packages_with_stereotype(BIE_LIBRARY)[0]
+        added = package.add_class("AddedOutside", stereotype=ABIE)
+        assert id(added) in _ids(lazy)
+        assert model.find_classifier_anywhere("AddedOutside") is added
+        assert added in model.all_of_type(Classifier)

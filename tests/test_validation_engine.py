@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.uml.model import Model
 from repro.validation.diagnostics import Diagnostic, Severity, ValidationReport
-from repro.validation.engine import ValidationEngine, default_engine
+from repro.validation.engine import ValidationEngine, default_engine, validate_model
 
 
 class TestDiagnostics:
@@ -77,3 +79,48 @@ class TestEngine:
         engine = default_engine()
         codes = engine.rule_codes()
         assert codes[0].startswith("UPCC-P")
+
+    def test_default_engine_is_fresh_per_call(self):
+        first, second = default_engine(), default_engine()
+        assert first is not second
+        first.register("T-EXTRA", "test-only")(lambda m, r: None)
+        assert "T-EXTRA" not in second.rule_codes()
+        assert "T-EXTRA" not in default_engine().rule_codes()
+
+    def test_validate_model_ignores_rules_registered_on_default_engines(self, easybiz):
+        engine = default_engine()
+        engine.register("T-EXTRA", "test-only")(lambda m, r: r.error("T-EXTRA", "x"))
+        assert "T-EXTRA" not in {d.code for d in validate_model(easybiz.model).diagnostics}
+
+    def test_rule_timers_follow_registry_swaps_and_resets(self, easybiz):
+        previous = set_registry(MetricsRegistry())
+        try:
+            for _ in range(2):
+                validate_model(easybiz.model)
+                timers = [
+                    value for key, value in get_registry().snapshot().items()
+                    if key.startswith("validation.rule_ms{rule=")
+                ]
+                assert len(timers) == len(default_engine().rules)
+                assert all(timer["count"] == 1 for timer in timers)
+                get_registry().reset()
+        finally:
+            set_registry(previous)
+
+
+class TestWalkCount:
+    def test_validate_model_walks_the_model_at_most_three_times(self, easybiz, monkeypatch):
+        """Whole-model queries inside the run read one snapshot, not the live tree."""
+        root = easybiz.model.model
+        walks = []
+        original = Model.walk
+
+        def counting_walk(self):
+            if self is root:
+                walks.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Model, "walk", counting_walk)
+        report = validate_model(easybiz.model)
+        assert report.ok
+        assert 1 <= len(walks) <= 3
