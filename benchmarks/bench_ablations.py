@@ -10,9 +10,11 @@ import pytest
 from repro.instances import InstanceGenerator
 from repro.xmlutil.qname import QName
 from repro.xsd.components import ElementDecl, SequenceGroup
-from repro.xsd.content_model import CompiledModel, match_backtracking
+from repro.xsd.content_model import CompiledModel
 from repro.xsd.validator import validate_instance
 from repro.xsdgen import GenerationOptions, SchemaGenerator
+
+from tests.reference_validator import match_backtracking
 
 NS = "urn:bench"
 

@@ -1,13 +1,12 @@
-"""Instance-validation throughput: corpus in, reports out, engines compared.
+"""Instance-validation throughput: corpus in, reports out.
 
 Paper claim: the generated schemas "are used to validate XML messages
 exchanged during a business process" -- a serving workload, not a one-shot.
 Measured: batch validation of a 200-document corpus through the
-:class:`~repro.instances.ValidationPipeline` in its three arms
-(interpreted serial, compiled serial, compiled with a 4-thread pool),
-plus the contract that makes the compiled engine deployable: identical
-reports across engines and job counts, and >=3x throughput over the
-uncompiled serial path.
+:class:`~repro.instances.ValidationPipeline` (the compiled engine) against
+the reference tree walker kept in ``tests/reference_validator.py``, plus
+the contract that justifies compiling: a report identical to the
+reference walker's at >=3x its throughput.
 """
 
 import json
@@ -17,6 +16,8 @@ import pytest
 from repro.instances import InstanceGenerator, ValidationPipeline, add_unknown_child
 from repro.xmlutil.writer import XmlWriter
 from repro.xsdgen import GenerationOptions, SchemaGenerator
+
+from tests.reference_validator import reference_report
 
 CORPUS_SIZE = 200
 ROOT_NAME = "HoardingPermit"
@@ -51,77 +52,52 @@ def _canonical(report) -> str:
     return json.dumps(report.to_json(), sort_keys=True)
 
 
-def test_interpreted_serial(benchmark, corpus):
-    """Baseline arm: the uncompiled validate_instance path, one thread."""
+def test_reference_walker_serial(benchmark, corpus):
+    """Baseline arm: the uncompiled reference tree walker."""
     schema_set, corpus_dir = corpus
-    pipeline = ValidationPipeline(schema_set, engine="interpreted", jobs=1)
-    report = benchmark(pipeline.run, corpus_dir)
+    report = benchmark(reference_report, schema_set, corpus_dir)
     assert report.docs_total == CORPUS_SIZE
 
 
 def test_compiled_serial(benchmark, corpus):
-    """The compiled engine, one thread: plan-walking instead of graph-walking."""
+    """The compiled engine: plan-walking instead of graph-walking."""
     schema_set, corpus_dir = corpus
-    pipeline = ValidationPipeline(schema_set, engine="compiled", jobs=1)
+    pipeline = ValidationPipeline(schema_set)
     report = benchmark(pipeline.run, corpus_dir)
     assert report.docs_total == CORPUS_SIZE
 
 
-def test_compiled_parallel_jobs4(benchmark, corpus):
-    """The compiled engine fanned out over 4 worker threads."""
-    schema_set, corpus_dir = corpus
-    pipeline = ValidationPipeline(schema_set, engine="compiled", jobs=4)
-    report = benchmark(pipeline.run, corpus_dir)
-    assert report.docs_total == CORPUS_SIZE
+def test_compiled_serial_beats_reference_walker_3x(corpus):
+    """The bar that justifies compiling, asserted outside pytest-benchmark.
 
-
-def test_compiled_parallel_beats_uncompiled_serial_3x(corpus):
-    """The ISSUE-7 acceptance bar, asserted outside pytest-benchmark.
-
-    compiled+parallel must be >=3x faster than the uncompiled serial
-    path on the 200-document corpus, with byte-identical reports across
-    engines and job counts.  Best-of-N timing on both sides keeps the
-    comparison about the engines, not about scheduler noise.
+    The compiled pipeline must be >=3x faster than the reference walker
+    on the 200-document corpus, with a byte-identical report.  Best-of-N
+    timing on both sides keeps the comparison about the engines, not
+    about scheduler noise.
     """
     import time
 
     schema_set, corpus_dir = corpus
-    interpreted = ValidationPipeline(schema_set, engine="interpreted", jobs=1)
-    compiled_parallel = ValidationPipeline(schema_set, engine="compiled", jobs=4)
+    compiled = ValidationPipeline(schema_set)
 
-    def best_of(pipeline, repeats=3):
+    def best_of(run, repeats=3):
         best = None
         report = None
         for _ in range(repeats):
             start = time.perf_counter()
-            report = pipeline.run(corpus_dir)
+            report = run()
             elapsed = time.perf_counter() - start
             if best is None or elapsed < best:
                 best = elapsed
         return best, report
 
-    interpreted_s, interpreted_report = best_of(interpreted)
-    parallel_s, parallel_report = best_of(compiled_parallel)
-    assert _canonical(parallel_report) == _canonical(interpreted_report)
-    assert parallel_s * 3 <= interpreted_s, (
-        f"compiled+parallel not >=3x faster: interpreted={interpreted_s * 1e3:.1f}ms "
-        f"compiled_jobs4={parallel_s * 1e3:.1f}ms "
-        f"({interpreted_s / parallel_s:.2f}x)"
+    reference_s, reference = best_of(lambda: reference_report(schema_set, corpus_dir))
+    compiled_s, report = best_of(lambda: compiled.run(corpus_dir))
+    assert _canonical(report) == _canonical(reference)
+    assert report.docs_total == CORPUS_SIZE
+    assert report.docs_invalid == CORPUS_SIZE // 40
+    assert compiled_s * 3 <= reference_s, (
+        f"compiled not >=3x faster: reference={reference_s * 1e3:.1f}ms "
+        f"compiled={compiled_s * 1e3:.1f}ms "
+        f"({reference_s / compiled_s:.2f}x)"
     )
-
-
-def test_reports_identical_across_engines_and_jobs(corpus):
-    """Every engine x jobs combination serializes to the same report bytes."""
-    schema_set, corpus_dir = corpus
-    reports = {
-        (engine, jobs): ValidationPipeline(
-            schema_set, engine=engine, jobs=jobs
-        ).run(corpus_dir)
-        for engine in ("interpreted", "compiled")
-        for jobs in (1, 4)
-    }
-    serialized = {_canonical(report) for report in reports.values()}
-    assert len(serialized) == 1
-    sample = next(iter(reports.values()))
-    assert sample.docs_total == CORPUS_SIZE
-    assert sample.docs_invalid == CORPUS_SIZE // 40

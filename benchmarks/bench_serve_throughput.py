@@ -138,7 +138,7 @@ def test_served_report_byte_identical_to_pipeline(server, corpus):
     )
     assert status == 200
     served.pop("schema_set")
-    pipeline = ValidationPipeline(schema_set, engine="compiled")
+    pipeline = ValidationPipeline(schema_set)
     local = pipeline.run_strings(documents).to_json()
     assert json.dumps(served, sort_keys=True) == json.dumps(local, sort_keys=True)
     assert served["docs_total"] == CORPUS_SIZE

@@ -156,7 +156,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         target_directory=Path(args.out) if args.out and syntax == "xsd" else None,
         use_cache=args.use_cache or bool(args.cache_dir),
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        jobs=max(1, args.jobs),
         on_error="collect" if args.keep_going else "raise",
         embed_provenance=args.embed_provenance,
     )
@@ -471,11 +470,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     root, catalog = _report_catalog(args.name)
     tracer = obs.configure(trace=True, ring_capacity=8192, reset_metrics=True)
-    options = GenerationOptions(
-        validate_first=False,
-        use_cache=args.use_cache,
-        jobs=max(1, args.jobs),
-    )
+    options = GenerationOptions(validate_first=False, use_cache=args.use_cache)
     runs = max(1, args.runs)
 
     def run_all() -> None:
@@ -511,16 +506,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_instance(args: argparse.Namespace) -> int:
-    from repro.xsd.validator import SchemaSet, validate_instance
+    from repro.instances.pipeline import ValidationPipeline
+    from repro.xsd.validator import SchemaSet
 
     schema_set = SchemaSet.from_directory(args.schemas)
-    problems = validate_instance(schema_set, Path(args.instance).read_text(encoding="utf-8"))
-    if not problems:
+    report = ValidationPipeline(schema_set).validate_path(args.instance)
+    if report.error is not None:
+        print(f"error: {report.error}", file=sys.stderr)
+        return 1
+    if report.ok:
         print("instance is valid")
         return 0
-    for problem in problems:
+    for problem in report.problems:
         print(problem)
-    print(f"{len(problems)} problem(s)")
+    print(f"{len(report.problems)} problem(s)")
     return 1
 
 
@@ -611,12 +610,7 @@ def _cmd_validate_instances(args: argparse.Namespace) -> int:
         schema_set = SchemaSet.from_directory(schemas)
     else:
         schema_set = SchemaSet.from_files([schemas])
-    pipeline = ValidationPipeline(
-        schema_set,
-        engine=args.engine,
-        jobs=args.jobs,
-        fail_fast=args.fail_fast,
-    )
+    pipeline = ValidationPipeline(schema_set, fail_fast=args.fail_fast)
     report = pipeline.run(args.corpus)
     if args.report == "json":
         print(json_module.dumps(report.to_json(), indent=2))
@@ -708,14 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
         "schemas across processes (implies --use-cache)",
     )
     generate.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="build independent libraries on up to N threads (default 1; "
-        "output is byte-identical to a serial run)",
-    )
-    generate.add_argument(
         "--keep-going",
         action="store_true",
         help="on a library build failure, keep building independent libraries "
@@ -797,21 +783,12 @@ def build_parser() -> argparse.ArgumentParser:
         "or a manifest file listing one document path per line",
     )
     validate_instances.add_argument(
-        "--jobs", type=int, default=1, help="worker threads (default 1 = serial)"
-    )
-    validate_instances.add_argument(
-        "--engine",
-        choices=["compiled", "interpreted"],
-        default="compiled",
-        help="validation engine (default: compiled)",
-    )
-    validate_instances.add_argument(
         "--report", choices=["text", "json"], default="text", help="report format"
     )
     validate_instances.add_argument(
         "--fail-fast",
         action="store_true",
-        help="stop at the first invalid document (forces serial execution)",
+        help="stop at the first invalid document",
     )
     validate_instances.set_defaults(func=_cmd_validate_instances)
 
@@ -1015,10 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--runs", type=int, default=5,
         help="generation runs, one fresh generator each (default 5)",
-    )
-    profile.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="profile the parallel build path with N worker threads",
     )
     profile.add_argument(
         "--use-cache", action="store_true",

@@ -11,8 +11,7 @@ package produces such messages:
   tests and the end-to-end benchmark (a validator that accepts everything
   proves nothing),
 * :mod:`repro.instances.pipeline` -- batch validation of whole corpora
-  (compiled or interpreted engine, optional thread-pool fan-out,
-  per-document fault isolation).
+  (compiled schema sets, per-document fault isolation).
 """
 
 from repro.instances.generator import InstanceGenerator

@@ -10,38 +10,32 @@ that workload's serving layer:
 * :class:`DocumentReport` / :class:`BatchReport` -- the result model; a
   malformed or unreadable document becomes a located report entry, never an
   exception that aborts the batch,
-* :class:`ValidationPipeline` -- validates every document with either the
-  compiled engine (a cached :class:`~repro.xsd.CompiledSchemaSet`) or the
-  interpreted ``validate_instance`` path, serially or fanned out over a
-  thread pool.
+* :class:`ValidationPipeline` -- validates every document, in corpus order,
+  against the schema set's cached :class:`~repro.xsd.CompiledSchemaSet`.
 
 Observability: the batch runs under an ``instances.batch`` span with one
-``instances.validate`` child span per document (worker threads snapshot the
-trace context per submit, so child spans parent correctly across threads),
-and records ``instances.docs_total`` / ``instances.docs_invalid`` counters
-plus an ``instances.validate_ms`` histogram.
+``instances.validate`` child span per document, and records
+``instances.docs_total`` / ``instances.docs_invalid`` counters plus an
+``instances.validate_ms`` histogram.
 
 Report stability: :meth:`BatchReport.to_json` contains only document
-identities and findings -- no timings, job counts or engine names -- so the
-serialized report is byte-identical across ``--jobs`` values and across
-engines (the compiled engine reproduces the interpreted engine's problem
-list exactly).
+identities and findings -- no timings -- so the serialized report is
+byte-identical across runs, and between :meth:`ValidationPipeline.run`
+and :meth:`ValidationPipeline.run_strings` over the same documents.
 """
 
 from __future__ import annotations
 
-import contextvars
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import InstanceValidationError, ReproError
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span
-from repro.xsd.compiled import CompiledSchemaSet, compile_schema_set
-from repro.xsd.validator import SchemaSet, ValidationProblem, validate_instance
+from repro.xsd.compiled import compile_schema_set
+from repro.xsd.validator import SchemaSet, ValidationProblem
 
 __all__ = [
     "BatchReport",
@@ -50,10 +44,8 @@ __all__ = [
     "discover_corpus",
 ]
 
-_ENGINES = ("compiled", "interpreted")
-
 #: The fault entry for a document whose element nesting exhausts the
-#: interpreter stack (both engines recurse once per element level).
+#: interpreter stack (parsing and the plan walk recurse once per level).
 _TOO_DEEP = "document nests too deeply to validate: its element depth exceeds the recursion limit"
 
 
@@ -113,7 +105,7 @@ class DocumentReport:
     error: str | None = None
 
     def to_json(self) -> dict:
-        """Deterministic JSON shape (no timings; stable across jobs/engines)."""
+        """Deterministic JSON shape (no timings)."""
         payload: dict = {"path": self.path, "ok": self.ok}
         if self.error is not None:
             payload["error"] = self.error
@@ -130,8 +122,6 @@ class BatchReport:
     """A whole corpus run: per-document reports plus aggregates."""
 
     documents: list[DocumentReport]
-    jobs: int
-    engine: str
     elapsed_ms: float
 
     @property
@@ -147,10 +137,10 @@ class BatchReport:
         return self.docs_invalid == 0
 
     def to_json(self) -> dict:
-        """Deterministic JSON shape -- byte-identical across jobs and engines.
+        """Deterministic JSON shape -- byte-identical across runs.
 
-        Deliberately excludes ``jobs``, ``engine`` and ``elapsed_ms``: the
-        report describes the corpus, not the run.
+        Deliberately excludes ``elapsed_ms``: the report describes the
+        corpus, not the run.
         """
         return {
             "docs_total": self.docs_total,
@@ -182,30 +172,15 @@ class BatchReport:
 class ValidationPipeline:
     """Validate corpora of instance documents against one schema set.
 
-    ``engine="compiled"`` compiles the schema set once (through the
-    process-wide :class:`~repro.xsd.CompilationCache`, so repeated
-    pipelines over the same schemas reuse plans); ``engine="interpreted"``
-    calls :func:`validate_instance` per document.  Both produce identical
-    reports -- the compiled engine exists purely for throughput.
+    The schema set is compiled once, through the process-wide
+    :class:`~repro.xsd.CompilationCache`, so repeated pipelines over the
+    same schemas reuse plans.
     """
 
-    def __init__(
-        self,
-        schema_set: SchemaSet,
-        *,
-        engine: str = "compiled",
-        jobs: int = 1,
-        fail_fast: bool = False,
-    ) -> None:
-        if engine not in _ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    def __init__(self, schema_set: SchemaSet, *, fail_fast: bool = False) -> None:
         self.schema_set = schema_set
-        self.engine = engine
-        self.jobs = max(1, int(jobs))
         self.fail_fast = fail_fast
-        self._compiled: CompiledSchemaSet | None = (
-            compile_schema_set(schema_set) if engine == "compiled" else None
-        )
+        self._compiled = compile_schema_set(schema_set)
         # Resolve the instruments once: the registry lookup takes a lock
         # and renders labels, which is measurable at per-document rates.
         self._docs_total = counter("instances.docs_total")
@@ -216,15 +191,13 @@ class ValidationPipeline:
 
     def validate_text(self, text: str) -> list[ValidationProblem]:
         """Validate one document given as XML text."""
-        if self._compiled is not None:
-            return self._compiled.validate(text)
-        return validate_instance(self.schema_set, text)
+        return self._compiled.validate(text)
 
     def validate_path(self, path: str | Path, label: str | None = None) -> DocumentReport:
         """Validate one document file; faults become the report, not raises."""
         name = label if label is not None else str(path)
         started = time.perf_counter()
-        with span("instances.validate", document=name, engine=self.engine):
+        with span("instances.validate", document=name):
             try:
                 if not isinstance(path, Path):
                     path = Path(path)
@@ -252,7 +225,7 @@ class ValidationPipeline:
         :meth:`validate_path` for callers (e.g. ``upcc serve``) whose
         documents arrive over the wire instead of from disk."""
         started = time.perf_counter()
-        with span("instances.validate", document=label, engine=self.engine):
+        with span("instances.validate", document=label):
             try:
                 problems = self.validate_text(text)
             except ReproError as error:
@@ -273,42 +246,21 @@ class ValidationPipeline:
     def run(self, corpus: str | Path) -> BatchReport:
         """Validate every document of ``corpus``; never raises per-document."""
         paths = discover_corpus(corpus)
-        labels = [str(path) for path in paths]
         started = time.perf_counter()
-        with span(
-            "instances.batch",
-            corpus=str(corpus),
-            documents=len(paths),
-            jobs=self.jobs,
-            engine=self.engine,
-        ):
-            if self.jobs > 1 and not self.fail_fast and len(paths) > 1:
-                reports = self._run_parallel(paths, labels)
-            else:
-                reports = self._run_serial(paths, labels)
+        with span("instances.batch", corpus=str(corpus), documents=len(paths)):
+            reports: list[DocumentReport] = []
+            for path in paths:
+                report = self.validate_path(path)
+                reports.append(report)
+                if self.fail_fast and not report.ok:
+                    break
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        return BatchReport(
-            documents=reports,
-            jobs=self.jobs,
-            engine=self.engine,
-            elapsed_ms=elapsed_ms,
-        )
+        return BatchReport(documents=reports, elapsed_ms=elapsed_ms)
 
     def run_strings(self, documents: list[tuple[str, str]]) -> BatchReport:
-        """Validate ``(name, xml text)`` pairs; the in-memory twin of :meth:`run`.
-
-        Always serial: the serving layer calls this once per request from a
-        worker thread that is already one lane of a pool, so fanning out
-        again would oversubscribe the process.
-        """
+        """Validate ``(name, xml text)`` pairs; the in-memory twin of :meth:`run`."""
         started = time.perf_counter()
-        with span(
-            "instances.batch",
-            corpus="<memory>",
-            documents=len(documents),
-            jobs=1,
-            engine=self.engine,
-        ):
+        with span("instances.batch", corpus="<memory>", documents=len(documents)):
             reports: list[DocumentReport] = []
             for name, text in documents:
                 report = self.validate_string(text, name)
@@ -316,47 +268,4 @@ class ValidationPipeline:
                 if self.fail_fast and not report.ok:
                     break
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        return BatchReport(
-            documents=reports,
-            jobs=1,
-            engine=self.engine,
-            elapsed_ms=elapsed_ms,
-        )
-
-    def _run_serial(self, paths: list[Path], labels: list[str]) -> list[DocumentReport]:
-        reports: list[DocumentReport] = []
-        for path, label in zip(paths, labels):
-            report = self.validate_path(path, label)
-            reports.append(report)
-            if self.fail_fast and not report.ok:
-                break
-        return reports
-
-    def _run_parallel(self, paths: list[Path], labels: list[str]) -> list[DocumentReport]:
-        # One contiguous chunk per worker, not one future per document:
-        # at sub-millisecond document cost the submit/future overhead
-        # would otherwise swamp the fan-out.  Chunks are reassembled by
-        # input index, so the report order (and therefore the serialized
-        # report) is independent of completion order -- --jobs 4 output
-        # is byte-identical to --jobs 1.
-        chunk_size = -(-len(paths) // self.jobs)  # ceil division
-        chunks = [
-            list(zip(paths[offset : offset + chunk_size], labels[offset : offset + chunk_size]))
-            for offset in range(0, len(paths), chunk_size)
-        ]
-
-        def run_chunk(chunk: list[tuple[Path, str]]) -> list[DocumentReport]:
-            return [self.validate_path(path, label) for path, label in chunk]
-
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            futures = []
-            for chunk in chunks:
-                # Snapshot the trace context (the open instances.batch span)
-                # per submit; Context.run is single-flight, so each task
-                # needs its own copy.
-                task_context = contextvars.copy_context()
-                futures.append(pool.submit(task_context.run, run_chunk, chunk))
-            reports: list[DocumentReport] = []
-            for future in futures:
-                reports.extend(future.result())
-            return reports
+        return BatchReport(documents=reports, elapsed_ms=elapsed_ms)

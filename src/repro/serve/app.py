@@ -50,9 +50,6 @@ from repro.xsdgen.provenance import ProvenanceIndex
 
 _log = get_logger("repro.serve")
 
-#: Pipeline engines a /validate request may select.
-_ENGINES = ("compiled", "interpreted")
-
 
 @dataclass
 class SchemaSetEntry:
@@ -221,17 +218,12 @@ class ServeApp:
                     "error": "each document must be an XML string or "
                     "{'name': ..., 'xml': ...}"
                 }
-        engine = payload.get("engine", "compiled")
-        if engine not in _ENGINES:
-            return 400, {"error": f"unknown engine {engine!r}; expected one of {_ENGINES}"}
         status, entry = self._resolve_schema_set(payload)
         if entry is None:
             return status  # type: ignore[return-value]  # (status, payload) tuple
         try:
             pipeline = ValidationPipeline(
-                entry.schema_set,
-                engine=engine,
-                fail_fast=bool(payload.get("fail_fast", False)),
+                entry.schema_set, fail_fast=bool(payload.get("fail_fast", False))
             )
             report = pipeline.run_strings(named)
         except ReproError as error:

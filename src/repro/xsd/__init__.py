@@ -14,9 +14,11 @@ available, this package is the from-scratch substrate that closes the loop:
   tests and by the validator when loading schema files,
 * :mod:`repro.xsd.datatypes` -- built-in type lexical checks and facets,
 * :mod:`repro.xsd.content_model` -- occurrence-aware content-model
-  matching (a compiled NFA plus a reference backtracking matcher),
-* :mod:`repro.xsd.validator` -- instance-document validation against a
-  :class:`SchemaSet`.
+  matching (a compiled NFA and its determinized form),
+* :mod:`repro.xsd.validator` -- :class:`SchemaSet` and
+  :func:`validate_instance`, the entry point for instance validation,
+* :mod:`repro.xsd.compiled` -- the instance validator itself: a schema
+  set compiled once into validation plans, cached by fingerprint.
 """
 
 from repro.xsd.components import (

@@ -1,17 +1,15 @@
-"""Compiled instance validation: zero schema-graph walking per document.
+"""Instance validation, compiled: zero schema-graph walking per document.
 
-:func:`~repro.xsd.validator.validate_instance` re-resolves every type
-reference, re-flattens every simple-type derivation chain and re-parses
-every facet on every call -- fine for one document, wasteful for the
-corpus-sized workloads the paper's pipeline ends in ("The schemas are then
-used to validate XML messages exchanged during a business process").
+The paper's pipeline ends with schemas "used to validate XML messages
+exchanged during a business process"; :class:`CompiledSchemaSet` is the
+validator for those messages (:func:`~repro.xsd.validator.validate_instance`
+is a thin wrapper over it).  It front-loads every schema lookup at
+construction:
 
-:class:`CompiledSchemaSet` front-loads all of that at construction:
-
-* global element and type lookups become dict hits (the interpreted
-  ``find_type`` scans ``schema.items`` linearly per call),
+* global element and type lookups become dict hits,
 * one :class:`~repro.xsd.content_model.CompiledModel` NFA is pre-built per
-  complex type (the interpreted path builds them lazily per ``SchemaSet``),
+  complex type (determinized to a DFA when that is provably
+  result-identical),
 * simple-type derivation chains and simpleContent hierarchies are
   flattened once, their facets pre-compiled via
   :func:`~repro.xsd.datatypes.compile_facets` (patterns compiled once,
@@ -20,14 +18,16 @@ used to validate XML messages exchanged during a business process").
   resolved validation plan, including the diagnostic messages schema
   defects will produce (dangling references, unresolved types).
 
-The compiled walk produces the *same* :class:`ValidationProblem` list, in
-the same order, as ``validate_instance(..., engine="nfa")`` -- asserted
+The test suite keeps a direct tree-walking validator as a reference
+oracle (``tests/reference_validator.py``); the compiled walk produces the
+same :class:`ValidationProblem` list, in the same order -- asserted
 property-based in ``tests/test_instance_pipeline.py``.
 
 Compiled sets are cached in a :class:`CompilationCache` (the LRU pattern
-of :class:`~repro.xsdgen.cache.GenerationCache`) keyed by
-:func:`fingerprint_schema_set`, so repeated pipeline runs over one schema
-set compile once.  Observability: the ``instances.compile`` span,
+of :class:`~repro.xsdgen.cache.GenerationCache`) keyed by the schema
+set's memoized :attr:`~repro.xsd.validator.SchemaSet.fingerprint`, so
+repeated validation over one schema set compiles once.  Observability:
+the ``instances.compile`` span,
 ``instances.compile_hits``/``compile_misses``/``compile_evictions``
 counters and the ``instances.compile_cache_size`` gauge (see
 docs/observability.md).
@@ -35,12 +35,11 @@ docs/observability.md).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
 from collections import OrderedDict
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import InstanceValidationError, SchemaError
 from repro.obs.metrics import counter, gauge
@@ -65,8 +64,8 @@ from repro.xsd.validator import (
     _IGNORED_ATTR_NAMESPACES,
     _ResolvedElement,
     _resolve_instance,
+    fingerprint_schema_texts,
 )
-from repro.xsd.writer import schema_to_string
 
 __all__ = [
     "CompilationCache",
@@ -80,41 +79,23 @@ __all__ = [
 
 
 def fingerprint_schema_set(schema_set: SchemaSet) -> str:
-    """A stable content hash of a schema set (serialized schema bytes).
+    """The compilation-cache key of ``schema_set``: its memoized
+    :attr:`~repro.xsd.validator.SchemaSet.fingerprint`.
 
-    Two sets holding structurally identical schemas fingerprint alike
-    regardless of load order; any change that can alter validation
-    behavior changes the serialized form and therefore the digest.
+    Any change that can alter validation behavior changes the serialized
+    schemas and therefore the digest.
     """
-    return fingerprint_schema_texts(
-        (namespace, schema_to_string(schema_set.schema_for(namespace)))
-        for namespace in schema_set.namespaces
-    )
-
-
-def fingerprint_schema_texts(texts: Iterable[tuple[str, str]]) -> str:
-    """:func:`fingerprint_schema_set` over already serialized schemas.
-
-    ``texts`` holds one ``(target namespace, schema text)`` pair per
-    schema; callers that have the texts at hand skip serializing twice.
-    """
-    digest = hashlib.sha256()
-    for namespace, text in sorted(texts):
-        digest.update(namespace.encode("utf-8"))
-        digest.update(b"\x1f")
-        digest.update(text.encode("utf-8"))
-        digest.update(b"\x1e")
-    return digest.hexdigest()
+    return schema_set.fingerprint
 
 
 # -- parsing straight to resolved form ----------------------------------------
 #
-# The interpreted path parses into an XmlElement tree and then converts it
-# into namespace-resolved form (two tree constructions per document).  The
-# compiled path parses with expat directly into resolved nodes, with
-# per-scope tag/attribute memos and process-wide QName interning -- and
-# reproduces the interpreted path's behavior exactly: the same text-node
-# rules, the same error messages, the same namespace fallbacks.
+# XmlElement input goes through ``_resolve_instance``.  Text input is
+# parsed straight into resolved nodes (ElementTree, or expat with
+# per-scope tag/attribute memos), with process-wide QName interning --
+# and behaves exactly like parsing with ``parse_xml`` then resolving: the
+# same text-node rules, the same error messages, the same namespace
+# fallbacks.
 
 _qname_intern: dict[tuple[str, str], QName] = {}
 _QNAME_INTERN_LIMIT = 8192
@@ -149,8 +130,8 @@ class _Scope:
             except ValueError as error:
                 raise InstanceValidationError(str(error)) from None
             if prefix == "xml":
-                # Implicitly declared on every document (mirroring the
-                # interpreted resolver and ElementTree's C parser).
+                # Implicitly declared on every document (mirroring
+                # ``_resolve_instance`` and ElementTree's C parser).
                 namespace = XML_NAMESPACE
             elif prefix is not None:
                 namespace = self.map.get(prefix)
@@ -173,8 +154,8 @@ class _Scope:
                 raise InstanceValidationError(str(error)) from None
             # Unprefixed attributes live in no namespace per the XML spec;
             # xml:* lives in the implicit XML namespace; any other
-            # undeclared prefix falls back to no namespace (mirroring the
-            # interpreted resolver).
+            # undeclared prefix falls back to no namespace (mirroring
+            # ``_resolve_instance``).
             if prefix == "xml":
                 namespace = XML_NAMESPACE
             else:
@@ -225,15 +206,15 @@ def _intern_clark(name: str) -> QName:
 
 
 def _parse_document(text: str) -> _Node:
-    """Parse ``text`` into resolved nodes, matching the interpreted path.
+    """Parse ``text`` into resolved nodes, matching ``parse_xml`` + ``_resolve_instance``.
 
     Fast path: :func:`xml.etree.ElementTree.fromstring` resolves
     namespaces in C; its parse-error messages are identical to
     :func:`~repro.xmlutil.writer.parse_xml`'s.  The one divergence is an
     undeclared prefix -- ElementTree rejects the document outright where
-    the interpreted resolver parses it and then reports the offending
+    ``_resolve_instance`` parses it and then reports the offending
     element -- so that case falls back to :func:`_parse_document_expat`,
-    which reproduces the interpreted behavior exactly.
+    which reproduces that behavior exactly.
     """
     try:
         root = ET.fromstring(text)
@@ -262,7 +243,7 @@ def _convert_tree(element: "ET.Element") -> _Node:
     children = [_convert_tree(child) for child in element]
     node.children = children
     text = element.text
-    # Same text rules as the interpreted reader: only text before the
+    # Same text rules as ``parse_xml``: only text before the
     # first child element counts, and whitespace-only text counts only in
     # childless elements (children's tail text never does).
     node.text = text if text and (not children or text.strip()) else ""
@@ -272,9 +253,9 @@ def _convert_tree(element: "ET.Element") -> _Node:
 def _parse_document_expat(text: str) -> _Node:
     """Parse ``text`` directly into resolved nodes (expat, single pass).
 
-    Raises :class:`InstanceValidationError` with exactly the messages the
-    interpreted ``validate_instance`` path produces, for both malformed
-    XML and undeclared element prefixes.
+    Raises :class:`InstanceValidationError` with exactly the messages
+    ``parse_xml`` + ``_resolve_instance`` produce, for both malformed XML
+    and undeclared element prefixes.
     """
     parser = xml.parsers.expat.ParserCreate()
     parser.ordered_attributes = True
@@ -429,8 +410,8 @@ class _AttrPlan:
     ) -> None:
         self.by_name = by_name
         self.declared = declared
-        # In declared order, so missing-required reports keep the
-        # interpreted engine's ordering.
+        # In declared order, so missing-required reports follow the
+        # schema's attribute order.
         self.required = tuple(name for name, required in declared if required)
 
     def run(
@@ -667,8 +648,7 @@ class CompiledSchemaSet:
 
     Construction resolves every reference and pre-builds every content
     model; :meth:`validate` then walks documents against plan objects
-    only.  Output is identical (same problems, same order) to
-    ``validate_instance(schema_set, document)``.
+    only.
 
     Instances are immutable after construction and safe to share across
     threads -- :meth:`validate` touches no mutable compiled state.
@@ -839,7 +819,7 @@ class CompiledSchemaSet:
         return inherited_base, merged, inherited_facets + facets
 
     def _value_check(self, type_name: QName, extra_facets: list[Facet]) -> _ValueCheck:
-        """The compiled form of ``_Validator._validate_simple_value``."""
+        """The value check for ``type_name`` plus ``extra_facets``."""
         messages: list[str] = []
         base, facets = self._flatten_simple_type(type_name, messages, frozenset())
         facets = facets + extra_facets

@@ -1,18 +1,22 @@
 """Occurrence-aware content-model matching.
 
 Validating a ``sequence``/``choice`` particle against the children of an
-instance element is regular-language matching.  Two interchangeable engines
-are provided:
+instance element is regular-language matching:
 
-* :func:`match_nfa` -- a compiled Thompson-style NFA simulated with epsilon
-  closures (linear in ``len(tokens) * states``), the production engine;
-* :func:`match_backtracking` -- a direct recursive matcher used as the
-  reference implementation in property-based equivalence tests and as the
-  "naive" arm of the ablation benchmark in DESIGN.md.
+* :class:`CompiledModel` (and :func:`match_nfa`) -- a compiled
+  Thompson-style NFA simulated with epsilon closures (linear in
+  ``len(tokens) * states``);
+* :func:`determinize` -- the NFA's subset construction, used by the
+  compiled validator whenever it is provably result-identical (the NFA
+  stays the fallback for models that violate Unique Particle Attribution).
 
-Both return a :class:`MatchResult` whose ``assignments`` pin each child to
-the element declaration that matched it, which the validator then uses for
-type checking.  For schemas obeying the Unique Particle Attribution rule
+The test suite keeps a direct recursive backtracking matcher
+(``tests/reference_validator.py``) as the reference these are checked
+against; it is also the "naive" arm of the ablation benchmark in DESIGN.md.
+
+Matching returns a :class:`MatchResult` whose ``assignments`` pin each child
+to the element declaration that matched it, which the validator then uses
+for type checking.  For schemas obeying the Unique Particle Attribution rule
 (everything the NDR generator emits does) the assignment is unambiguous.
 """
 
@@ -320,62 +324,3 @@ def determinize(model: CompiledModel) -> DeterminizedModel | None:
             (transitions, model.accept in representative, model._expected_at(representative))
         )
     return DeterminizedModel(tables)
-
-
-# ---------------------------------------------------------------------------
-# Reference backtracking engine
-# ---------------------------------------------------------------------------
-
-
-def match_backtracking(particle: Particle, tokens: list[QName], symbol_of: SymbolOf) -> MatchResult:
-    """Match by direct recursive backtracking (reference implementation)."""
-
-    def match_particle(node: Particle, pos: int):
-        """Yield (end position, assignment slice) for every way to match."""
-        min_occurs = node.min_occurs
-        max_occurs = node.max_occurs
-        if max_occurs is not None and max_occurs > MAX_UNROLL:
-            max_occurs = None
-
-        def match_once(start: int):
-            if isinstance(node, ElementDecl):
-                if start < len(tokens) and symbol_of(node) == tokens[start]:
-                    yield start + 1, [node]
-                return
-            if isinstance(node, SequenceGroup):
-                def seq(idx: int, at: int, acc: list[ElementDecl]):
-                    if idx == len(node.particles):
-                        yield at, acc
-                        return
-                    for end, sub in match_particle(node.particles[idx], at):
-                        yield from seq(idx + 1, end, acc + sub)
-
-                yield from seq(0, start, [])
-                return
-            for child in node.particles:  # ChoiceGroup
-                yield from match_particle(child, start)
-
-        def repeat(count: int, at: int, acc: list[ElementDecl]):
-            if count >= min_occurs:
-                yield at, acc
-            if max_occurs is not None and count >= max_occurs:
-                return
-            for end, sub in match_once(at):
-                if end == at:
-                    # An empty occurrence: only worth counting while the
-                    # minimum is unmet (it can never consume input, so
-                    # repeating it further would loop forever).
-                    if count < min_occurs:
-                        yield from repeat(count + 1, end, acc + sub)
-                    continue
-                yield from repeat(count + 1, end, acc + sub)
-
-        yield from repeat(0, pos, [])
-
-    best_failure = -1
-    for end, assignment in match_particle(particle, 0):
-        if end == len(tokens):
-            return MatchResult(ok=True, assignments=assignment)
-        best_failure = max(best_failure, end)
-    failure_index = best_failure if 0 <= best_failure < len(tokens) else (None if best_failure >= len(tokens) else 0)
-    return MatchResult(ok=False, failure_index=failure_index, expected=())

@@ -3,34 +3,24 @@
 This is the consumer side of the paper's pipeline: "The schemas are then
 used to validate XML messages exchanged during a business process."
 :class:`SchemaSet` aggregates the schema documents a generation run
-produced (one per library) and :func:`validate_instance` walks an instance
-document, matching content models, attribute uses and simple-type facets.
+produced (one per library) and :func:`validate_instance` checks an instance
+document against them -- content models, attribute uses and simple-type
+facets -- through the set's compiled form (:mod:`repro.xsd.compiled`).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal
+from typing import Iterable
 
 from repro.errors import InstanceValidationError, SchemaError
 from repro.xmlutil.qname import XML_NAMESPACE, QName, split_qname
-from repro.xmlutil.writer import XmlElement, parse_xml
-from repro.xsd import datatypes
-from repro.xsd.components import (
-    XSD_NS,
-    AttributeDecl,
-    AttributeUse,
-    ComplexType,
-    ElementDecl,
-    Facet,
-    Schema,
-    SimpleType,
-)
-from repro.xsd.content_model import CompiledModel, MatchResult, match_backtracking
+from repro.xmlutil.writer import XmlElement
+from repro.xsd.components import ComplexType, ElementDecl, Schema, SimpleType
 from repro.xsd.parser import parse_schema
-
-Engine = Literal["nfa", "backtracking"]
+from repro.xsd.writer import schema_to_string
 
 #: Attributes the validator ignores on instance elements.  The XML
 #: namespace is listed because ``xml:lang``/``xml:space`` are implicitly
@@ -114,13 +104,14 @@ class SchemaSet:
 
     def __init__(self, schemas: list[Schema] | None = None) -> None:
         self._by_namespace: dict[str, Schema] = {}
-        self._model_cache: dict[int, CompiledModel] = {}
+        self._fingerprint: str | None = None
         for schema in schemas or []:
             self.add(schema)
 
     def add(self, schema: Schema) -> None:
         """Register a schema; later additions win on namespace collision."""
         self._by_namespace[schema.target_namespace] = schema
+        self._fingerprint = None
 
     @classmethod
     def from_files(cls, paths: list[str | Path]) -> "SchemaSet":
@@ -134,6 +125,21 @@ class SchemaSet:
     def from_directory(cls, directory: str | Path) -> "SchemaSet":
         """Load every ``*.xsd`` under ``directory`` (recursively)."""
         return cls.from_files(sorted(Path(directory).rglob("*.xsd")))
+
+    @property
+    def fingerprint(self) -> str:
+        """A stable content hash of the set (serialized schema bytes).
+
+        Two sets holding structurally identical schemas fingerprint alike
+        regardless of load order.  Memoized until the next :meth:`add`:
+        schemas are not expected to change once registered.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = fingerprint_schema_texts(
+                (namespace, schema_to_string(schema))
+                for namespace, schema in self._by_namespace.items()
+            )
+        return self._fingerprint
 
     # -- lookups ---------------------------------------------------------------
 
@@ -169,46 +175,31 @@ class SchemaSet:
                 return item
         return None
 
-    def compiled_model(self, complex_type: ComplexType, schema: Schema) -> CompiledModel:
-        """The (cached) compiled content model of a complex type."""
-        key = id(complex_type)
-        model = self._model_cache.get(key)
-        if model is None:
-            model = CompiledModel(complex_type.particle, lambda decl: self.symbol_of(decl, schema))
-            self._model_cache[key] = model
-        return model
 
-    def symbol_of(self, decl: ElementDecl, schema: Schema) -> QName:
-        """The instance QName an element declaration matches."""
-        if decl.is_ref:
-            return decl.ref
-        namespace = schema.target_namespace if schema.element_form_default == "qualified" else ""
-        return QName(namespace, decl.name)
+def fingerprint_schema_texts(texts: Iterable[tuple[str, str]]) -> str:
+    """:attr:`SchemaSet.fingerprint` over already serialized schemas.
+
+    ``texts`` holds one ``(target namespace, schema text)`` pair per
+    schema; callers that have the texts at hand skip serializing twice.
+    """
+    digest = hashlib.sha256()
+    for namespace, text in sorted(texts):
+        digest.update(namespace.encode("utf-8"))
+        digest.update(b"\x1f")
+        digest.update(text.encode("utf-8"))
+        digest.update(b"\x1e")
+    return digest.hexdigest()
 
 
-def validate_instance(
-    schema_set: SchemaSet,
-    document: XmlElement | str,
-    engine: Engine = "nfa",
-) -> list[ValidationProblem]:
-    """Validate an instance document; returns all problems found (empty = valid)."""
-    if isinstance(document, str):
-        try:
-            document = parse_xml(document)
-        except Exception as error:
-            raise InstanceValidationError(f"document is not well-formed XML: {error}") from error
-    root = _resolve_instance(document, {})
-    validator = _Validator(schema_set, engine)
-    decl = schema_set.find_global_element(root.qname)
-    if decl is None:
-        return [
-            ValidationProblem(
-                f"/{root.qname.local}",
-                f"no global element declaration for {root.qname.clark()}",
-            )
-        ]
-    validator.validate_element(root, decl, schema_set.schema_for(root.qname.namespace), f"/{root.qname.local}")
-    return validator.problems
+def validate_instance(schema_set: SchemaSet, document: XmlElement | str) -> list[ValidationProblem]:
+    """Validate an instance document; returns all problems found (empty = valid).
+
+    Compiles ``schema_set`` on first use (then reuses the cached plans, see
+    :func:`~repro.xsd.compiled.compile_schema_set`).
+    """
+    from repro.xsd.compiled import compile_schema_set  # compiled imports this module
+
+    return compile_schema_set(schema_set).validate(document)
 
 
 def assert_valid(schema_set: SchemaSet, document: XmlElement | str) -> None:
@@ -217,181 +208,3 @@ def assert_valid(schema_set: SchemaSet, document: XmlElement | str) -> None:
     if problems:
         details = "; ".join(str(problem) for problem in problems[:10])
         raise InstanceValidationError(f"{len(problems)} validation problem(s): {details}")
-
-
-class _Validator:
-    """Stateful tree walker accumulating :class:`ValidationProblem` items."""
-
-    def __init__(self, schema_set: SchemaSet, engine: Engine) -> None:
-        self.schema_set = schema_set
-        self.engine = engine
-        self.problems: list[ValidationProblem] = []
-
-    def _report(self, path: str, message: str) -> None:
-        self.problems.append(ValidationProblem(path, message))
-
-    # -- elements ----------------------------------------------------------------
-
-    def validate_element(
-        self, element: _ResolvedElement, decl: ElementDecl, schema: Schema, path: str
-    ) -> None:
-        if decl.is_ref:
-            target = self.schema_set.find_global_element(decl.ref)
-            if target is None:
-                self._report(path, f"dangling element reference {decl.ref.clark()}")
-                return
-            self.validate_element(element, target, self.schema_set.schema_for(decl.ref.namespace), path)
-            return
-        if decl.type is None:
-            return  # anyType: accept anything
-        self.validate_against_type(element, decl.type, path)
-
-    def validate_against_type(self, element: _ResolvedElement, type_name: QName, path: str) -> None:
-        if type_name.namespace == XSD_NS:
-            self._validate_simple(element, type_name, [], path)
-            return
-        definition = self.schema_set.find_type(type_name)
-        if definition is None:
-            self._report(path, f"unresolved type {type_name.clark()}")
-            return
-        if isinstance(definition, SimpleType):
-            self._validate_simple(element, type_name, [], path)
-            return
-        if definition.simple_content is not None:
-            self._validate_simple_content(element, definition, path)
-            return
-        self._validate_complex(element, definition, type_name, path)
-
-    def _validate_simple(
-        self, element: _ResolvedElement, type_name: QName, facets: list[Facet], path: str
-    ) -> None:
-        """An element whose type is a built-in or a global simple type."""
-        if element.children:
-            self._report(path, f"simple-typed element must not have children")
-        self._check_attributes(element, [], path)
-        self._validate_simple_value(element.text, type_name, facets, path)
-
-    # -- complex content --------------------------------------------------------------
-
-    def _validate_complex(
-        self, element: _ResolvedElement, definition: ComplexType, type_name: QName, path: str
-    ) -> None:
-        schema = self.schema_set.schema_for(type_name.namespace)
-        if element.text.strip():
-            self._report(path, f"unexpected character content in complex type {definition.name!r}")
-        self._check_attributes(element, definition.attributes, path)
-        tokens = [child.qname for child in element.children]
-        if definition.particle is None:
-            if tokens:
-                self._report(path, f"type {definition.name!r} allows no children, found {len(tokens)}")
-            return
-        result = self._match(definition, schema, tokens)
-        if not result.ok:
-            self._report(path, result.describe_failure())
-            return
-        for child, child_decl in zip(element.children, result.assignments):
-            child_path = f"{path}/{child.qname.local}"
-            self.validate_element(child, child_decl, schema, child_path)
-
-    def _match(self, definition: ComplexType, schema: Schema, tokens: list[QName]) -> MatchResult:
-        if self.engine == "backtracking":
-            return match_backtracking(
-                definition.particle, tokens, lambda decl: self.schema_set.symbol_of(decl, schema)
-            )
-        return self.schema_set.compiled_model(definition, schema).match(tokens)
-
-    # -- simple content -------------------------------------------------------------------
-
-    def _validate_simple_content(
-        self, element: _ResolvedElement, definition: ComplexType, path: str
-    ) -> None:
-        if element.children:
-            self._report(path, f"type {definition.name!r} has simple content but children were found")
-        base, attributes, facets = self._flatten_simple_content(definition, path)
-        self._check_attributes(element, attributes, path)
-        if base is not None:
-            self._validate_simple_value(element.text, base, facets, path)
-
-    def _flatten_simple_content(
-        self, definition: ComplexType, path: str
-    ) -> tuple[QName | None, list[AttributeDecl], list[Facet]]:
-        """Walk the simpleContent derivation chain; returns (base, attrs, facets)."""
-        content = definition.simple_content
-        assert content is not None
-        base = content.base
-        facets = list(content.facets)
-        if base.namespace == XSD_NS:
-            return base, list(content.attributes), facets
-        base_definition = self.schema_set.find_type(base)
-        if base_definition is None:
-            self._report(path, f"unresolved simpleContent base {base.clark()}")
-            return None, list(content.attributes), facets
-        if isinstance(base_definition, SimpleType):
-            return base, list(content.attributes), facets
-        if base_definition.simple_content is None:
-            self._report(path, f"simpleContent base {base.clark()} is not a simple-content type")
-            return None, list(content.attributes), facets
-        inherited_base, inherited_attrs, inherited_facets = self._flatten_simple_content(
-            base_definition, path
-        )
-        if content.derivation == "extension":
-            merged = inherited_attrs + content.attributes
-        else:
-            by_name = {attribute.name: attribute for attribute in inherited_attrs}
-            for attribute in content.attributes:
-                by_name[attribute.name] = attribute
-            merged = list(by_name.values())
-        return inherited_base, merged, inherited_facets + facets
-
-    # -- simple values ----------------------------------------------------------------------
-
-    def _validate_simple_value(
-        self, value: str, type_name: QName, extra_facets: list[Facet], path: str
-    ) -> None:
-        base, facets = self._flatten_simple_type(type_name, path)
-        facets = facets + extra_facets
-        if base is None:
-            return
-        normalized = datatypes.normalize_whitespace(base, value)
-        if not datatypes.check_builtin(base, normalized):
-            self._report(path, f"value {value!r} is not a valid {base.local}")
-            return
-        for problem in datatypes.check_facets(facets, normalized, base):
-            self._report(path, problem)
-
-    def _flatten_simple_type(self, type_name: QName, path: str) -> tuple[QName | None, list[Facet]]:
-        """Resolve a simple type to its built-in base plus accumulated facets."""
-        if type_name.namespace == XSD_NS:
-            return type_name, []
-        definition = self.schema_set.find_type(type_name)
-        if definition is None:
-            self._report(path, f"unresolved simple type {type_name.clark()}")
-            return None, []
-        if isinstance(definition, ComplexType):
-            self._report(path, f"type {type_name.clark()} is complex where a simple type is required")
-            return None, []
-        base, facets = self._flatten_simple_type(definition.base, path)
-        return base, facets + list(definition.facets)
-
-    # -- attributes --------------------------------------------------------------------------
-
-    def _check_attributes(
-        self, element: _ResolvedElement, declared: list[AttributeDecl], path: str
-    ) -> None:
-        by_name = {attribute.name: attribute for attribute in declared}
-        seen: set[str] = set()
-        for qname, value in element.attributes.items():
-            if qname.namespace in _IGNORED_ATTR_NAMESPACES:
-                continue
-            declaration = by_name.get(qname.local) if not qname.namespace else None
-            if declaration is None:
-                self._report(path, f"undeclared attribute {qname.clark()!r}")
-                continue
-            if declaration.use is AttributeUse.PROHIBITED:
-                self._report(path, f"attribute {qname.local!r} is prohibited here")
-                continue
-            seen.add(qname.local)
-            self._validate_simple_value(value, declaration.type, [], f"{path}/@{qname.local}")
-        for attribute in declared:
-            if attribute.use is AttributeUse.REQUIRED and attribute.name not in seen:
-                self._report(path, f"missing required attribute {attribute.name!r}")

@@ -7,20 +7,18 @@ resolves cross-library type references into imports with NDR-conformant
 prefixes.  :class:`SchemaBuilder` is the per-document working context the
 library builders write into.
 
-Concurrency: ``GenerationOptions.jobs > 1`` builds independent libraries
-in parallel.  The library dependency DAG is derived structurally
-(:func:`repro.xsdgen.cache.library_dependencies`), condensed into strongly
-connected components (cyclic BIE libraries build together on one thread),
-topologically ordered and scheduled on a ``ThreadPoolExecutor``.  Each
-library's schema is still built by exactly one thread, so the output is
-byte-identical to a serial run.
+Collect mode (``on_error="collect"``) prebuilds the whole reachable
+library graph before assembling the result: the dependency graph is
+derived structurally (:func:`repro.xsdgen.cache.library_dependencies`),
+condensed into strongly connected components (cyclic BIE libraries build
+together) and built dependencies-first, so a failing library cannot hide
+the independent libraries an on-demand build would only discover through
+it.  The output is byte-identical to an on-demand build.
 """
 
 from __future__ import annotations
 
-import contextvars
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,12 +75,6 @@ _log = get_logger("repro.xsdgen")
 
 #: Memo key: (identity of the library package, resolved DOC root or None).
 _MemoKey = tuple[int, "str | None"]
-
-#: Library stereotypes that generate a schema document of their own --
-#: the only ones the parallel scheduler can hand to a worker thread.
-_SCHEMA_STEREOTYPES = frozenset(
-    {BIE_LIBRARY, CDT_LIBRARY, DOC_LIBRARY, ENUM_LIBRARY, QDT_LIBRARY}
-)
 
 
 @dataclass
@@ -446,19 +438,11 @@ class SchemaGenerator:
             self.session.status(f"Generating schema for {library.stereotype} {library.name!r}")
             _log.info("generating schema for %s %r", library.stereotype, library.name)
             with self.model.model.indexed():
-                # Collect mode always prebuilds from the structural
-                # dependency graph: a failing library must not hide the
-                # independent libraries it would have discovered serially.
+                # Collect mode prebuilds from the structural dependency
+                # graph: a failing library must not hide the independent
+                # libraries an on-demand build would discover through it.
                 if collect:
-                    self._parallel_prebuild(library, root, max(1, self.options.jobs))
-                elif self.options.jobs > 1:
-                    if self._worth_prebuilding():
-                        self._parallel_prebuild(library, root, self.options.jobs)
-                    else:
-                        # The whole model holds fewer libraries than the
-                        # parallel threshold, so even dependency discovery
-                        # is overhead: build serially via ensure_library.
-                        counter("xsdgen.parallel_fallback").inc()
+                    self._prebuild_in_dependency_order(library, root)
                 root_namespace: str | None = None
                 try:
                     generated = self.ensure_library(library, root)
@@ -471,7 +455,7 @@ class SchemaGenerator:
                 else:
                     schemas = self._reachable_schemas(library, root)
             # Assemble the run's provenance index in sorted-URN order so
-            # serial, parallel and warm-cache runs index identically.
+            # on-demand, prebuilt and warm-cache runs index identically.
             provenance = ProvenanceIndex()
             for urn in sorted(schemas):
                 provenance.extend(schemas[urn].provenance)
@@ -802,27 +786,17 @@ class SchemaGenerator:
                 schemas[generated.namespace.urn] = generated
         return schemas
 
-    # -- parallel builds ------------------------------------------------------------
+    # -- collect-mode prebuild ------------------------------------------------------
 
-    def _parallel_prebuild(self, library: Library, root: "Abie | str | None", jobs: int) -> None:
-        """Build the reachable library DAG concurrently (``--jobs N``).
+    def _prebuild_in_dependency_order(self, library: Library, root: "Abie | str | None") -> None:
+        """Build the reachable library graph dependencies-first.
 
-        The graph is discovered structurally, condensed into SCCs (cyclic
-        libraries build together, preserving the single-thread cycle
-        handling) and scheduled dependencies-first, so no worker ever waits
-        on another thread's in-flight build.  The subsequent serial pass in
+        The graph is discovered structurally and condensed into SCCs
+        (cyclic libraries build together, preserving the on-demand cycle
+        handling).  A failed component is recorded and the loop moves on:
+        dependent components fail fast into the collected failures while
+        independent ones still build.  The subsequent pass in
         :meth:`generate` then assembles the result purely from memo hits.
-
-        Small models fall back to a serial loop: when fewer
-        cache-miss-eligible libraries than ``min_parallel_libraries``
-        (default ``2 * jobs``) are reachable, thread-pool setup costs more
-        than it saves, so the components build in dependency order on the
-        calling thread and ``xsdgen.parallel_fallback`` counts the skip.
-
-        Worker threads run inside a :func:`contextvars.copy_context`
-        snapshot taken at submit time, so the ``xsdgen.parallel`` span
-        active here is the active span *inside* the worker too -- library
-        build spans parent under it instead of surfacing as orphan roots.
         """
         graph: dict[int, tuple[Library, list[int]]] = {}
 
@@ -840,124 +814,17 @@ class SchemaGenerator:
         discover(library)
         if len(graph) < 2:
             return
-        components = _strongly_connected({node: deps for node, (_, deps) in graph.items()})
-        component_of = {node: index for index, comp in enumerate(components) for node in comp}
-        dependents: dict[int, set[int]] = {index: set() for index in range(len(components))}
-        indegree = [0] * len(components)
-        for index, comp in enumerate(components):
-            upstream = {
-                component_of[dep]
-                for node in comp
-                for dep in graph[node][1]
-                if component_of[dep] != index
-            }
-            indegree[index] = len(upstream)
-            for up in upstream:
-                dependents[up].add(index)
-
         entry_node = id(library.element)
-
-        def build_component(index: int) -> None:
-            for node in components[index]:
-                candidate = graph[node][0]
-                self.ensure_library(candidate, root if node == entry_node else None)
-
-        eligible = self._eligible_builds(graph, entry_node, root)
-        threshold = self.options.min_parallel_libraries
-        if threshold is None:
-            threshold = 2 * jobs
-        if jobs <= 1 or eligible < threshold:
-            if jobs > 1:
-                counter("xsdgen.parallel_fallback").inc()
-                _log.debug(
-                    "serial fallback: %d eligible librar%s below threshold %d (jobs=%d)",
-                    eligible, "y" if eligible == 1 else "ies", threshold, jobs,
-                )
-            with span(
-                "xsdgen.parallel",
-                libraries=len(graph), jobs=jobs, eligible=eligible, mode="serial",
-            ):
-                # Tarjan emits components dependencies-first, so an
-                # in-order loop never builds an importer before its imports.
-                for index in range(len(components)):
-                    try:
-                        build_component(index)
-                    except ReproError:
-                        if self.options.on_error != "collect":
-                            raise
-            return
-        ready = [index for index in range(len(components)) if indegree[index] == 0]
-        pending: dict[Future, int] = {}
-        with span(
-            "xsdgen.parallel",
-            libraries=len(graph), jobs=jobs, eligible=eligible, mode="threads",
-        ):
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                while ready or pending:
-                    for index in ready:
-                        # Snapshot the trace context (the open xsdgen.parallel
-                        # span) per submit; Context.run is single-flight, so
-                        # each task needs its own copy.
-                        task_context = contextvars.copy_context()
-                        pending[pool.submit(task_context.run, build_component, index)] = index
-                    ready = []
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        finished = pending.pop(future)
-                        try:
-                            future.result()
-                        except ReproError:
-                            if self.options.on_error != "collect":
-                                raise
-                            # Already recorded by ensure_library; dependent
-                            # components still run and fail fast into the
-                            # collected failures, independent ones build on.
-                        for dependent in sorted(dependents[finished]):
-                            indegree[dependent] -= 1
-                            if indegree[dependent] == 0:
-                                ready.append(dependent)
-
-    def _worth_prebuilding(self) -> bool:
-        """Cheap preflight for ``jobs > 1``: can parallelism possibly pay?
-
-        The model's schema-capable library count (a memoized scan) bounds
-        the reachable graph from above, so when even that sits below the
-        parallel threshold the structural dependency discovery inside
-        :meth:`_parallel_prebuild` is pure overhead -- exactly what made
-        the ``parallel_jobs4`` bench arm lose to ``cold`` on small models.
-        """
-        threshold = self.options.min_parallel_libraries
-        if threshold is None:
-            threshold = 2 * self.options.jobs
-        if threshold == 0:
-            return True
-        total = sum(
-            1
-            for candidate in self.model.libraries()
-            if candidate.stereotype in _SCHEMA_STEREOTYPES
-        )
-        return total >= threshold
-
-    def _eligible_builds(
-        self, graph: dict[int, tuple[Library, list[int]]], entry_node: int, root: "Abie | str | None"
-    ) -> int:
-        """How many reachable libraries this run will actually *build*.
-
-        Libraries the cache can replay are cheap memo work, not thread
-        fodder, so they do not count toward the parallelism threshold.
-        Uses :meth:`GenerationCache.contains` -- a planning peek that
-        leaves the hit/miss counters and LRU order untouched.
-        """
-        if self.cache is None:
-            return len(graph)
-        eligible = 0
-        for node, (candidate, _) in graph.items():
-            if candidate.stereotype == PRIM_LIBRARY:
-                continue
-            key = self._memo_key(candidate, root if node == entry_node else None)
-            if not self.cache.contains(self._fingerprint_for(candidate, key)):
-                eligible += 1
-        return eligible
+        with span("xsdgen.prebuild", libraries=len(graph)):
+            # Tarjan emits components dependencies-first, so an in-order
+            # loop never builds an importer before its imports.
+            for component in _strongly_connected({node: deps for node, (_, deps) in graph.items()}):
+                try:
+                    for node in component:
+                        self.ensure_library(graph[node][0], root if node == entry_node else None)
+                except ReproError:
+                    # Already recorded by ensure_library.
+                    pass
 
     # -- single-library build -------------------------------------------------------
 
@@ -1015,7 +882,7 @@ def _strongly_connected(nodes: dict[int, list[int]]) -> list[list[int]]:
     """Tarjan's SCC over ``node -> dependency nodes``; edges to unknown
     nodes are ignored.  Components come out dependencies-first (reverse
     topological order of the condensation), which is exactly the build
-    order the parallel scheduler needs.
+    order the collect-mode prebuild needs.
     """
     index: dict[int, int] = {}
     low: dict[int, int] = {}

@@ -29,21 +29,12 @@ class GenerationOptions:
     ``include_version_in_urn`` switches the URN style; ``validate_first``
     runs the basic rule set before generating.
 
-    Scaling knobs (see docs/architecture.md, "Generation cache and
-    parallel builds"): ``use_cache`` consults the process-shared
-    fingerprint-keyed :class:`~repro.xsdgen.cache.GenerationCache`;
-    ``cache_dir`` additionally persists cached schemas on disk (implies
-    caching); ``jobs`` builds independent libraries on that many threads,
-    producing byte-identical output versus a serial run.  Caching and
-    parallelism are off by default so a bare ``SchemaGenerator`` behaves
+    Caching (see docs/architecture.md, "Generation cache"):
+    ``use_cache`` consults the process-shared fingerprint-keyed
+    :class:`~repro.xsdgen.cache.GenerationCache`; ``cache_dir``
+    additionally persists cached schemas on disk (implies caching).
+    Caching is off by default so a bare ``SchemaGenerator`` behaves
     exactly like the paper's add-in.
-
-    ``min_parallel_libraries`` guards against paying thread-pool overhead
-    on models too small to amortize it: when fewer cache-miss-eligible
-    libraries than this are reachable, a ``jobs > 1`` run builds them
-    serially instead (recorded by the ``xsdgen.parallel_fallback``
-    counter).  ``None`` (the default) means ``2 * jobs``; ``0`` disables
-    the fallback and always uses the pool.
 
     ``on_error`` selects the failure policy: ``"raise"`` (default)
     aborts the run on the first failing library, mirroring the paper's
@@ -67,8 +58,6 @@ class GenerationOptions:
     target_directory: Path | None = None
     use_cache: bool = False
     cache_dir: Path | None = None
-    jobs: int = 1
-    min_parallel_libraries: int | None = None
     on_error: str = "raise"
     embed_provenance: bool = False
 
@@ -76,11 +65,6 @@ class GenerationOptions:
         if self.on_error not in ("raise", "collect"):
             raise ValueError(
                 f"on_error must be 'raise' or 'collect', got {self.on_error!r}"
-            )
-        if self.min_parallel_libraries is not None and self.min_parallel_libraries < 0:
-            raise ValueError(
-                f"min_parallel_libraries must be >= 0 or None, "
-                f"got {self.min_parallel_libraries!r}"
             )
 
 

@@ -118,6 +118,37 @@ class TestGenerate:
         assert "problem" in capsys.readouterr().out
 
 
+class TestCheckInstance:
+    @pytest.fixture
+    def schemas(self, xmi_file, tmp_path):
+        out = tmp_path / "schemas"
+        assert main([
+            "generate", str(xmi_file),
+            "--library", "EB005-HoardingPermit",
+            "--root", "HoardingPermit",
+            "--out", str(out),
+        ]) == 0
+        return out
+
+    def test_deep_nesting_is_a_located_error(self, schemas, tmp_path, capsys):
+        deep = tmp_path / "deep.xml"
+        deep.write_text("<a>" * 5000 + "</a>" * 5000, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["check-instance", str(schemas), str(deep)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: document nests too deeply")
+        assert "Traceback" not in err
+
+    def test_undecodable_bytes_are_a_located_error(self, schemas, tmp_path, capsys):
+        utf16 = tmp_path / "utf16.xml"
+        utf16.write_bytes(b"\xff\xfe<\x00a\x00/\x00>\x00")
+        capsys.readouterr()
+        assert main(["check-instance", str(schemas), str(utf16)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in err
+
+
 class TestAlternativeSyntaxes:
     def test_relaxng_output(self, xmi_file, capsys):
         assert main([

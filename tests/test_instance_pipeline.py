@@ -3,11 +3,11 @@
 Two contracts under test:
 
 * equivalence -- :class:`CompiledSchemaSet` produces exactly the problem
-  list ``validate_instance`` produces, on valid, mutated and malformed
-  documents of both catalog corpora (property-based over generator and
-  mutation parameters);
+  list the reference walker (``tests/reference_validator.py``) produces,
+  on valid, mutated and malformed documents of both catalog corpora
+  (property-based over generator and mutation parameters);
 * the pipeline -- corpus discovery, per-document fault isolation,
-  byte-identical reports across engines and job counts, fail-fast,
+  reports byte-identical to the reference walker's, fail-fast,
   compilation caching and the CLI surface.
 """
 
@@ -41,9 +41,10 @@ from repro.xsd import (
     fingerprint_schema_set,
     get_compilation_cache,
     set_compilation_cache,
-    validate_instance,
 )
 from repro.xsdgen import GenerationOptions, SchemaGenerator
+
+from tests.reference_validator import reference_report, reference_validate
 
 ROOTS = {
     "easybiz": ("HoardingPermit", build_easybiz_model),
@@ -73,7 +74,7 @@ def corpora():
     return built
 
 
-# -- compiled == interpreted equivalence ---------------------------------------
+# -- compiled == reference equivalence -----------------------------------------
 
 
 class TestCompiledEquivalence:
@@ -100,7 +101,7 @@ class TestCompiledEquivalence:
         if mutate is not None:
             mutate(document)
         text = XmlWriter().to_string(document)
-        assert compiled.validate(text) == validate_instance(schema_set, text)
+        assert compiled.validate(text) == reference_validate(schema_set, text)
 
     @pytest.mark.parametrize(
         "document",
@@ -125,7 +126,7 @@ class TestCompiledEquivalence:
                 return ("error", str(error))
 
         assert outcome(lambda: compiled.validate(document)) == outcome(
-            lambda: validate_instance(schema_set, document)
+            lambda: reference_validate(schema_set, document)
         )
 
     def test_accepts_xml_element_input(self, corpora):
@@ -135,7 +136,7 @@ class TestCompiledEquivalence:
         document = InstanceGenerator(schema_set).generate(root)
         assert compiled.validate(document) == []
         drop_required_child(document, "IncludedRegistration")
-        assert compiled.validate(document) == validate_instance(schema_set, document)
+        assert compiled.validate(document) == reference_validate(schema_set, document)
 
 
 # -- fingerprints and the compilation cache ------------------------------------
@@ -237,17 +238,20 @@ class TestValidationPipeline:
     def test_reports_byte_identical_across_engines_and_jobs(
         self, corpora, tmp_path
     ):
+        """The pipeline's serialized report equals the reference walker's,
+        and an in-memory run of the same documents serializes alike."""
         schema_set, root = corpora["easybiz"]
         _write_corpus(schema_set, root, tmp_path)
+        (tmp_path / "zz_malformed.xml").write_text("<a><b></a>", encoding="utf-8")
+        pipeline = ValidationPipeline(schema_set)
+        from_disk = pipeline.run(tmp_path)
+        in_memory = pipeline.run_strings(
+            [(str(path), path.read_text(encoding="utf-8")) for path in discover_corpus(tmp_path)]
+        )
+        assert from_disk.docs_invalid == 3
         serialized = {
-            json.dumps(
-                ValidationPipeline(schema_set, engine=engine, jobs=jobs)
-                .run(tmp_path)
-                .to_json(),
-                sort_keys=True,
-            )
-            for engine in ("compiled", "interpreted")
-            for jobs in (1, 4)
+            json.dumps(report.to_json(), sort_keys=True)
+            for report in (from_disk, in_memory, reference_report(schema_set, tmp_path))
         }
         assert len(serialized) == 1
 
@@ -271,14 +275,13 @@ class TestValidationPipeline:
         assert by_name["missing.xml"].error is not None
         assert report.docs_invalid == 2
 
-    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
-    def test_deep_nesting_is_a_document_fault(self, corpora, tmp_path, engine):
+    def test_deep_nesting_is_a_document_fault(self, corpora, tmp_path):
         schema_set, root = corpora["easybiz"]
         _write_corpus(schema_set, root, tmp_path, count=1, invalid_every=100)
         valid = (tmp_path / "doc000.xml").read_text(encoding="utf-8")
         deep = "<a>" * 5000 + "</a>" * 5000
         (tmp_path / "deep.xml").write_text(deep, encoding="utf-8")
-        pipeline = ValidationPipeline(schema_set, engine=engine)
+        pipeline = ValidationPipeline(schema_set)
         from_disk = pipeline.run(tmp_path)
         in_memory = pipeline.run_strings([("deep.xml", deep), ("doc000.xml", valid)])
         for report in (from_disk, in_memory):
@@ -290,7 +293,7 @@ class TestValidationPipeline:
     def test_fail_fast_stops_at_first_invalid(self, corpora, tmp_path):
         schema_set, root = corpora["easybiz"]
         _write_corpus(schema_set, root, tmp_path, count=6, invalid_every=3)
-        report = ValidationPipeline(schema_set, fail_fast=True, jobs=4).run(tmp_path)
+        report = ValidationPipeline(schema_set, fail_fast=True).run(tmp_path)
         # doc002 is the first invalid one; nothing after it was validated.
         assert [doc.path.rsplit("/", 1)[-1] for doc in report.documents] == [
             "doc000.xml",
@@ -314,11 +317,6 @@ class TestValidationPipeline:
         assert invalid["problems"], "expected located problems in the JSON report"
         text = report.to_text()
         assert "INVALID" in text and "2 document(s), 1 invalid" in text
-
-    def test_unknown_engine_rejected(self, corpora):
-        schema_set, _ = corpora["easybiz"]
-        with pytest.raises(ValueError, match="unknown engine"):
-            ValidationPipeline(schema_set, engine="quantum")
 
     def test_metrics_recorded(self, corpora, tmp_path):
         from repro.obs.metrics import MetricsRegistry, set_registry
@@ -370,8 +368,6 @@ class TestValidateInstancesCli:
                 "validate-instances",
                 str(schemas_dir),
                 str(corpus_dir),
-                "--jobs",
-                "4",
                 "--report",
                 "json",
             ]
@@ -383,21 +379,19 @@ class TestValidateInstancesCli:
         assert payload["documents"][-1]["error"]
 
     def test_interpreted_engine_output_matches_compiled(self, cli_fixture, capsys):
+        """The CLI's JSON report equals the reference walker's, byte for byte."""
         from repro.cli import main
+        from repro.xsd.validator import SchemaSet
 
         schemas_dir, corpus_dir = cli_fixture
-        outputs = []
-        for engine in ("compiled", "interpreted"):
-            main(
-                [
-                    "validate-instances",
-                    str(schemas_dir),
-                    str(corpus_dir),
-                    "--engine",
-                    engine,
-                    "--report",
-                    "json",
-                ]
-            )
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        schema_set = SchemaSet.from_directory(schemas_dir)
+        document = InstanceGenerator(schema_set).generate("HoardingPermit")
+        add_unknown_attribute(document)
+        (corpus_dir / "zz_invalid.xml").write_text(
+            XmlWriter().to_string(document), encoding="utf-8"
+        )
+        main(["validate-instances", str(schemas_dir), str(corpus_dir), "--report", "json"])
+        output = capsys.readouterr().out
+        reference = reference_report(schema_set, corpus_dir)
+        assert json.loads(output)["docs_invalid"] == 1
+        assert output == json.dumps(reference.to_json(), indent=2) + "\n"

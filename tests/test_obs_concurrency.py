@@ -1,27 +1,14 @@
-"""Concurrency guarantees: lossless metrics, cross-thread span parenting,
-the small-model parallel fallback, and tracing's zero effect on output."""
+"""Concurrency guarantees: lossless metrics under contention, and
+tracing's zero effect on output."""
 
 import threading
 
 import pytest
 
 import repro.obs as obs
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, set_tracer
-from repro.xsdgen import GenerationCache, GenerationOptions, SchemaGenerator
-
-
-@pytest.fixture
-def fresh_obs():
-    """Fresh global tracer + registry, tracing on; both restored after."""
-    previous_tracer = set_tracer(Tracer(enabled=False))
-    previous_registry = set_registry(MetricsRegistry())
-    tracer = obs.configure(trace=True)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous_tracer)
-        set_registry(previous_registry)
+from repro.xsdgen import GenerationOptions, SchemaGenerator
 
 
 def _schema_texts(result):
@@ -78,103 +65,11 @@ class TestMetricsUnderContention:
         assert registry.snapshot()["raced"] == self.THREADS
 
 
-class TestCrossThreadSpanParenting:
-    def _generate(self, easybiz, **option_kwargs):
-        options = GenerationOptions(validate_first=False, **option_kwargs)
-        return SchemaGenerator(easybiz.model, options).generate(
-            easybiz.doc_library, root="HoardingPermit"
-        )
-
-    def test_worker_spans_parent_under_parallel(self, fresh_obs, easybiz):
-        # min_parallel_libraries=0 disables the small-model fallback so the
-        # pool genuinely runs; every library built in a worker thread must
-        # still hang off xsdgen.parallel via the propagated context.
-        self._generate(easybiz, jobs=4, min_parallel_libraries=0)
-        roots = list(fresh_obs.ring_buffer().roots)
-        assert [root.name for root in roots] == ["xsdgen.generate"]
-        tree = roots[0]
-        parallel_spans = tree.find("xsdgen.parallel")
-        assert len(parallel_spans) == 1
-        assert parallel_spans[0].attributes["mode"] == "threads"
-        libraries = tree.find("xsdgen.library")
-        assert libraries
-        for span in libraries:
-            ancestors = []
-            walker = span.parent
-            while walker is not None:
-                ancestors.append(walker.name)
-                walker = walker.parent
-            assert "xsdgen.parallel" in ancestors, (
-                f"library span {span.attributes.get('library')!r} escaped the "
-                f"parallel span (ancestors: {ancestors})"
-            )
-
-    def test_no_orphan_roots_under_jobs(self, fresh_obs, easybiz):
-        self._generate(easybiz, jobs=4, min_parallel_libraries=0)
-        roots = [root.name for root in fresh_obs.ring_buffer().roots]
-        assert roots == ["xsdgen.generate"], f"orphan span roots leaked: {roots}"
-
-    def test_threaded_output_matches_serial(self, fresh_obs, easybiz):
-        threaded = self._generate(easybiz, jobs=4, min_parallel_libraries=0)
-        serial = self._generate(easybiz)
-        assert _schema_texts(threaded) == _schema_texts(serial)
-
-
-class TestParallelFallback:
-    def _generate(self, easybiz, **option_kwargs):
-        options = GenerationOptions(validate_first=False, **option_kwargs)
-        return SchemaGenerator(easybiz.model, options).generate(
-            easybiz.doc_library, root="HoardingPermit"
-        )
-
-    def test_small_model_takes_serial_path_by_default(self, fresh_obs, easybiz):
-        # easybiz has 6 schema libraries < default threshold 2*jobs=8.
-        self._generate(easybiz, jobs=4)
-        assert obs.get_metrics().snapshot()["xsdgen.parallel_fallback"] == 1
-        tree = fresh_obs.ring_buffer().roots[0]
-        assert not tree.find("xsdgen.parallel")
-
-    def test_fallback_output_matches_serial(self, easybiz):
-        fallback = self._generate(easybiz, jobs=4)
-        serial = self._generate(easybiz)
-        assert _schema_texts(fallback) == _schema_texts(serial)
-
-    def test_explicit_threshold_overrides_default(self, fresh_obs, easybiz):
-        # 6 schema libraries >= 2 clears an explicit low bar: no fallback.
-        self._generate(easybiz, jobs=4, min_parallel_libraries=2)
-        snapshot = obs.get_metrics().snapshot()
-        assert snapshot.get("xsdgen.parallel_fallback", 0) == 0
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            GenerationOptions(min_parallel_libraries=-1)
-
-    def test_cache_contains_is_metrics_neutral(self, easybiz):
-        previous_registry = set_registry(MetricsRegistry())
-        try:
-            cache = GenerationCache()
-            options = GenerationOptions(validate_first=False, use_cache=True)
-            SchemaGenerator(easybiz.model, options, cache=cache).generate(
-                easybiz.doc_library, root="HoardingPermit"
-            )
-            snapshot = obs.get_metrics().snapshot()
-            hits = snapshot.get("xsdgen.cache_hits", 0)
-            misses = snapshot.get("xsdgen.cache_misses", 0)
-            for key in cache.keys():
-                assert cache.contains(key)
-            assert not cache.contains("no-such-fingerprint")
-            after = obs.get_metrics().snapshot()
-            assert after.get("xsdgen.cache_hits", 0) == hits
-            assert after.get("xsdgen.cache_misses", 0) == misses
-        finally:
-            set_registry(previous_registry)
-
-
 class TestTracingDoesNotChangeOutput:
     def test_schema_bytes_identical_with_and_without_tracing(self, easybiz):
         def generate():
             return SchemaGenerator(
-                easybiz.model, GenerationOptions(validate_first=False, jobs=4)
+                easybiz.model, GenerationOptions(validate_first=False)
             ).generate(easybiz.doc_library, root="HoardingPermit")
 
         untraced = generate()

@@ -77,10 +77,10 @@ class TestCompareReports:
 
     def test_new_and_missing_arms(self):
         report = copy.deepcopy(BASELINE)
-        report["arms"]["parallel_jobs4"] = {"median_ms": 2.0}
+        report["arms"]["tracing_on"] = {"median_ms": 2.0}
         del report["arms"]["warm_cache"]
         statuses = {d.arm: d.status for d in GATE.compare_reports(BASELINE, report)}
-        assert statuses["parallel_jobs4"] == "info"
+        assert statuses["tracing_on"] == "info"
         assert statuses["warm_cache"] == "warn"
 
     def test_byte_drift_is_noted_not_failed(self):

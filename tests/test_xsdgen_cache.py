@@ -208,18 +208,21 @@ class TestDiskCache:
 
 
 class TestParallelGeneration:
+    """The dependency-ordered prebuild (run by ``on_error="collect"``)
+    against the on-demand build of a default run."""
+
     def test_parallel_output_matches_serial(self, easybiz):
         serial = SchemaGenerator(easybiz.model).generate(
             easybiz.doc_library, root="HoardingPermit"
         )
-        parallel = SchemaGenerator(easybiz.model, GenerationOptions(jobs=4)).generate(
+        parallel = SchemaGenerator(easybiz.model, GenerationOptions(on_error="collect")).generate(
             easybiz.doc_library, root="HoardingPermit"
         )
         assert _schema_texts(parallel) == _schema_texts(serial)
 
     def test_parallel_with_cache(self, easybiz):
         cache = GenerationCache()
-        options = GenerationOptions(jobs=4, use_cache=True)
+        options = GenerationOptions(on_error="collect", use_cache=True)
         first = SchemaGenerator(easybiz.model, options, cache=cache).generate(
             easybiz.doc_library, root="HoardingPermit"
         )
@@ -230,7 +233,7 @@ class TestParallelGeneration:
 
     def test_parallel_cyclic_libraries(self):
         # Reuse the cyclic two-BIE-library construction; the SCC condensation
-        # must keep the cycle on one thread and match the serial output.
+        # must build the cycle as one component and match the serial output.
         from repro.ccts.derivation import derive_abie
         from repro.ccts.model import CctsModel
 
@@ -262,5 +265,7 @@ class TestParallelGeneration:
         model, lib1 = build()
         serial = SchemaGenerator(model).generate(lib1)
         model2, lib1_again = build()
-        parallel = SchemaGenerator(model2, GenerationOptions(jobs=3)).generate(lib1_again)
+        parallel = SchemaGenerator(model2, GenerationOptions(on_error="collect")).generate(
+            lib1_again
+        )
         assert _schema_texts(parallel) == _schema_texts(serial)

@@ -2,8 +2,10 @@
 
 import pytest
 
+import repro.obs as obs
 import repro.xsdgen.qdt_library
 from repro.errors import GenerationError
+from repro.obs.trace import Tracer, set_tracer
 from repro.xsdgen import (
     GenerationCache,
     GenerationOptions,
@@ -106,16 +108,33 @@ class TestCollectIsolation:
         assert collected.root.to_string() == plain.root.to_string()
 
     def test_parallel_collect_matches_serial(self, easybiz, broken_qdt):
-        serial = collect_generator(easybiz.model).generate(
+        """Every schema the collect-mode prebuild still builds is byte-identical
+        to an on-demand (raise-mode) build of that library alone."""
+        collected = collect_generator(easybiz.model).generate(
             easybiz.doc_library, root="HoardingPermit"
         )
-        parallel = collect_generator(easybiz.model, jobs=4).generate(
-            easybiz.doc_library, root="HoardingPermit"
-        )
-        assert set(parallel.schemas) == set(serial.schemas)
-        assert {f.library_name for f in parallel.errors} == {
-            f.library_name for f in serial.errors
-        }
+        assert not collected.ok
+        assert collected.schemas
+        for urn, generated in collected.schemas.items():
+            serial = SchemaGenerator(easybiz.model, GenerationOptions()).generate(
+                generated.library
+            )
+            assert serial.schemas[urn].to_string() == generated.to_string()
+
+    def test_prebuild_span_parents_every_library_build(self, easybiz, broken_qdt):
+        previous = set_tracer(Tracer(enabled=False))
+        tracer = obs.configure(trace=True)
+        try:
+            collect_generator(easybiz.model).generate(easybiz.doc_library, root="HoardingPermit")
+            [root] = tracer.ring_buffer().roots
+        finally:
+            obs.disable()
+            set_tracer(previous)
+        [prebuild] = root.find("xsdgen.prebuild")
+        assert prebuild.attributes["libraries"] >= 2
+        libraries = root.find("xsdgen.library")
+        assert libraries
+        assert all(span in prebuild.find("xsdgen.library") for span in libraries)
 
     def test_generator_recovers_once_fault_is_fixed(self, easybiz, monkeypatch):
         def explode(builder):
