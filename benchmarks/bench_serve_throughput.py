@@ -16,6 +16,7 @@ arms live in ``bench_instance_throughput.py``).
 """
 
 import json
+import multiprocessing
 import threading
 import time
 
@@ -213,37 +214,29 @@ def test_metrics_scrape_under_load_is_consistent(server, corpus):
     assert counts == sorted(counts), "bucket series must stay cumulative mid-load"
 
 
-def test_graceful_drain_under_load_zero_dropped(corpus):
-    """Drain mid-barrage: every connected client gets a real response."""
-    result, _schema_set, documents = corpus
-    config = ServeConfig(workers=4, queue_size=128, timeout_s=30, drain_timeout_s=30)
-    server = UpccServer(ServeApp(), config).start()
-    schemas = [item.to_string() for item in result.schemas.values()]
-    status, registered = request_json(
-        server.url, "/validate", {"schemas": schemas, "documents": ["<warmup/>"]}
-    )
-    assert status == 200
-    payload = {
-        "schema_set": registered["schema_set"],
-        "documents": [{"name": name, "xml": text} for name, text in documents[:4]],
-    }
-    body = json.dumps(payload).encode("utf-8")
-    clients = 64
-    # Every client connects BEFORE the drain starts (the barrier includes
-    # the main thread): the zero-drop contract covers connected clients;
-    # a connect() attempted after the listener closes is an ordinary
-    # refusal, not a drop.
+def _drain_clients(host, port, body, clients, connected, go, results):
+    """Child-process side of the drain test: ``clients`` connections.
+
+    Connects them all, sets ``connected``, waits for ``go``, then sends
+    every request at once and puts the list of statuses on ``results``.
+    Running here rather than in the server's process keeps the clients
+    off the server's GIL, so the test measures the server.
+    """
+    import http.client
+
+    # Every client connects BEFORE the drain starts: the zero-drop
+    # contract covers connected clients; a connect() attempted after the
+    # listener closes is an ordinary refusal, not a drop.
     barrier = threading.Barrier(clients + 1)
     outcomes = []
     lock = threading.Lock()
 
     def fire():
-        import http.client
-
-        connection = http.client.HTTPConnection(server.host, server.port, timeout=60)
+        connection = http.client.HTTPConnection(host, port, timeout=60)
         try:
             connection.connect()
-            barrier.wait()
+            barrier.wait()  # all connected
+            barrier.wait()  # go
             connection.request(
                 "POST", "/validate", body=body,
                 headers={"Content-Type": "application/json"},
@@ -262,10 +255,47 @@ def test_graceful_drain_under_load_zero_dropped(corpus):
     for thread in threads:
         thread.start()
     barrier.wait()
-    time.sleep(0.1)  # let the in-flight requests reach the queue
-    assert server.drain() is True
+    connected.set()
+    go.wait()
+    barrier.wait()
     for thread in threads:
         thread.join()
+    results.put(outcomes)
+
+
+def test_graceful_drain_under_load_zero_dropped(corpus):
+    """Drain mid-barrage: every connected client gets a real response."""
+    result, _schema_set, documents = corpus
+    config = ServeConfig(workers=4, queue_size=128, timeout_s=30, drain_timeout_s=30)
+    server = UpccServer(ServeApp(), config).start()
+    schemas = [item.to_string() for item in result.schemas.values()]
+    status, registered = request_json(
+        server.url, "/validate", {"schemas": schemas, "documents": ["<warmup/>"]}
+    )
+    assert status == 200
+    payload = {
+        "schema_set": registered["schema_set"],
+        "documents": [{"name": name, "xml": text} for name, text in documents[:4]],
+    }
+    body = json.dumps(payload).encode("utf-8")
+    clients = 64
+    context = multiprocessing.get_context("spawn")
+    connected, go, results = context.Event(), context.Event(), context.Queue()
+    child = context.Process(
+        target=_drain_clients,
+        args=(server.host, server.port, body, clients, connected, go, results),
+    )
+    child.start()
+    try:
+        assert connected.wait(timeout=60), "clients never connected"
+        go.set()
+        time.sleep(0.1)  # let the in-flight requests reach the queue
+        assert server.drain() is True
+        outcomes = results.get(timeout=120)
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
     assert len(outcomes) == clients
     assert -1 not in outcomes, "a connected client was dropped during drain"
     assert set(outcomes) <= {200, 503}

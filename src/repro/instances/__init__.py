@@ -16,11 +16,16 @@ package produces such messages:
 
 from repro.instances.generator import InstanceGenerator
 from repro.instances.mutate import (
+    add_many_attributes,
+    add_undeclared_prefix_attribute,
     add_unknown_attribute,
     add_unknown_child,
     corrupt_enumeration_value,
     drop_required_attribute,
     drop_required_child,
+    inflate_text,
+    rebind_target_namespace,
+    widen,
 )
 from repro.instances.pipeline import (
     BatchReport,
@@ -36,10 +41,15 @@ __all__ = [
     "InstanceGenerator",
     "ValidationPipeline",
     "discover_corpus",
+    "add_many_attributes",
+    "add_undeclared_prefix_attribute",
     "add_unknown_attribute",
     "add_unknown_child",
     "corrupt_enumeration_value",
     "drop_required_attribute",
     "drop_required_child",
+    "inflate_text",
+    "rebind_target_namespace",
     "sample_value",
+    "widen",
 ]

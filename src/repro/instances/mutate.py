@@ -4,7 +4,11 @@ Each mutation takes a valid instance tree (as produced by
 :class:`repro.instances.InstanceGenerator`), applies one specific defect and
 returns True when it found a spot to apply it.  Tests assert that the
 validator rejects every successfully mutated instance -- silence from a
-validator is only meaningful when it provably can say no.
+validator is only meaningful when it provably can say no.  The structural
+mutations (:func:`widen`, :func:`inflate_text`, :func:`add_many_attributes`,
+:func:`rebind_target_namespace`, :func:`add_undeclared_prefix_attribute`)
+build hostile shapes instead; the differential tests check that the
+validator reports on them exactly as the reference oracle does.
 """
 
 from __future__ import annotations
@@ -62,5 +66,74 @@ def add_unknown_child(root: XmlElement, under: str | None = None, tag: str = "Bo
 
 def add_unknown_attribute(root: XmlElement, name: str = "bogus", value: str = "x") -> bool:
     """Set an undeclared (non-xmlns) attribute on the root element."""
+    root.attributes[name] = value
+    return True
+
+
+# -- structural mutations ------------------------------------------------------
+#
+# Hostile shapes rather than schema violations: each stresses one part of
+# parsing or name resolution (width, value size, attribute count,
+# namespace scoping) and may leave the document valid or not.
+
+
+def widen(root: XmlElement, count: int = 10_000) -> bool:
+    """Append ``count`` copies of the last leaf element as its siblings."""
+    parent = leaf = None
+    for element in _walk(root):
+        for child in element.element_children:
+            if not child.element_children:
+                parent, leaf = element, child
+    if leaf is None:
+        return False
+    for _ in range(count):
+        copy = parent.add(leaf.tag, dict(leaf.attributes))
+        copy.children = list(leaf.children)
+    return True
+
+
+def inflate_text(root: XmlElement, size: int = 1_000_000) -> bool:
+    """Replace the text of the first leaf element with a ``size``-character value."""
+    for element in _walk(root):
+        if element is not root and not element.element_children:
+            element.children = ["x" * size]
+            return True
+    return False
+
+
+def add_many_attributes(root: XmlElement, count: int = 1_000) -> bool:
+    """Set ``count`` undeclared attributes on the root element."""
+    for index in range(count):
+        root.attributes[f"extra{index}"] = str(index)
+    return True
+
+
+def rebind_target_namespace(root: XmlElement, uri: str = "urn:hostile:rebound") -> bool:
+    """Redeclare the root's prefix to ``uri`` on an element mid-document.
+
+    That element and every descendant written with the prefix move out of
+    the root's (target) namespace.
+    """
+    prefix, colon, _ = root.tag.partition(":")
+    if not colon:
+        return False
+    candidates = [
+        element
+        for element in _walk(root)
+        if element is not root and element.tag.startswith(prefix + ":")
+    ]
+    if not candidates:
+        return False
+    candidates[len(candidates) // 2].attributes[f"xmlns:{prefix}"] = uri
+    return True
+
+
+def add_undeclared_prefix_attribute(root: XmlElement, name: str = "ghost:flag", value: str = "x") -> bool:
+    """Set an attribute whose prefix no element declares on the root.
+
+    Namespace-aware parsers reject such a document; the validator resolves
+    the attribute to no namespace, as it does for every undeclared
+    attribute prefix.
+    """
     root.attributes[name] = value
     return True

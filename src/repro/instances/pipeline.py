@@ -8,8 +8,10 @@ that workload's serving layer:
   ``.xml`` file, or manifest file listing one document path per line) to a
   deterministic document list,
 * :class:`DocumentReport` / :class:`BatchReport` -- the result model; a
-  malformed or unreadable document becomes a located report entry, never an
-  exception that aborts the batch,
+  malformed, unreadable or oversized document (one past the validator's
+  :data:`~repro.xsd.compiled.max_depth` or
+  :data:`~repro.xsd.compiled.max_elements`) becomes a located report
+  entry, never an exception that aborts the batch,
 * :class:`ValidationPipeline` -- validates every document, in corpus order,
   against the schema set's cached :class:`~repro.xsd.CompiledSchemaSet`.
 
@@ -43,11 +45,6 @@ __all__ = [
     "ValidationPipeline",
     "discover_corpus",
 ]
-
-#: The fault entry for a document whose element nesting exhausts the
-#: interpreter stack (parsing and the plan walk recurse once per level).
-_TOO_DEEP = "document nests too deeply to validate: its element depth exceeds the recursion limit"
-
 
 # -- corpus discovery ----------------------------------------------------------
 
@@ -209,8 +206,6 @@ class ValidationPipeline:
                 # Schema-side defects (e.g. a cyclic reference) are still
                 # isolated per document so the rest of the batch completes.
                 report = DocumentReport(path=name, ok=False, error=str(error))
-            except RecursionError:
-                report = DocumentReport(path=name, ok=False, error=_TOO_DEEP)
             else:
                 report = DocumentReport(path=name, ok=not problems, problems=problems)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -230,8 +225,6 @@ class ValidationPipeline:
                 problems = self.validate_text(text)
             except ReproError as error:
                 report = DocumentReport(path=label, ok=False, error=str(error))
-            except RecursionError:
-                report = DocumentReport(path=label, ok=False, error=_TOO_DEEP)
             else:
                 report = DocumentReport(path=label, ok=not problems, problems=problems)
         elapsed_ms = (time.perf_counter() - started) * 1000.0

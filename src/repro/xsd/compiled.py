@@ -18,6 +18,12 @@ construction:
   resolved validation plan, including the diagnostic messages schema
   defects will produce (dangling references, unresolved types).
 
+Plans walk the ElementTree that :func:`xml.etree.ElementTree.fromstring`
+builds in C, keyed on its Clark-notation tags, with no intermediate copy
+of the document.  Every document is first held to :data:`max_depth` and
+:data:`max_elements`; a breach is an :class:`InstanceValidationError`,
+like a malformed document.
+
 The test suite keeps a direct tree-walking validator as a reference
 oracle (``tests/reference_validator.py``); the compiled walk produces the
 same :class:`ValidationProblem` list, in the same order -- asserted
@@ -35,11 +41,12 @@ docs/observability.md).
 
 from __future__ import annotations
 
+import functools
 import threading
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import InstanceValidationError, SchemaError
 from repro.obs.metrics import counter, gauge
@@ -62,8 +69,6 @@ from repro.xsd.validator import (
     SchemaSet,
     ValidationProblem,
     _IGNORED_ATTR_NAMESPACES,
-    _ResolvedElement,
-    _resolve_instance,
     fingerprint_schema_texts,
 )
 
@@ -88,170 +93,133 @@ def fingerprint_schema_set(schema_set: SchemaSet) -> str:
     return schema_set.fingerprint
 
 
-# -- parsing straight to resolved form ----------------------------------------
+# -- parsing to an ElementTree ------------------------------------------------
 #
-# XmlElement input goes through ``_resolve_instance``.  Text input is
-# parsed straight into resolved nodes (ElementTree, or expat with
-# per-scope tag/attribute memos), with process-wide QName interning --
-# and behaves exactly like parsing with ``parse_xml`` then resolving: the
-# same text-node rules, the same error messages, the same namespace
-# fallbacks.
+# Plans walk the ``xml.etree.ElementTree`` tree that ``ET.fromstring``
+# builds in C: tags and attribute names arrive in Clark notation
+# (``{namespace}local``), and element text is read through ``_text_of``,
+# which applies ``parse_xml``'s text rule.  The two inputs ElementTree
+# cannot take directly -- text with an undeclared prefix, and
+# ``XmlElement`` trees -- go through one iterative prefix resolver
+# (``_Scope``) into an ``ET.TreeBuilder``, with the error messages and
+# namespace fallbacks of ``parse_xml`` + ``_resolve_instance``.
 
-_qname_intern: dict[tuple[str, str], QName] = {}
-_QNAME_INTERN_LIMIT = 8192
+#: Deepest element nesting a document may have.  The plan walk recurses
+#: once per level, so this stays well under the interpreter's recursion
+#: limit.
+max_depth = 512
+#: Most elements a document may have (the XMI reader's default).
+max_elements = 1_000_000
+
+@functools.lru_cache(maxsize=8192)
+def _clark_qname(name: str) -> QName:
+    """The QName of an ElementTree ``{namespace}local`` name."""
+    if name.startswith("{"):
+        namespace, _, local = name[1:].partition("}")
+        return QName(namespace, local)
+    return QName("", name)
 
 
-def _intern_qname(namespace: str, local: str) -> QName:
-    key = (namespace, local)
-    qname = _qname_intern.get(key)
-    if qname is None:
-        if len(_qname_intern) >= _QNAME_INTERN_LIMIT:
-            _qname_intern.clear()
-        qname = QName(namespace, local)
-        _qname_intern[key] = qname
-    return qname
+def _text_of(element: ET.Element) -> str:
+    """``element``'s text under ``parse_xml``'s rule: only text before the
+    first child counts, and whitespace-only text only in childless elements."""
+    text = element.text
+    if not text or (len(element) and not text.strip()):
+        return ""
+    return text
+
+
+def _split(name: str) -> tuple[str | None, str]:
+    try:
+        return split_qname(name)
+    except ValueError as error:
+        raise InstanceValidationError(str(error)) from None
 
 
 class _Scope:
-    """One in-scope prefix map plus per-scope name-resolution memos."""
+    """The in-scope prefix map of one element."""
 
-    __slots__ = ("map", "tags", "attrs")
+    __slots__ = ("map",)
 
     def __init__(self, map: dict[str | None, str]) -> None:
         self.map = map
-        self.tags: dict[str, QName] = {}
-        self.attrs: dict[str, QName] = {}
 
-    def resolve_tag(self, tag: str) -> QName:
-        qname = self.tags.get(tag)
-        if qname is None:
-            try:
-                prefix, local = split_qname(tag)
-            except ValueError as error:
-                raise InstanceValidationError(str(error)) from None
-            if prefix == "xml":
-                # Implicitly declared on every document (mirroring
-                # ``_resolve_instance`` and ElementTree's C parser).
-                namespace = XML_NAMESPACE
-            elif prefix is not None:
-                namespace = self.map.get(prefix)
-                if namespace is None:
-                    raise InstanceValidationError(
-                        f"undeclared prefix {prefix!r} on element {tag!r}"
-                    )
+    def start(
+        self, builder: ET.TreeBuilder, tag: str, attributes: Iterable[tuple[str, str]]
+    ) -> _Scope:
+        """Open ``tag`` on ``builder`` with Clark names; returns its scope."""
+        plain: list[tuple[str, str]] = []
+        new_map: dict[str | None, str] | None = None
+        for name, value in attributes:
+            if name == "xmlns":
+                prefix = None
+            elif name.startswith("xmlns:"):
+                prefix = name[6:]
             else:
-                namespace = self.map.get(None, "")
-            qname = _intern_qname(namespace, local)
-            self.tags[tag] = qname
-        return qname
-
-    def resolve_attr(self, name: str) -> QName:
-        qname = self.attrs.get(name)
-        if qname is None:
-            try:
-                prefix, local = split_qname(name)
-            except ValueError as error:
-                raise InstanceValidationError(str(error)) from None
+                plain.append((name, value))
+                continue
+            if new_map is None:
+                new_map = dict(self.map)
+            new_map[prefix] = value
+        scope = _Scope(new_map) if new_map is not None else self
+        prefix, local = _split(tag)
+        if prefix == "xml":
+            # Implicitly declared on every document.
+            namespace = XML_NAMESPACE
+        elif prefix is None:
+            namespace = scope.map.get(None, "")
+        else:
+            namespace = scope.map.get(prefix)
+            if namespace is None:
+                raise InstanceValidationError(
+                    f"undeclared prefix {prefix!r} on element {tag!r}"
+                )
+        attrib: dict[str, str] = {}
+        for name, value in plain:
+            prefix, attr_local = _split(name)
             # Unprefixed attributes live in no namespace per the XML spec;
             # xml:* lives in the implicit XML namespace; any other
-            # undeclared prefix falls back to no namespace (mirroring
-            # ``_resolve_instance``).
-            if prefix == "xml":
-                namespace = XML_NAMESPACE
+            # undeclared prefix falls back to no namespace.
+            if prefix is None:
+                attr_namespace = ""
+            elif prefix == "xml":
+                attr_namespace = XML_NAMESPACE
             else:
-                namespace = self.map.get(prefix, "") if prefix is not None else ""
-            qname = _intern_qname(namespace, local)
-            self.attrs[name] = qname
-        return qname
+                attr_namespace = scope.map.get(prefix, "")
+            attrib[QName(attr_namespace, attr_local).clark()] = value
+        builder.start(QName(namespace, local).clark(), attrib)
+        return scope
 
 
-class _Node:
-    """A namespace-resolved instance element (the compiled walk's input)."""
-
-    __slots__ = ("qname", "attributes", "children", "text")
-
-    def __init__(self, qname: QName, attributes: dict[QName, str]) -> None:
-        self.qname = qname
-        self.attributes = attributes
-        self.children: list[_Node] = []
-        self.text = ""
-
-
-class _Frame:
-    __slots__ = ("node", "scope", "texts", "has_element_child")
-
-    def __init__(self, node: _Node, scope: _Scope) -> None:
-        self.node = node
-        self.scope = scope
-        self.texts: list[str] = []
-        self.has_element_child = False
-
-
-_clark_intern: dict[str, QName] = {}
-
-
-def _intern_clark(name: str) -> QName:
-    """The interned QName of an ElementTree ``{namespace}local`` name."""
-    qname = _clark_intern.get(name)
-    if qname is None:
-        if len(_clark_intern) >= _QNAME_INTERN_LIMIT:
-            _clark_intern.clear()
-        if name.startswith("{"):
-            namespace, _, local = name[1:].partition("}")
-        else:
-            namespace, local = "", name
-        qname = _intern_qname(namespace, local)
-        _clark_intern[name] = qname
-    return qname
-
-
-def _parse_document(text: str) -> _Node:
-    """Parse ``text`` into resolved nodes, matching ``parse_xml`` + ``_resolve_instance``.
+def _parse_document(text: str) -> ET.Element:
+    """Parse ``text`` into an ElementTree, matching ``parse_xml`` + ``_resolve_instance``.
 
     Fast path: :func:`xml.etree.ElementTree.fromstring` resolves
     namespaces in C; its parse-error messages are identical to
     :func:`~repro.xmlutil.writer.parse_xml`'s.  The one divergence is an
     undeclared prefix -- ElementTree rejects the document outright where
     ``_resolve_instance`` parses it and then reports the offending
-    element -- so that case falls back to :func:`_parse_document_expat`,
-    which reproduces that behavior exactly.
+    element -- so that case falls back to :func:`_parse_document_expat`.
+
+    A document can only breach :data:`max_depth` or :data:`max_elements`
+    with more ``<`` than ``max_depth`` or through entity expansion, so
+    only such documents pay for :func:`_check_bounds`.
     """
     try:
         root = ET.fromstring(text)
     except ET.ParseError as error:
-        if "unbound prefix" in str(error):
-            return _parse_document_expat(text)
-        raise InstanceValidationError(
-            f"document is not well-formed XML: {error}"
-        ) from error
-    return _convert_tree(root)
+        if "unbound prefix" not in str(error):
+            raise InstanceValidationError(
+                f"document is not well-formed XML: {error}"
+            ) from error
+        root = _parse_document_expat(text)
+    if text.count("<") > max_depth or "<!ENTITY" in text:
+        _check_bounds(root)
+    return root
 
 
-_NO_ATTRS: dict = {}
-
-
-def _convert_tree(element: "ET.Element") -> _Node:
-    node = _Node.__new__(_Node)
-    attrib = element.attrib
-    if attrib:
-        node.attributes = {_intern_clark(name): value for name, value in attrib.items()}
-    else:
-        # Plans never mutate attribute dicts, so attribute-less elements
-        # (the common case) share one empty dict.
-        node.attributes = _NO_ATTRS
-    node.qname = _intern_clark(element.tag)
-    children = [_convert_tree(child) for child in element]
-    node.children = children
-    text = element.text
-    # Same text rules as ``parse_xml``: only text before the
-    # first child element counts, and whitespace-only text counts only in
-    # childless elements (children's tail text never does).
-    node.text = text if text and (not children or text.strip()) else ""
-    return node
-
-
-def _parse_document_expat(text: str) -> _Node:
-    """Parse ``text`` directly into resolved nodes (expat, single pass).
+def _parse_document_expat(text: str) -> ET.Element:
+    """Parse ``text`` with namespace processing off, resolving prefixes in Python.
 
     Raises :class:`InstanceValidationError` with exactly the messages
     ``parse_xml`` + ``_resolve_instance`` produce, for both malformed XML
@@ -260,72 +228,78 @@ def _parse_document_expat(text: str) -> _Node:
     parser = xml.parsers.expat.ParserCreate()
     parser.ordered_attributes = True
     parser.buffer_text = True
-    stack: list[_Frame] = []
-    roots: list[_Node] = []
-    root_scope = _Scope({})
+    builder = ET.TreeBuilder()
+    scopes = [_Scope({})]
 
-    def handle_start(tag: str, raw_attributes: list[str]) -> None:
-        scope = stack[-1].scope if stack else root_scope
-        plain: list[tuple[str, str]] | None = None
-        new_map: dict[str | None, str] | None = None
-        for index in range(0, len(raw_attributes), 2):
-            name = raw_attributes[index]
-            if name.startswith("xmlns"):
-                if name == "xmlns":
-                    if new_map is None:
-                        new_map = dict(scope.map)
-                    new_map[None] = raw_attributes[index + 1]
-                    continue
-                if name[5] == ":":
-                    if new_map is None:
-                        new_map = dict(scope.map)
-                    new_map[name[6:]] = raw_attributes[index + 1]
-                    continue
-            if plain is None:
-                plain = []
-            plain.append((name, raw_attributes[index + 1]))
-        if new_map is not None:
-            scope = _Scope(new_map)
-        attributes: dict[QName, str] = {}
-        if plain is not None:
-            for name, value in plain:
-                attributes[scope.resolve_attr(name)] = value
-        node = _Node(scope.resolve_tag(tag), attributes)
-        if stack:
-            parent = stack[-1]
-            parent.has_element_child = True
-            parent.node.children.append(node)
-        else:
-            roots.append(node)
-        stack.append(_Frame(node, scope))
+    def handle_start(tag: str, attributes: list[str]) -> None:
+        pairs = zip(attributes[::2], attributes[1::2])
+        scopes.append(scopes[-1].start(builder, tag, pairs))
 
     def handle_end(tag: str) -> None:
-        frame = stack.pop()
-        leading = "".join(frame.texts)
-        # Same text rules as the XmlElement reader: only text before the
-        # first child element survives; whitespace-only runs survive only
-        # in childless elements.
-        if leading.strip() or (leading and not frame.has_element_child):
-            frame.node.text = leading
-
-    def handle_text(data: str) -> None:
-        if stack and not stack[-1].has_element_child:
-            stack[-1].texts.append(data)
+        scopes.pop()
+        builder.end(tag)
 
     parser.StartElementHandler = handle_start
     parser.EndElementHandler = handle_end
-    parser.CharacterDataHandler = handle_text
+    parser.CharacterDataHandler = builder.data
     try:
         parser.Parse(text, True)
     except xml.parsers.expat.ExpatError as error:
         raise InstanceValidationError(
             f"document is not well-formed XML: {error}"
         ) from error
-    if not roots:
-        raise InstanceValidationError(
-            "document is not well-formed XML: document contained no root element"
-        )
-    return roots[0]
+    return builder.close()
+
+
+def _tree_of(document: XmlElement) -> ET.Element:
+    """``document`` as a namespace-resolved ElementTree (iteratively, so
+    any depth converts and then meets :func:`_check_bounds`)."""
+    builder = ET.TreeBuilder()
+    scopes = [_Scope({})]
+    # ``None`` marks the end of the element opened before it.
+    pending: list[XmlElement | None] = [document]
+    while pending:
+        element = pending.pop()
+        if element is None:
+            scopes.pop()
+            builder.end("")
+            continue
+        scopes.append(scopes[-1].start(builder, element.tag, element.attributes.items()))
+        text = element.text_content
+        if text:
+            builder.data(text)
+        pending.append(None)
+        pending.extend(reversed(element.element_children))
+    root = builder.close()
+    _check_bounds(root)
+    return root
+
+
+def _check_bounds(root: ET.Element) -> None:
+    """Raise unless ``root`` is within :data:`max_depth` and :data:`max_elements`.
+
+    Walks in document order with one child iterator per open element that
+    has children, so the walk holds at most ``max_depth`` iterators.
+    """
+    count = 1
+    levels = [iter(root)] if len(root) else []
+    while levels:
+        if len(levels) >= max_depth:
+            raise InstanceValidationError(
+                f"document nests too deeply: element #{count + 1} (in document "
+                f"order) is at depth {max_depth + 1}, over max_depth={max_depth}"
+            )
+        for child in levels[-1]:
+            count += 1
+            if count > max_elements:
+                raise InstanceValidationError(
+                    f"document exceeds max_elements={max_elements} elements"
+                )
+            if len(child):
+                levels.append(iter(child))
+                break
+        else:
+            levels.pop()
 
 
 # -- pre-compiled plan nodes ---------------------------------------------------
@@ -398,6 +372,10 @@ class _ValueCheck:
                 problems.append(ValidationProblem(path, problem))
 
 
+#: Clark-name prefixes of the attribute namespaces the validator ignores.
+_IGNORED_ATTR_PREFIXES = tuple(f"{{{namespace}}}" for namespace in _IGNORED_ATTR_NAMESPACES)
+
+
 class _AttrPlan:
     """Pre-indexed attribute uses of one type (lookup dict + required list)."""
 
@@ -416,23 +394,25 @@ class _AttrPlan:
 
     def run(
         self,
-        element: _ResolvedElement,
+        attrib: dict[str, str],
         segments: list[str],
         problems: list[ValidationProblem],
     ) -> None:
-        if not element.attributes and not self.declared:
-            return
         required = self.required
         seen: set[str] | None = set() if required else None
-        for qname, value in element.attributes.items():
-            if qname.namespace in _IGNORED_ATTR_NAMESPACES:
-                continue
-            entry = self.by_name.get(qname.local) if not qname.namespace else None
+        for name, value in attrib.items():
+            # Namespaced names are in Clark notation; declared attributes
+            # are always unqualified.
+            if name[0] == "{":
+                if name.startswith(_IGNORED_ATTR_PREFIXES):
+                    continue
+                entry = None
+            else:
+                entry = self.by_name.get(name)
             if entry is None:
                 problems.append(
                     ValidationProblem(
-                        _materialize(segments),
-                        f"undeclared attribute {qname.clark()!r}",
+                        _materialize(segments), f"undeclared attribute {name!r}"
                     )
                 )
                 continue
@@ -441,13 +421,13 @@ class _AttrPlan:
                 problems.append(
                     ValidationProblem(
                         _materialize(segments),
-                        f"attribute {qname.local!r} is prohibited here",
+                        f"attribute {name!r} is prohibited here",
                     )
                 )
                 continue
             if seen is not None:
-                seen.add(qname.local)
-            check.run(value, segments, qname.local, problems)
+                seen.add(name)
+            check.run(value, segments, name, problems)
         if required:
             for name in required:
                 if name not in seen:
@@ -469,7 +449,7 @@ class _AcceptPlan:
 
     def run(
         self,
-        element: _ResolvedElement,
+        element: ET.Element,
         segments: list[str],
         problems: list[ValidationProblem],
     ) -> None:
@@ -486,7 +466,7 @@ class _ErrorPlan:
 
     def run(
         self,
-        element: _ResolvedElement,
+        element: ET.Element,
         segments: list[str],
         problems: list[ValidationProblem],
     ) -> None:
@@ -503,20 +483,21 @@ class _SimplePlan:
 
     def run(
         self,
-        element: _ResolvedElement,
+        element: ET.Element,
         segments: list[str],
         problems: list[ValidationProblem],
     ) -> None:
-        if element.children:
+        if len(element):
             problems.append(
                 ValidationProblem(
                     _materialize(segments),
                     "simple-typed element must not have children",
                 )
             )
-        if element.attributes:
-            _EMPTY_ATTRS.run(element, segments, problems)
-        self.value.run(element.text, segments, "", problems)
+        attrib = element.attrib
+        if attrib:
+            _EMPTY_ATTRS.run(attrib, segments, problems)
+        self.value.run(_text_of(element), segments, "", problems)
 
 
 class _SimpleContentPlan:
@@ -538,26 +519,29 @@ class _SimpleContentPlan:
 
     def run(
         self,
-        element: _ResolvedElement,
+        element: ET.Element,
         segments: list[str],
         problems: list[ValidationProblem],
     ) -> None:
-        if element.children:
+        if len(element):
             problems.append(
                 ValidationProblem(_materialize(segments), self.children_message)
             )
         for message in self.content_messages:
             problems.append(ValidationProblem(_materialize(segments), message))
-        self.attrs.run(element, segments, problems)
+        self.attrs.run(element.attrib, segments, problems)
         if self.value is not None:
-            self.value.run(element.text, segments, "", problems)
+            self.value.run(_text_of(element), segments, "", problems)
 
 
 class _ComplexPlan:
-    """A complex type: content-model NFA plus per-child compiled plans.
+    """A complex type: content-model automaton plus per-child compiled plans.
 
     Filled in two phases (registered before its children compile) so
     recursive types -- a type containing elements of itself -- terminate.
+    A determinized model is also kept as ``dfa``: per state, a table from
+    child Clark tag to ``(next state, child plan, local name)`` plus the
+    accepting flag, walked inline without allocating a ``MatchResult``.
     """
 
     __slots__ = (
@@ -573,69 +557,77 @@ class _ComplexPlan:
         self.text_message = ""
         self.attrs = _EMPTY_ATTRS
         self.model: CompiledModel | DeterminizedModel | None = None
-        self.dfa: list | None = None
+        self.dfa: list[tuple[dict[str, tuple[int, object, str]], bool]] | None = None
         self.no_children_prefix = ""
         self.child_plans: dict[int, object] = {}
 
-    def set_model(self, model: CompiledModel | DeterminizedModel) -> None:
+    def set_model(
+        self, model: CompiledModel | DeterminizedModel, child_plans: dict[int, object]
+    ) -> None:
         self.model = model
-        # Keep the raw DFA tables at hand so run() can walk them inline
-        # without allocating a MatchResult for every valid element.
-        self.dfa = model._tables if isinstance(model, DeterminizedModel) else None
+        self.child_plans = child_plans
+        if isinstance(model, DeterminizedModel):
+            self.dfa = [
+                (
+                    {
+                        symbol.clark(): (target, child_plans[id(decl)], symbol.local)
+                        for symbol, (target, decl) in transitions.items()
+                    },
+                    accepting,
+                )
+                for transitions, accepting, _expected in model._tables
+            ]
 
     def run(
         self,
-        element: _ResolvedElement,
+        element: ET.Element,
         segments: list[str],
         problems: list[ValidationProblem],
     ) -> None:
-        if element.text.strip():
+        text = element.text
+        if text and text.strip():
             problems.append(ValidationProblem(_materialize(segments), self.text_message))
-        self.attrs.run(element, segments, problems)
-        children = element.children
+        attrib = element.attrib
+        if attrib or self.attrs.declared:
+            self.attrs.run(attrib, segments, problems)
         model = self.model
         if model is None:
-            if children:
+            if len(element):
                 problems.append(
                     ValidationProblem(
                         _materialize(segments),
-                        self.no_children_prefix + str(len(children)),
+                        self.no_children_prefix + str(len(element)),
                     )
                 )
             return
         dfa = self.dfa
         if dfa is not None:
             state = 0
-            decls: list = []
-            for child in children:
-                entry = dfa[state][0].get(child.qname)
+            matched: list[tuple[int, object, str]] = []
+            for child in element:
+                entry = dfa[state][0].get(child.tag)
                 if entry is None:
                     break
                 state = entry[0]
-                decls.append(entry[1])
+                matched.append(entry)
             else:
                 if dfa[state][1]:
-                    child_plans = self.child_plans
-                    for child, child_decl in zip(children, decls):
-                        segments.append(child.qname.local)
-                        child_plans[id(child_decl)].run(child, segments, problems)
+                    for child, (_, plan, local) in zip(element, matched):
+                        segments.append(local)
+                        plan.run(child, segments, problems)
                         segments.pop()
                     return
-            # Slow path: rerun through match() for the exact failure report.
-            result = model.match([child.qname for child in children])
-            problems.append(
-                ValidationProblem(_materialize(segments), result.describe_failure())
-            )
-            return
-        result = model.match([child.qname for child in children])
+        # Not determinized, or the DFA rejected: match() gives the exact
+        # assignment or failure report.
+        result = model.match([_clark_qname(child.tag) for child in element])
         if not result.ok:
             problems.append(
                 ValidationProblem(_materialize(segments), result.describe_failure())
             )
             return
         child_plans = self.child_plans
-        for child, child_decl in zip(children, result.assignments):
-            segments.append(child.qname.local)
+        for child, child_decl in zip(element, result.assignments):
+            segments.append(_clark_qname(child.tag).local)
             child_plans[id(child_decl)].run(child, segments, problems)
             segments.pop()
 
@@ -683,27 +675,36 @@ class CompiledSchemaSet:
             # deterministically, not input-dependently).
             for qname in self._types:
                 self._type_plan(qname)
-            for decl in self._globals.values():
-                self._decl_plan(decl, frozenset())
+            self._roots: dict[str, tuple[object, str]] = {
+                qname.clark(): (self._decl_plan(decl, frozenset()), qname.local)
+                for qname, decl in self._globals.items()
+            }
 
     # -- validation ------------------------------------------------------------
 
     def validate(self, document: XmlElement | str) -> list[ValidationProblem]:
-        """Validate one instance document; returns all problems (empty = valid)."""
+        """Validate one instance document; returns all problems (empty = valid).
+
+        Raises :class:`InstanceValidationError` when the document cannot be
+        validated: malformed XML, an undeclared element prefix, or more
+        nesting or elements than :data:`max_depth` / :data:`max_elements`.
+        """
         if isinstance(document, str):
-            root: _Node | _ResolvedElement = _parse_document(document)
+            root = _parse_document(document)
         else:
-            root = _resolve_instance(document, {})
-        decl = self._globals.get(root.qname)
-        if decl is None:
+            root = _tree_of(document)
+        entry = self._roots.get(root.tag)
+        if entry is None:
+            qname = _clark_qname(root.tag)
             return [
                 ValidationProblem(
-                    f"/{root.qname.local}",
-                    f"no global element declaration for {root.qname.clark()}",
+                    f"/{qname.local}",
+                    f"no global element declaration for {qname.clark()}",
                 )
             ]
+        plan, local = entry
         problems: list[ValidationProblem] = []
-        self._decl_plans[id(decl)].run(root, [root.qname.local], problems)
+        plan.run(root, [local], problems)
         return problems
 
     # -- compilation ------------------------------------------------------------
@@ -763,10 +764,12 @@ class CompiledSchemaSet:
             nfa = CompiledModel(
                 definition.particle, lambda decl: self._symbol_of(decl, schema)
             )
+            child_plans = {
+                id(decl): self._decl_plan(decl, frozenset())
+                for decl in _particle_decls(definition.particle)
+            }
             # Determinize when provably result-identical; else keep the NFA.
-            plan.set_model(determinize(nfa) or nfa)
-            for decl in _particle_decls(definition.particle):
-                plan.child_plans[id(decl)] = self._decl_plan(decl, frozenset())
+            plan.set_model(determinize(nfa) or nfa, child_plans)
         return plan
 
     def _compile_simple_content(self, definition: ComplexType) -> _SimpleContentPlan:
@@ -867,13 +870,11 @@ class CompiledSchemaSet:
     @staticmethod
     def _symbol_of(decl: ElementDecl, schema: Schema) -> QName:
         if decl.is_ref:
-            return _intern_qname(decl.ref.namespace, decl.ref.local)
+            return decl.ref
         namespace = (
             schema.target_namespace if schema.element_form_default == "qualified" else ""
         )
-        # Interned so content-model transition keys are the same objects
-        # the parser produces (dict lookups hit the identity fast path).
-        return _intern_qname(namespace, decl.name)
+        return QName(namespace, decl.name)
 
 
 def _particle_decls(particle: object) -> list[ElementDecl]:

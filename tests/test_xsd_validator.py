@@ -7,6 +7,7 @@ from repro.xmlutil.qname import QName
 from repro.xsd.components import (
     AttributeDecl,
     AttributeUse,
+    ChoiceGroup,
     ComplexType,
     ElementDecl,
     Facet,
@@ -188,3 +189,41 @@ class TestSchemaSetMechanics:
         schema_set.add(schema)
         assert schema_set.fingerprint != before
         assert validate_instance(schema_set, document) == []
+
+
+class TestNondeterministicModel:
+    """A content model that violates Unique Particle Attribution stays an
+    NFA (``determinize`` declines it); the compiled walk over it must
+    still match the reference."""
+
+    @staticmethod
+    def _schema_set() -> SchemaSet:
+        schema = Schema(NS, prefixes={"v": NS})
+        schema.items.append(
+            ComplexType(
+                "PickType",
+                particle=ChoiceGroup(
+                    [
+                        ElementDecl(name="a", type=xsd("integer")),
+                        ElementDecl(name="a", type=xsd("string"), max_occurs=2),
+                    ]
+                ),
+            )
+        )
+        schema.items.append(ElementDecl(name="Pick", type=QName(NS, "PickType")))
+        return SchemaSet([schema])
+
+    @pytest.mark.parametrize(
+        "body",
+        ["<v:a>7</v:a>", "<v:a>x</v:a>", "<v:a>1</v:a><v:a>2</v:a>", "<v:b/>", ""],
+    )
+    def test_matches_reference(self, body):
+        from repro.xsd.compiled import compile_schema_set
+        from repro.xsd.content_model import DeterminizedModel
+
+        schema_set = self._schema_set()
+        compiled = compile_schema_set(schema_set)
+        plan = compiled._type_plans[QName(NS, "PickType")]
+        assert not isinstance(plan.model, DeterminizedModel)
+        doc = f'<v:Pick xmlns:v="{NS}">{body}</v:Pick>'
+        assert compiled.validate(doc) == reference_validate(schema_set, doc)
