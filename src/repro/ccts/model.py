@@ -36,12 +36,16 @@ from repro.profile import (
     UPCC,
 )
 from repro.uml.classifier import Class, DataType
-from repro.uml.elements import structural_revision
 from repro.uml.model import Model
 from repro.uml.package import Package
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.validation.diagnostics import ValidationReport
+
+
+#: Keys of this module's entries in ``Model.derived()``.
+_LIBRARIES = "ccts.libraries"
+_BASIC_REPORT = "ccts.basic_report"
 
 
 class CctsModel:
@@ -50,8 +54,6 @@ class CctsModel:
     def __init__(self, name: str = "Model", model: Model | None = None) -> None:
         self.model = model if model is not None else Model(name)
         self.profile = UPCC
-        self._libraries_cache: tuple[int, list[Library]] | None = None
-        self._basic_report_cache: tuple[int, ValidationReport] | None = None
 
     @property
     def name(self) -> str:
@@ -79,41 +81,38 @@ class CctsModel:
     def libraries(self) -> list[Library]:
         """Every stereotyped library anywhere in the model.
 
-        The scan is memoized against the model's
-        :func:`~repro.uml.elements.structural_revision`; repeated lookups
-        on an unchanged model reuse the wrapper list.  Inside an indexed
-        pass the scan reads the pass's snapshot instead of walking.
+        The scan is memoized in :meth:`Model.derived
+        <repro.uml.model.Model.derived>`, so repeated lookups on a model
+        whose version has not moved reuse the wrapper list.  Inside an
+        indexed pass the scan reads the pass's snapshot instead of walking.
         """
-        revision = structural_revision()
-        cached = self._libraries_cache
-        if cached is not None and cached[0] == revision:
-            return list(cached[1])
-        found: list[Library] = []
-        for package in self.model.all_of_type(Package):
-            wrapper = library_wrapper_for(package, self.model)
-            if wrapper is not None:
-                found.append(wrapper)
-        self._libraries_cache = (revision, found)
+        memo = self.model.derived()
+        found = memo.get(_LIBRARIES)
+        if found is None:
+            found = memo[_LIBRARIES] = [
+                wrapper
+                for package in self.model.all_of_type(Package)
+                if (wrapper := library_wrapper_for(package, self.model)) is not None
+            ]
         return list(found)
 
     def basic_validation_report(self) -> ValidationReport:
         """The report of the basic UPCC rules on the model as it is now.
 
-        Memoized against :func:`~repro.uml.elements.structural_revision`
-        like :meth:`libraries`: rules only read the model, so while no
-        element has changed they find the same things.  The report is kept
-        whatever its outcome and shared between callers, who must not
-        modify it; ``validation.memo_hits`` counts the reuses.
+        Memoized on the model's version like :meth:`libraries`: rules only
+        read the model, so while no element has changed they find the same
+        things.  The report is kept whatever its outcome and shared between
+        callers, who must not modify it; ``validation.memo_hits`` counts the
+        reuses.
         """
         from repro.validation.engine import validate_model
 
-        revision = structural_revision()
-        cached = self._basic_report_cache
-        if cached is not None and cached[0] == revision:
+        memo = self.model.derived()
+        report = memo.get(_BASIC_REPORT)
+        if report is not None:
             counter("validation.memo_hits").inc()
-            return cached[1]
-        report = validate_model(self, basic_only=True)
-        self._basic_report_cache = (revision, report)
+            return report
+        report = memo[_BASIC_REPORT] = validate_model(self, basic_only=True)
         return report
 
     def _libraries_of(self, wrapper_type: type) -> list:

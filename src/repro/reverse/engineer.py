@@ -422,8 +422,8 @@ class _Reverser:
                 self.report.doc_library_names.append(facts.name)
                 self.report.root_elements.append(element.name)
                 # Promote the owning BIELibrary to a DOCLibrary.  Go through
-                # the stereotype API (not the dict) so the structural
-                # revision advances and memoized library wrappers refresh.
+                # the stereotype API (not the dict) so the model version
+                # moves and memoized library wrappers refresh.
                 library = self.model.library_named(facts.name)
                 element = library.element
                 tags = dict(element.stereotype_applications.get("BIELibrary", {}))

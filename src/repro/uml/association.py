@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING
 
-from repro.uml.elements import NamedElement
+from repro.uml.elements import NamedElement, _set
 from repro.uml.multiplicity import Multiplicity
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,12 +53,12 @@ class AssociationEnd(NamedElement):
         navigable: bool = True,
     ) -> None:
         super().__init__(name)
-        self.type = type
         if isinstance(multiplicity, str):
             multiplicity = Multiplicity.parse(multiplicity)
-        self.multiplicity = multiplicity
-        self.aggregation = aggregation
-        self.navigable = navigable
+        _set(self, "type", type)
+        _set(self, "multiplicity", multiplicity)
+        _set(self, "aggregation", aggregation)
+        _set(self, "navigable", navigable)
 
 
 class Association(NamedElement):
@@ -73,8 +73,8 @@ class Association(NamedElement):
         super().__init__(name)
         source.owner = self
         target.owner = self
-        self.source = source
-        self.target = target
+        _set(self, "source", source)
+        _set(self, "target", target)
 
     def owned_elements(self):
         """The two ends, in (source, target) order."""

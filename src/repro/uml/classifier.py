@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import ModelError
-from repro.uml.elements import Element, NamedElement
+from repro.uml.elements import Element, NamedElement, _set
 from repro.uml.multiplicity import Multiplicity
 from repro.uml.property import Property
 
@@ -15,7 +15,7 @@ class Classifier(NamedElement):
 
     def __init__(self, name: str = "") -> None:
         super().__init__(name)
-        self.attributes: list[Property] = []
+        _set(self, "attributes", [])
 
     def add_attribute(
         self,
@@ -76,7 +76,7 @@ class EnumerationLiteral(NamedElement):
 
     def __init__(self, name: str, value: str | None = None) -> None:
         super().__init__(name)
-        self.value = value if value is not None else name
+        _set(self, "value", value if value is not None else name)
 
 
 class Enumeration(DataType):
@@ -84,7 +84,7 @@ class Enumeration(DataType):
 
     def __init__(self, name: str = "") -> None:
         super().__init__(name)
-        self.literals: list[EnumerationLiteral] = []
+        _set(self, "literals", [])
 
     def add_literal(self, name: str, value: str | None = None) -> EnumerationLiteral:
         """Create, own and return a new literal."""

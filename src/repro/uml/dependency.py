@@ -6,7 +6,7 @@ relationships: ABIE -> ACC, ASBIE -> ASCC and QDT -> CDT.
 
 from __future__ import annotations
 
-from repro.uml.elements import NamedElement
+from repro.uml.elements import NamedElement, _set
 
 
 class Dependency(NamedElement):
@@ -14,8 +14,8 @@ class Dependency(NamedElement):
 
     def __init__(self, client: NamedElement, supplier: NamedElement, name: str = "") -> None:
         super().__init__(name)
-        self.client = client
-        self.supplier = supplier
+        _set(self, "client", client)
+        _set(self, "supplier", supplier)
 
     def __repr__(self) -> str:
         stereo = "".join(f"<<{name}>>" for name in self.stereotypes)

@@ -8,6 +8,7 @@ behaviour used throughout lookups and the NDR naming rules.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ProfileError
@@ -15,33 +16,22 @@ from repro.errors import ProfileError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.uml.package import Package
 
-#: Process-wide structural revision: bumped on every element mutation.
-_structural_revision = 0
+#: Model versions: one process-wide counter, so an ``(id(model), version)``
+#: pair never repeats, even after ``id()`` recycling.
+_versions = itertools.count(1)
+#: A construction write: a field assignment past ``Element.__setattr__``.
+_set = object.__setattr__
 
 
-def structural_revision() -> int:
-    """The current model-structure revision counter.
-
-    A single process-wide counter that advances whenever any
-    :class:`Element` is structurally mutated -- a public attribute is
-    assigned (names, types, owners, multiplicities, ...) or a stereotype
-    application / tagged value changes.  Consumers that derive data from
-    model structure (the generation-cache fingerprints) record the
-    revision at computation time and treat their result as valid for as
-    long as the counter has not moved: an element reachable through live
-    wrappers cannot have changed -- nor can its ``id()`` have been
-    recycled -- without at least one tracked mutation in between.
-
-    In-place mutation of non-Element values (e.g. editing a
-    ``Multiplicity`` object's fields directly) is not tracked; model
-    edits should go through element attributes and the stereotype API.
-    """
-    return _structural_revision
-
-
-def _bump_revision() -> None:
-    global _structural_revision
-    _structural_revision += 1
+def touch(element: "Element") -> None:
+    """Give the model ``element`` belongs to (the root of its ``owner``
+    chain) a new version; an element in no model moves none."""
+    owner = element.owner
+    while owner is not None:
+        element = owner
+        owner = element.owner
+    if element._version is not None:
+        _set(element, "_version", next(_versions))
 
 
 class Element:
@@ -51,20 +41,32 @@ class Element:
     so one element can hold several applications, each with its own tags --
     the shape the UPCC profile needs (a package is both a ``BIELibrary`` and
     carries ``baseURN``/``namespacePrefix`` tags of that stereotype).
+
+    Assigning a public attribute or changing a stereotype application or
+    tagged value is tracked: it moves the version of the element's model
+    (:attr:`repro.uml.model.Model.version`), dropping that model's caches.
+    Private attributes and construction (a new element is in no model) are
+    not tracked, nor is in-place mutation of non-Element values such as a
+    ``Multiplicity``.
     """
 
+    #: The model version; None on every element that is not a model.
+    _version: int | None = None
+
     def __init__(self) -> None:
-        self.stereotype_applications: dict[str, dict[str, str]] = {}
-        self.documentation: str = ""
-        self.xmi_id: str | None = None
-        self.owner: "Element | None" = None
+        _set(self, "stereotype_applications", {})
+        _set(self, "documentation", "")
+        _set(self, "xmi_id", None)
+        _set(self, "owner", None)
 
     def __setattr__(self, name: str, value: object) -> None:
-        # Every public-attribute assignment is a structural mutation; see
-        # structural_revision().  Private attributes stay untracked.
-        object.__setattr__(self, name, value)
-        if not name.startswith("_"):
-            _bump_revision()
+        if name.startswith("_"):
+            _set(self, name, value)
+            return
+        if name == "owner":
+            touch(self)  # the model the element leaves
+        _set(self, name, value)
+        touch(self)
 
     # -- stereotype machinery -------------------------------------------------
 
@@ -78,7 +80,7 @@ class Element:
         values = self.stereotype_applications.setdefault(name, {})
         for key, value in tags.items():
             values[key] = value
-        _bump_revision()
+        touch(self)
         return self
 
     def has_stereotype(self, name: str) -> bool:
@@ -88,7 +90,7 @@ class Element:
     def remove_stereotype(self, name: str) -> None:
         """Remove a stereotype application; no-op when absent."""
         if self.stereotype_applications.pop(name, None) is not None:
-            _bump_revision()
+            touch(self)
 
     def tagged_value(self, stereotype: str, tag: str, default: str | None = None) -> str | None:
         """The value of ``tag`` under ``stereotype``, or ``default``."""
@@ -101,7 +103,7 @@ class Element:
                 f"cannot set tag {tag!r}: stereotype {stereotype!r} not applied to {self!r}"
             )
         self.stereotype_applications[stereotype][tag] = value
-        _bump_revision()
+        touch(self)
 
     def any_tagged_value(self, tag: str, default: str | None = None) -> str | None:
         """Search every applied stereotype for ``tag`` (first hit wins)."""
@@ -128,7 +130,7 @@ class NamedElement(Element):
 
     def __init__(self, name: str = "") -> None:
         super().__init__()
-        self.name = name
+        _set(self, "name", name)
 
     @property
     def namespace(self) -> "Package | None":

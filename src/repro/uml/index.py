@@ -14,7 +14,7 @@ answers keep model order.
 The index is deliberately *not* self-invalidating: build it at the start of
 a pass that does not mutate the model (the generator and the validation
 engine qualify) and drop it afterwards.  ``Model.indexed`` does both, and
-reuses a snapshot only while the model's structural revision has not moved.
+reuses a snapshot only while the model's version has not moved.
 """
 
 from __future__ import annotations

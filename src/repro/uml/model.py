@@ -9,7 +9,7 @@ from repro.errors import ModelError
 from repro.uml.association import Association
 from repro.uml.classifier import Classifier
 from repro.uml.dependency import Dependency
-from repro.uml.elements import Element, NamedElement
+from repro.uml.elements import Element, NamedElement, _versions
 from repro.uml.package import Package
 
 ElementT = TypeVar("ElementT", bound=Element)
@@ -23,6 +23,10 @@ class Model(Package):
     stereotype anywhere, collect all associations whose whole-end is a given
     class, and follow ``basedOn`` dependencies.
 
+    Every cache of facts derived from a model lives in :meth:`derived`
+    and lasts only while the model's :attr:`version` has not moved, so
+    building or editing one model never costs another its caches.
+
     Whole-model passes that do not mutate the model can wrap themselves in
     :meth:`indexed` -- the generator and the validation engine do.  Inside
     such a pass every whole-model query (elements by type or stereotype,
@@ -35,9 +39,28 @@ class Model(Package):
 
     def __init__(self, name: str = "") -> None:
         super().__init__(name)
+        self._version = next(_versions)
+        self._derived: tuple[int, dict] = (self._version, {})
         self._active_index = None
-        self._cached_index: "tuple[int, object] | None" = None
         self._index_depth = 0
+
+    @property
+    def version(self) -> int:
+        """The structural version: a new, never repeated value after every
+        tracked write to this model (see :class:`~repro.uml.elements.Element`)."""
+        return self._version
+
+    def derived(self) -> dict:
+        """Memo space for facts computed from the model at its :attr:`version`.
+
+        Emptied whenever the version moves.  Values are shared between
+        callers, who must not modify them.
+        """
+        version, memo = self._derived
+        if version != self._version:
+            memo = {}
+            self._derived = (self._version, memo)
+        return memo
 
     @contextlib.contextmanager
     def indexed(self):
@@ -46,20 +69,17 @@ class Model(Package):
         Reentrant; the snapshot is built on first entry and dropped when the
         outermost context exits.  The model must not be mutated inside.
         A snapshot is reused across contexts while the model's
-        :func:`~repro.uml.elements.structural_revision` has not moved, so
-        repeated passes over an unchanged model skip the rebuild.
+        :attr:`version` has not moved, so repeated passes over an
+        unchanged model skip the rebuild.
         """
-        from repro.uml.elements import structural_revision
         from repro.uml.index import ModelIndex
 
         if self._index_depth == 0:
-            revision = structural_revision()
-            cached = self._cached_index
-            if cached is not None and cached[0] == revision:
-                self._active_index = cached[1]
-            else:
-                self._active_index = ModelIndex(self)
-                self._cached_index = (revision, self._active_index)
+            memo = self.derived()
+            index = memo.get(ModelIndex)
+            if index is None:
+                index = memo[ModelIndex] = ModelIndex(self)
+            self._active_index = index
         self._index_depth += 1
         try:
             yield self._active_index

@@ -13,7 +13,7 @@ from repro.errors import ModelError
 from repro.uml.association import AggregationKind, Association, AssociationEnd
 from repro.uml.classifier import Class, Classifier, DataType, Enumeration, PrimitiveType
 from repro.uml.dependency import Dependency
-from repro.uml.elements import Element, NamedElement
+from repro.uml.elements import Element, NamedElement, _set
 from repro.uml.multiplicity import Multiplicity
 
 ClassifierT = TypeVar("ClassifierT", bound=Classifier)
@@ -24,10 +24,10 @@ class Package(NamedElement):
 
     def __init__(self, name: str = "") -> None:
         super().__init__(name)
-        self.packages: list[Package] = []
-        self.classifiers: list[Classifier] = []
-        self.associations: list[Association] = []
-        self.dependencies: list[Dependency] = []
+        _set(self, "packages", [])
+        _set(self, "classifiers", [])
+        _set(self, "associations", [])
+        _set(self, "dependencies", [])
 
     # -- construction ----------------------------------------------------------
 

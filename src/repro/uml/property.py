@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.uml.elements import NamedElement
+from repro.uml.elements import NamedElement, _set
 from repro.uml.multiplicity import Multiplicity
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,11 +32,11 @@ class Property(NamedElement):
         default: str | None = None,
     ) -> None:
         super().__init__(name)
-        self.type = type
         if isinstance(multiplicity, str):
             multiplicity = Multiplicity.parse(multiplicity)
-        self.multiplicity = multiplicity
-        self.default = default
+        _set(self, "type", type)
+        _set(self, "multiplicity", multiplicity)
+        _set(self, "default", default)
 
     @property
     def type_name(self) -> str:

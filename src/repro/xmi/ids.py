@@ -10,6 +10,10 @@ from __future__ import annotations
 from repro.uml.elements import Element
 from repro.uml.model import Model
 
+#: Key, in ``Model.derived()``, of the record that every element of the
+#: model carries an xmi:id at its current version.
+IDS_COMPLETE = "xmi.ids_complete"
+
 
 def assign_ids(model: Model) -> dict[int, str]:
     """Ensure every element has an xmi:id; returns id(element) -> xmi:id."""

@@ -3,7 +3,11 @@
 Two-pass loading: the first pass materializes every element and records the
 id table plus unresolved references (property types, association ends,
 dependency client/supplier); the second pass resolves references and
-replays stereotype applications.
+replays stereotype applications.  No cache can hold a model before the
+reader returns it, so it writes element fields past the tracked
+``Element.__setattr__``, then stamps the finished model with one new
+version and, when every element has an ``xmi:id``, records that for the
+generator.
 
 Error handling comes in two modes (see docs/architecture.md, "Strict and
 lenient loading"):
@@ -39,12 +43,13 @@ from repro.obs.trace import span
 from repro.uml.association import AggregationKind, Association, AssociationEnd
 from repro.uml.classifier import Class, Classifier, DataType, Enumeration, PrimitiveType
 from repro.uml.dependency import Dependency
-from repro.uml.elements import Element, NamedElement
+from repro.uml.elements import Element, NamedElement, _set, touch
 from repro.uml.model import Model
 from repro.uml.multiplicity import Multiplicity
 from repro.uml.package import Package
 from repro.uml.property import Property
 from repro.validation.diagnostics import SourceLocation
+from repro.xmi.ids import IDS_COMPLETE
 from repro.xmlutil.writer import XmlElement, parse_xml
 
 _CLASSIFIER_TYPES: dict[str, type[Classifier]] = {
@@ -144,7 +149,10 @@ class _Loader:
         self.issues: list[LoadIssue] = []
         self.by_id: dict[str, Element] = {}
         self._synthetic_ids = 0
-        #: (property, ref, site) -- site located where the ref was written.
+        #: False once an element of the model was left without an xmi:id.
+        self.ids_complete = True
+        #: (property, ref, site): a site is the (xmi_id, path, node) where the
+        #: ref was written, located only if pass 2 reports a diagnostic.
         self.pending_types: list[tuple[Property, str, tuple]] = []
         self.pending_ends: list[tuple[AssociationEnd, str, Association, tuple]] = []
         self.pending_dependencies: list[tuple[Dependency, str, str, tuple]] = []
@@ -175,10 +183,6 @@ class _Loader:
         self.issues.append(LoadIssue(kind, message, xmi_id=xmi_id, path=path, source=source))
         counter("xmi.load_issues", kind=kind).inc()
 
-    def _site(self, node: XmlElement, xmi_id: str | None, path: str) -> tuple:
-        """Located facts captured in pass 1 for diagnostics raised in pass 2."""
-        return (xmi_id, path, _located(node))
-
     # -- pass 1 ------------------------------------------------------------------
 
     def register(self, node: XmlElement, element: Element, path: str = "") -> bool:
@@ -200,7 +204,7 @@ class _Loader:
             # address the element (the prefix cannot clash with real ids).
             self._synthetic_ids += 1
             xmi_id = f"__synthetic_{self._synthetic_ids}"
-            element.xmi_id = xmi_id
+            _set(element, "xmi_id", xmi_id)
             self.by_id[xmi_id] = element
             return True
         if xmi_id in self.by_id:
@@ -213,9 +217,9 @@ class _Loader:
             )
             # First registration wins; the element stays in the model but
             # references to this id keep resolving to the original.
-            element.xmi_id = xmi_id
+            _set(element, "xmi_id", xmi_id)
             return False
-        element.xmi_id = xmi_id
+        _set(element, "xmi_id", xmi_id)
         self.by_id[xmi_id] = element
         return True
 
@@ -232,7 +236,7 @@ class _Loader:
     def _load_documentation(self, node: XmlElement, element: Element) -> None:
         comment = node.find("ownedComment")
         if comment is not None:
-            element.documentation = comment.attributes.get("body", "")
+            _set(element, "documentation", comment.attributes.get("body", ""))
 
     def _load_packaged(self, node: XmlElement, owner: Package, path: str, depth: int) -> None:
         if depth > self.max_depth:
@@ -243,7 +247,7 @@ class _Loader:
         child_path = f"{path}/{node.attributes.get('name') or node.tag}"
         if xmi_type == "uml:Package":
             package = Package(node.attributes.get("name", ""))
-            package.owner = owner
+            _set(package, "owner", owner)
             owner.packages.append(package)
             self.register(node, package, child_path)
             self._load_documentation(node, package)
@@ -269,7 +273,7 @@ class _Loader:
         self, node: XmlElement, owner: Package, cls: type[Classifier], path: str
     ) -> None:
         classifier = cls(node.attributes.get("name", ""))
-        classifier.owner = owner
+        _set(classifier, "owner", owner)
         owner.classifiers.append(classifier)
         self.register(node, classifier, path)
         self._load_documentation(node, classifier)
@@ -282,13 +286,13 @@ class _Loader:
                     self._multiplicity(child, child_path),
                     child.attributes.get("default"),
                 )
-                prop.owner = classifier
+                _set(prop, "owner", classifier)
                 classifier.attributes.append(prop)
                 self.register(child, prop, child_path)
                 type_ref = child.attributes.get("type")
                 if type_ref is not None:
                     self.pending_types.append(
-                        (prop, type_ref, self._site(child, prop.xmi_id, child_path))
+                        (prop, type_ref, (prop.xmi_id, child_path, child))
                     )
             elif child.tag == "ownedLiteral" and isinstance(classifier, Enumeration):
                 try:
@@ -305,6 +309,8 @@ class _Loader:
                 # before.
                 if child.attributes.get("xmi:id") is not None:
                     self.register(child, literal, child_path)
+                else:
+                    self.ids_complete = False
 
     def _multiplicity(self, node: XmlElement, path: str = "") -> Multiplicity:
         lower_text = node.attributes.get("lower", "1")
@@ -386,19 +392,18 @@ class _Loader:
             end_refs.append((type_ref, end_node))
             ends.append(end)
         association = Association(ends[0], ends[1], node.attributes.get("name", ""))
-        association.owner = owner
+        _set(association, "owner", owner)
         owner.associations.append(association)
         self.register(node, association, path)
         for end, (type_ref, end_node) in zip(ends, end_refs):
             end_path = f"{path}/{end_node.attributes.get('name') or end_node.tag}"
-            self.pending_ends.append(
-                (end, type_ref, association, self._site(end_node, end.xmi_id, end_path))
-            )
+            site = (end.xmi_id, end_path, end_node)
+            self.pending_ends.append((end, type_ref, association, site))
 
     def _load_dependency(self, node: XmlElement, owner: Package, path: str) -> None:
         placeholder = NamedElement("")
         dependency = Dependency(placeholder, placeholder, node.attributes.get("name", ""))
-        dependency.owner = owner
+        _set(dependency, "owner", owner)
         owner.dependencies.append(dependency)
         self.register(node, dependency, path)
         missing = [key for key in ("client", "supplier") if key not in node.attributes]
@@ -413,19 +418,15 @@ class _Loader:
                 path=path,
             )
             return
+        site = (dependency.xmi_id, path, node)
         self.pending_dependencies.append(
-            (
-                dependency,
-                node.attributes["client"],
-                node.attributes["supplier"],
-                self._site(node, dependency.xmi_id, path),
-            )
+            (dependency, node.attributes["client"], node.attributes["supplier"], site)
         )
 
     # -- pass 2 --------------------------------------------------------------------
 
     def resolve(self) -> None:
-        for prop, ref, (xmi_id, path, source) in self.pending_types:
+        for prop, ref, (xmi_id, path, node) in self.pending_types:
             target = self.by_id.get(ref)
             if not isinstance(target, Classifier):
                 self.issue(
@@ -433,11 +434,11 @@ class _Loader:
                     f"property {prop.name!r} references non-classifier id {ref!r}",
                     xmi_id=xmi_id,
                     path=path,
-                    source=source,
+                    node=node,
                 )
                 continue  # lenient: the property stays untyped
-            prop.type = target
-        for end, ref, association, (xmi_id, path, source) in self.pending_ends:
+            _set(prop, "type", target)
+        for end, ref, association, (xmi_id, path, node) in self.pending_ends:
             target = self.by_id.get(ref)
             if not isinstance(target, Class):
                 self.issue(
@@ -445,14 +446,14 @@ class _Loader:
                     f"association end references non-class id {ref!r}",
                     xmi_id=xmi_id,
                     path=path,
-                    source=source,
+                    node=node,
                 )
                 owner = association.owner
                 if isinstance(owner, Package) and association in owner.associations:
                     owner.associations.remove(association)
                 continue
-            end.type = target
-        for dependency, client_ref, supplier_ref, (xmi_id, path, source) in self.pending_dependencies:
+            _set(end, "type", target)
+        for dependency, client_ref, supplier_ref, (xmi_id, path, node) in self.pending_dependencies:
             client = self.by_id.get(client_ref)
             supplier = self.by_id.get(supplier_ref)
             if not isinstance(client, NamedElement) or not isinstance(supplier, NamedElement):
@@ -461,14 +462,14 @@ class _Loader:
                     f"dependency references unresolved ids {client_ref!r}/{supplier_ref!r}",
                     xmi_id=xmi_id,
                     path=path,
-                    source=source,
+                    node=node,
                 )
                 owner = dependency.owner
                 if isinstance(owner, Package) and dependency in owner.dependencies:
                     owner.dependencies.remove(dependency)
                 continue
-            dependency.client = client
-            dependency.supplier = supplier
+            _set(dependency, "client", client)
+            _set(dependency, "supplier", supplier)
 
     def apply_stereotypes(self, root: XmlElement) -> None:
         for child in root.element_children:
@@ -490,7 +491,7 @@ class _Loader:
                 for name, value in child.attributes.items()
                 if name not in ("base",) and not name.startswith("xmi:")
             }
-            element.apply_stereotype(stereotype, **tags)
+            element.stereotype_applications.setdefault(stereotype, {}).update(tags)
 
 
 _log = get_logger("repro.xmi")
@@ -524,6 +525,10 @@ def _load_document(
             model = loader.load_model(model_node)
             loader.resolve()
             loader.apply_stereotypes(root)
+            # The model was built with construction writes; stamp it once.
+            touch(model)
+            if loader.ids_complete:
+                model.derived()[IDS_COMPLETE] = True
         except _LimitError as error:
             if strict:
                 raise

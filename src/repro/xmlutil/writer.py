@@ -154,17 +154,6 @@ class ParsedElement:
     namespaces: dict[str | None, str] = field(default_factory=dict)
 
 
-class _ParseFrame:
-    """Per-open-element parse state: the element plus its leading text."""
-
-    __slots__ = ("element", "texts", "has_element_child")
-
-    def __init__(self, element: XmlElement) -> None:
-        self.element = element
-        self.texts: list[str] = []
-        self.has_element_child = False
-
-
 def parse_xml(text: str) -> XmlElement:
     """Parse XML text into an :class:`XmlElement` tree, preserving prefixes.
 
@@ -183,34 +172,42 @@ def parse_xml(text: str) -> XmlElement:
     parser.ordered_attributes = True
     parser.buffer_text = True
 
-    stack: list[_ParseFrame] = []
+    stack: list[XmlElement] = []
+    #: The text runs read so far inside each open element, before its
+    #: first child element.
+    texts: list[list[str]] = []
     roots: list[XmlElement] = []
+    new_element = XmlElement.__new__
 
     def handle_start(tag: str, attributes: list[str]) -> None:
-        element = XmlElement(tag)
+        # Expat has already enforced the XML Name production on ``tag``, a
+        # stricter check than the constructor's, so it is not run again.
+        element = new_element(XmlElement)
+        element.tag = tag
+        element.attributes = dict(zip(attributes[::2], attributes[1::2]))
+        element.children = []
         element.source_line = parser.CurrentLineNumber
         element.source_column = parser.CurrentColumnNumber + 1
-        for index in range(0, len(attributes), 2):
-            element.attributes[attributes[index]] = attributes[index + 1]
         if stack:
-            stack[-1].has_element_child = True
-            stack[-1].element.children.append(element)
+            stack[-1].children.append(element)
         else:
             roots.append(element)
-        stack.append(_ParseFrame(element))
+        stack.append(element)
+        texts.append([])
 
     def handle_end(tag: str) -> None:
-        frame = stack.pop()
-        leading = "".join(frame.texts)
+        element = stack.pop()
+        leading = "".join(texts.pop())
         # Match the previous reader: only the text before the first child
         # element survives; whitespace-only runs survive only in childless
-        # elements (so indentation never becomes a text node).
-        if leading.strip() or (leading and not frame.has_element_child):
-            frame.element.children.insert(0, leading)
+        # elements (so indentation never becomes a text node).  Until then
+        # ``children`` holds only elements.
+        if leading.strip() or (leading and not element.children):
+            element.children.insert(0, leading)
 
     def handle_text(data: str) -> None:
-        if stack and not stack[-1].has_element_child:
-            stack[-1].texts.append(data)
+        if stack and not stack[-1].children:
+            texts[-1].append(data)
 
     parser.StartElementHandler = handle_start
     parser.EndElementHandler = handle_end

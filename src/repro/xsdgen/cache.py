@@ -53,7 +53,7 @@ from repro.profile import (
 from repro.uml.association import Association, AssociationEnd
 from repro.uml.classifier import Classifier, EnumerationLiteral
 from repro.uml.dependency import Dependency
-from repro.uml.elements import Element, structural_revision
+from repro.uml.elements import Element
 from repro.uml.property import Property
 from repro.xsd.components import Schema
 from repro.xsd.parser import parse_schema
@@ -79,15 +79,8 @@ _SCHEMA_STEREOTYPES = frozenset(
 _FIELD_SEP = "\x1f"
 _RECORD_SEP = "\x1e"
 
-#: Cross-run fingerprint memo: (library id, root, options...) -> (revision,
-#: digest).  An entry is valid while :func:`structural_revision` has not
-#: moved since it was computed.  That makes the key safe against ``id()``
-#: recycling too: a looked-up library is reachable through a live wrapper,
-#: and any *other* object at a recycled address must have been constructed
-#: after the entry -- which bumps the revision and invalidates it.
-_fingerprint_memo: dict[tuple, tuple[int, str]] = {}
-_fingerprint_memo_lock = threading.Lock()
-_FINGERPRINT_MEMO_LIMIT = 1024
+#: First field of this module's keys in ``Model.derived()``.
+_FINGERPRINT = "xsdgen.fingerprint"
 
 
 class _Hasher:
@@ -256,22 +249,23 @@ def fingerprint_library(
 
     ``context`` (a :class:`FingerprintContext`) shares subtree digests and
     reference scans across fingerprints of the same unmutated model.
-    Results are additionally memoized across runs against the model's
-    :func:`~repro.uml.elements.structural_revision`, so regenerating an
-    unchanged model costs one dict lookup per library instead of a walk.
+    Results are additionally memoized across runs in the model's
+    :meth:`~repro.uml.model.Model.derived`, so regenerating a model whose
+    version has not moved costs one dict lookup per library instead of a
+    walk.
     """
-    revision = structural_revision()
+    memo = model.model.derived()
     memo_key = (
-        id(library.element),
+        _FINGERPRINT,
+        library.element,
         root_name or "",
         options.annotated,
         options.shared_aggregation_as_ref,
         options.include_version_in_urn,
     )
-    with _fingerprint_memo_lock:
-        hit = _fingerprint_memo.get(memo_key)
-        if hit is not None and hit[0] == revision:
-            return hit[1]
+    hit = memo.get(memo_key)
+    if hit is not None:
+        return hit
     hasher = _Hasher()
     hasher.record("format", CACHE_FORMAT_VERSION)
     hasher.record("library", *_library_identity(library))
@@ -295,14 +289,7 @@ def fingerprint_library(
             continue
         hasher.record("xref", *_library_identity(owning))
         hasher.record("xwalk", _subtree_digest(classifier, context))
-    digest = hasher.hexdigest()
-    with _fingerprint_memo_lock:
-        if len(_fingerprint_memo) >= _FINGERPRINT_MEMO_LIMIT:
-            # Entries from older revisions can never hit again; drop them.
-            stale = [k for k, v in _fingerprint_memo.items() if v[0] != revision]
-            for k in stale:
-                del _fingerprint_memo[k]
-        _fingerprint_memo[memo_key] = (revision, digest)
+    digest = memo[memo_key] = hasher.hexdigest()
     return digest
 
 

@@ -18,7 +18,6 @@ it.  The output is byte-identical to an on-demand build.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +39,6 @@ from repro.profile import (
     PRIM_LIBRARY,
     QDT_LIBRARY,
 )
-from repro.uml.elements import structural_revision
 from repro.xmlutil.qname import QName
 from repro.xsd.components import (
     XSD_NS,
@@ -374,6 +372,9 @@ class SchemaGenerator:
     default is no caching (every run regenerates, as the paper's add-in
     does).  Cached schemas are treated as immutable and may be shared
     between results and generator instances.
+
+    A generator is single-caller and takes no locks; each caller (each of
+    ``serve``'s workers too) builds its own.
     """
 
     def __init__(
@@ -396,15 +397,14 @@ class SchemaGenerator:
             self.cache = None
         self._generated: dict[_MemoKey, GeneratedSchema] = {}
         self._deps: dict[_MemoKey, list[_MemoKey]] = {}
-        self._building: dict[_MemoKey, tuple[int, threading.Event]] = {}
+        #: Libraries whose build is in progress (a re-entrant call is a cycle).
+        self._building: set[_MemoKey] = set()
         #: Per-run failure records (collect mode) and the keys this run touched.
         self._failed: dict[_MemoKey, LibraryFailure] = {}
         self._run_keys: dict[_MemoKey, None] = {}
-        self._lock = threading.Lock()
         self._run_fingerprints: dict[_MemoKey, str] = {}
         self._fingerprint_context = FingerprintContext()
         self._libraries_by_name: dict[str, Library] | None = None
-        self._ids_revision: int | None = None
         # ensure_library is the hottest instrumented call site; bind its
         # counters once per generator instead of per lookup.
         self._memo_hits = counter("xsdgen.memo_hits")
@@ -425,8 +425,8 @@ class SchemaGenerator:
         with span("xsdgen.generate", library=library.name) as generate_span:
             if self.options.validate_first:
                 self._validate_first()
-            # Stable xmi:ids first: assigning ids mutates elements (bumping
-            # the structural revision), so it must precede fingerprinting.
+            # Stable xmi:ids first: assigning ids mutates elements (moving
+            # the model version), so it must precede fingerprinting.
             self._ensure_xmi_ids()
             # Per-run state: the model may have mutated since the last run.
             self._run_fingerprints = {}
@@ -489,17 +489,17 @@ class SchemaGenerator:
     def _ensure_xmi_ids(self) -> None:
         """Give every model element a deterministic xmi:id for provenance.
 
-        Models loaded from XMI already carry ids (:func:`assign_ids` keeps
-        them); programmatically built models get ``id_N`` in walk order.
-        Memoized on the structural revision *after* assignment, since id
-        assignment itself mutates elements.
+        Models loaded from XMI already carry ids, which the reader records
+        (so the two walks of :func:`assign_ids` are skipped); programmatically
+        built models get ``id_N`` in walk order, recorded *after* assignment
+        since assigning moves the model version.
         """
-        if self._ids_revision == structural_revision():
-            return
-        from repro.xmi.ids import assign_ids
+        from repro.xmi.ids import IDS_COMPLETE, assign_ids
 
-        assign_ids(self.model.model)
-        self._ids_revision = structural_revision()
+        model = self.model.model
+        if IDS_COMPLETE not in model.derived():
+            assign_ids(model)
+            model.derived()[IDS_COMPLETE] = True
 
     def _validate_first(self) -> None:
         report = self.model.basic_validation_report()
@@ -540,69 +540,56 @@ class SchemaGenerator:
         so one generator serves ``generate(doclib, root="A")`` and
         ``generate(doclib, root="B")`` distinct schemas.  Cyclic library
         references are legal: the namespace facts needed by importers are
-        computed before the schema body, so re-entrant calls on the same
-        thread return the in-progress entry.  Thread-safe: concurrent calls
-        build each library exactly once; a thread needing a library under
-        construction elsewhere waits for it.
+        computed before the schema body, so a re-entrant call for a library
+        whose build is in progress returns a placeholder entry, filled in
+        when that build completes.
         """
         key = self._memo_key(library, root)
-        while True:
-            with self._lock:
-                failure = self._failed.get(key)
-                if failure is not None:
-                    # Collect mode: a library that already failed this run
-                    # poisons its importers instead of being retried.
-                    raise GenerationError(
-                        f"{library.stereotype} {library.name!r} failed earlier "
-                        f"in this run: {failure.error}"
-                    ) from failure.error
-                existing = self._generated.get(key)
-                if existing is not None:
-                    self._memo_hits.inc()
-                    self._run_keys[key] = None
-                    return existing
-                building = self._building.get(key)
-                if building is None:
-                    self._building[key] = (threading.get_ident(), threading.Event())
-                    break
-                owner, event = building
-                if owner == threading.get_ident():
-                    # Cycle: hand back namespace facts with a placeholder schema.
-                    namespace = self.policy.namespace_for(library)
-                    placeholder = GeneratedSchema(library, namespace, Schema(namespace.urn))
-                    self._generated[key] = placeholder
-                    self._run_keys[key] = None
-                    return placeholder
-            # Another thread is building this library; wait and re-check.
-            event.wait()
+        failure = self._failed.get(key)
+        if failure is not None:
+            # Collect mode: a library that already failed this run
+            # poisons its importers instead of being retried.
+            raise GenerationError(
+                f"{library.stereotype} {library.name!r} failed earlier "
+                f"in this run: {failure.error}"
+            ) from failure.error
+        existing = self._generated.get(key)
+        if existing is not None:
+            self._memo_hits.inc()
+            self._run_keys[key] = None
+            return existing
+        if key in self._building:
+            # Cycle: hand back namespace facts with a placeholder schema.
+            namespace = self.policy.namespace_for(library)
+            placeholder = GeneratedSchema(library, namespace, Schema(namespace.urn))
+            self._generated[key] = placeholder
+            self._run_keys[key] = None
+            return placeholder
+        self._building.add(key)
         self._memo_misses.inc()
         try:
             generated, dep_keys = self._obtain(library, root, key)
         except ReproError as error:
-            with self._lock:
-                # Drop any placeholder a cycle installed for the failed build
-                # so a half-built schema never reaches a result or the cache.
-                self._generated.pop(key, None)
-                self._run_keys.pop(key, None)
+            # Drop any placeholder a cycle installed for the failed build
+            # so a half-built schema never reaches a result or the cache.
+            self._generated.pop(key, None)
+            self._run_keys.pop(key, None)
             if self.options.on_error == "collect":
                 self._record_failure(key, library, error)
             raise
         finally:
-            with self._lock:
-                _, event = self._building.pop(key)
-            event.set()
-        with self._lock:
-            # A cycle may have installed a placeholder; replace its schema body.
-            placeholder = self._generated.get(key)
-            if placeholder is not None:
-                placeholder.schema = generated.schema
-                placeholder.provenance = generated.provenance
-                placeholder.embed_provenance = generated.embed_provenance
-                generated = placeholder
-            else:
-                self._generated[key] = generated
-            self._deps[key] = dep_keys
-            self._run_keys[key] = None
+            self._building.discard(key)
+        # A cycle may have installed a placeholder; replace its schema body.
+        placeholder = self._generated.get(key)
+        if placeholder is not None:
+            placeholder.schema = generated.schema
+            placeholder.provenance = generated.provenance
+            placeholder.embed_provenance = generated.embed_provenance
+            generated = placeholder
+        else:
+            self._generated[key] = generated
+        self._deps[key] = dep_keys
+        self._run_keys[key] = None
         return generated
 
     def _obtain(
@@ -693,54 +680,53 @@ class SchemaGenerator:
         they are withdrawn from the run and marked failed too.
         """
         cascaded: list[LibraryFailure] = []
-        with self._lock:
-            if key in self._failed:
-                return
-            # An error that propagated out of a failed dependency's build is
-            # re-labelled as an import failure so the chain reads causally.
-            culprit = next(
-                (f for f in self._failed.values() if f.error is error), None
+        if key in self._failed:
+            return
+        # An error that propagated out of a failed dependency's build is
+        # re-labelled as an import failure so the chain reads causally.
+        culprit = next(
+            (f for f in self._failed.values() if f.error is error), None
+        )
+        if culprit is not None:
+            chained = GenerationError(
+                f"{library.stereotype} {library.name!r} imports failed "
+                f"library {culprit.library_name!r}"
             )
-            if culprit is not None:
+            chained.__cause__ = error
+            error = chained
+        elif not isinstance(error, GenerationError):
+            wrapped = GenerationError(
+                f"building {library.stereotype} {library.name!r} failed: {error}"
+            )
+            wrapped.__cause__ = error
+            error = wrapped
+        failure = LibraryFailure(library.name, library.stereotype, key[1], error)
+        self._failed[key] = failure
+        changed = True
+        while changed:
+            changed = False
+            for built_key, deps in list(self._deps.items()):
+                if built_key in self._failed:
+                    continue
+                if not any(dep in self._failed for dep in deps):
+                    continue
+                poisoned = self._generated.pop(built_key, None)
+                self._run_keys.pop(built_key, None)
+                if poisoned is None:
+                    continue
                 chained = GenerationError(
-                    f"{library.stereotype} {library.name!r} imports failed "
-                    f"library {culprit.library_name!r}"
+                    f"{poisoned.library.stereotype} {poisoned.library.name!r} "
+                    f"imports failed library {library.name!r}"
                 )
-                chained.__cause__ = error
-                error = chained
-            elif not isinstance(error, GenerationError):
-                wrapped = GenerationError(
-                    f"building {library.stereotype} {library.name!r} failed: {error}"
+                chained.__cause__ = failure.error
+                self._failed[built_key] = LibraryFailure(
+                    poisoned.library.name,
+                    poisoned.library.stereotype,
+                    built_key[1],
+                    chained,
                 )
-                wrapped.__cause__ = error
-                error = wrapped
-            failure = LibraryFailure(library.name, library.stereotype, key[1], error)
-            self._failed[key] = failure
-            changed = True
-            while changed:
-                changed = False
-                for built_key, deps in list(self._deps.items()):
-                    if built_key in self._failed:
-                        continue
-                    if not any(dep in self._failed for dep in deps):
-                        continue
-                    poisoned = self._generated.pop(built_key, None)
-                    self._run_keys.pop(built_key, None)
-                    if poisoned is None:
-                        continue
-                    chained = GenerationError(
-                        f"{poisoned.library.stereotype} {poisoned.library.name!r} "
-                        f"imports failed library {library.name!r}"
-                    )
-                    chained.__cause__ = failure.error
-                    self._failed[built_key] = LibraryFailure(
-                        poisoned.library.name,
-                        poisoned.library.stereotype,
-                        built_key[1],
-                        chained,
-                    )
-                    cascaded.append(self._failed[built_key])
-                    changed = True
+                cascaded.append(self._failed[built_key])
+                changed = True
         counter("xsdgen.library_failures", stereotype=library.stereotype).inc()
         self.session.status(f"ERROR: {failure}")
         _log.warning("library build failed: %s", failure)
@@ -758,13 +744,12 @@ class SchemaGenerator:
         ones, in first-touch order.  Equals the reachable set when nothing
         failed, and never leaks schemas from a previous run.
         """
-        with self._lock:
-            keys = [key for key in self._run_keys if key not in self._failed]
-            return {
-                generated.namespace.urn: generated
-                for key in keys
-                if (generated := self._generated.get(key)) is not None
-            }
+        keys = [key for key in self._run_keys if key not in self._failed]
+        return {
+            generated.namespace.urn: generated
+            for key in keys
+            if (generated := self._generated.get(key)) is not None
+        }
 
     def _reachable_schemas(self, library: Library, root: "Abie | str | None") -> dict[str, GeneratedSchema]:
         """The schemas transitively reachable from the requested library."""

@@ -82,44 +82,62 @@ class TestWalk:
 
 
 class TestStructuralRevision:
-    def test_attribute_assignment_bumps(self):
-        from repro.uml.elements import structural_revision
+    """Tracked writes move the version of the model an element belongs to."""
 
-        element = NamedElement("X")
-        before = structural_revision()
+    @staticmethod
+    def _attached():
+        model = Model("M")
+        element = model.add_package("P").add_class("X")
+        return model, element
+
+    def test_attribute_assignment_bumps(self):
+        model, element = self._attached()
+        before = model.version
         element.name = "Y"
-        assert structural_revision() > before
+        assert model.version > before
 
     def test_stereotype_and_tag_mutations_bump(self):
-        from repro.uml.elements import structural_revision
-
-        element = NamedElement("X")
-        before = structural_revision()
+        model, element = self._attached()
+        before = model.version
         element.apply_stereotype("ACC", definition="d")
-        after_apply = structural_revision()
+        after_apply = model.version
         assert after_apply > before
         element.set_tagged_value("ACC", "definition", "e")
-        after_tag = structural_revision()
+        after_tag = model.version
         assert after_tag > after_apply
         element.remove_stereotype("ACC")
-        assert structural_revision() > after_tag
+        assert model.version > after_tag
 
     def test_removing_absent_stereotype_does_not_bump(self):
-        from repro.uml.elements import structural_revision
-
-        element = NamedElement("X")
-        before = structural_revision()
+        model, element = self._attached()
+        before = model.version
         element.remove_stereotype("NotApplied")
-        assert structural_revision() == before
+        assert model.version == before
 
     def test_reads_do_not_bump(self):
-        from repro.uml.elements import structural_revision
-
-        element = NamedElement("X")
+        model, element = self._attached()
         element.apply_stereotype("ACC", definition="d")
-        before = structural_revision()
+        before = model.version
         element.tagged_value("ACC", "definition")
         element.has_stereotype("ACC")
         list(element.walk())
         repr(element)
-        assert structural_revision() == before
+        element.qualified_name
+        assert model.version == before
+
+    def test_constructing_a_detached_element_moves_no_version(self):
+        from repro.uml.association import Association, AssociationEnd
+        from repro.uml.classifier import Class, Enumeration
+        from repro.uml.dependency import Dependency
+        from repro.uml.property import Property
+
+        model, element = self._attached()
+        before = model.version
+        target = Class("T")
+        Property("p", element, "0..1")
+        Association(AssociationEnd(element), AssociationEnd(target, "r", "0..*"))
+        Dependency(target, element)
+        Enumeration("E").add_literal("A")
+        NamedElement("N").apply_stereotype("ACC")
+        Model("Other").add_package("Q")
+        assert model.version == before

@@ -1,9 +1,13 @@
 """Unit tests for the XML element tree, writer and parser."""
 
+import xml.etree.ElementTree as ET
+import xml.parsers.expat
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.xmlutil.escape import is_valid_xml_name
 from repro.xmlutil.writer import XmlElement, XmlWriter, parse_xml
 
 
@@ -120,6 +124,41 @@ class TestParseXml:
         text = "<a><b><c>deep</c></b></a>"
         parsed = parse_xml(text)
         assert parsed.find("b").find("c").text_content == "deep"
+
+
+def _expat_accepts(name: str) -> bool:
+    """True when expat reads ``<name/>`` as one element called ``name``."""
+    seen = []
+    parser = xml.parsers.expat.ParserCreate()
+    parser.StartElementHandler = lambda tag, attributes: seen.append(tag)
+    try:
+        parser.Parse(f"<{name}/>", True)
+    except xml.parsers.expat.ExpatError:
+        return False
+    return seen == [name]
+
+
+class TestParseNameCheck:
+    """``parse_xml`` leaves tag names to expat; the constructor keeps its check."""
+
+    def test_every_bmp_name_char_expat_accepts_is_a_valid_name(self):
+        rejected = []
+        for code in range(0x20, 0x10000):
+            if 0xD800 <= code <= 0xDFFF:
+                continue  # lone surrogates cannot reach the parser
+            for name in (chr(code), "a" + chr(code)):
+                if _expat_accepts(name) and not is_valid_xml_name(name):
+                    rejected.append(f"U+{code:04X} in {name!r}")
+        assert rejected == []
+
+    @pytest.mark.parametrize("text", ["<1bad/>", "<a><-b/></a>", "<a><.b/></a>", "<\u00d7/>"])
+    def test_parse_raises_on_a_bad_tag_name(self, text):
+        with pytest.raises(ET.ParseError):
+            parse_xml(text)
+
+    def test_constructor_still_checks(self):
+        with pytest.raises(ValueError):
+            XmlElement("1bad")
 
 
 _name = st.from_regex(r"[a-zA-Z][a-zA-Z0-9]{0,8}", fullmatch=True)
