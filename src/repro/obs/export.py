@@ -499,10 +499,11 @@ def quantile_from_buckets(
 ) -> float:
     """Estimated q-th percentile from a *cumulative* ``(le, count)`` series.
 
-    The scrape-side twin of :meth:`repro.obs.metrics.Histogram.quantile`:
-    linear interpolation inside the bucket containing the target rank.
+    Linear interpolation inside the bucket containing the target rank.
     The ``+Inf`` bucket has no finite upper edge, so estimates clamp to
     the last finite bound.  0.0 when the series is empty.
+    :meth:`repro.obs.metrics.Histogram.quantile` is this estimate over its
+    own buckets, clamped to the observed min/max.
     """
     pairs = sorted(buckets)
     if not pairs:

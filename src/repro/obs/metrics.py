@@ -37,6 +37,8 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Iterator
 
+from repro.obs.export import quantile_from_buckets
+
 #: Fixed log-scale latency bucket upper bounds, in milliseconds.  A
 #: 1-2.5-5 ladder from 50 microseconds to 10 seconds: wide enough for
 #: everything from a warm cache hit to a cold 200-document validate, and
@@ -279,42 +281,32 @@ class Histogram:
         entry equals the total observation count.
         """
         with self._lock:
-            counts = list(self.bucket_counts)
+            return self._cumulative_locked()
+
+    def _cumulative_locked(self) -> list[tuple[float, int]]:
         pairs: list[tuple[float, int]] = []
         running = 0
-        for bound, bucket_count in zip(self.buckets, counts):
+        for bound, bucket_count in zip(self.buckets, self.bucket_counts):
             running += bucket_count
             pairs.append((bound, running))
-        pairs.append((float("inf"), running + counts[-1]))
+        pairs.append((float("inf"), running + self.bucket_counts[-1]))
         return pairs
 
     def quantile(self, q: float) -> float:
         """Estimated q-th percentile (q in 0..100) from the bucket counts.
 
-        Linear interpolation inside the bucket containing the target
-        rank, clamped to the observed min/max.  0.0 when empty.
+        The scrape-side estimate, :func:`~repro.obs.export.quantile_from_buckets`
+        over :meth:`cumulative_buckets`, clamped to the observed min/max.
+        0.0 when empty.
         """
         with self._lock:
             return self._quantile_locked(q)
 
     def _quantile_locked(self, q: float) -> float:
-        if not self.count:
+        if self.min is None or self.max is None:
             return 0.0
-        assert self.min is not None and self.max is not None
-        target = max(1e-12, q / 100.0) * self.count
-        cumulative = 0
-        lower = 0.0
-        for index, bucket_count in enumerate(self.bucket_counts):
-            upper = (
-                self.buckets[index] if index < len(self.buckets) else self.max
-            )
-            if bucket_count and cumulative + bucket_count >= target:
-                fraction = (target - cumulative) / bucket_count
-                estimate = lower + (upper - lower) * fraction
-                return min(max(estimate, self.min), self.max)
-            cumulative += bucket_count
-            lower = upper
-        return self.max
+        estimate = quantile_from_buckets(self._cumulative_locked(), q)
+        return min(max(estimate, self.min), self.max)
 
     def to_dict(self) -> dict[str, float | int]:
         """Deterministic aggregate view of the distribution.

@@ -281,17 +281,35 @@ class AlertLog:
             self._appended += 1
             try:
                 if self._appended > 2 * self.keep:
-                    with open(self.path, "w", encoding="utf-8") as handle:
-                        for kept in self._ring:
-                            handle.write(
-                                json.dumps(kept.to_dict(), sort_keys=True) + "\n"
-                            )
-                    self._appended = len(self._ring)
+                    self._compact_locked(self.path)
                 else:
                     with open(self.path, "a", encoding="utf-8") as handle:
                         handle.write(line + "\n")
             except OSError as error:
                 _log.warning("alert log write failed: %s", error)
+
+    def _compact_locked(self, path: str) -> None:
+        """Rewrite the file as the ring's contents.
+
+        The ring goes to a sibling temp file, synced, that then replaces
+        the log, so a write that fails partway leaves the previous file
+        whole.
+        """
+        temp = path + ".tmp"
+        try:
+            with open(temp, "w", encoding="utf-8") as handle:
+                for kept in self._ring:
+                    handle.write(json.dumps(kept.to_dict(), sort_keys=True) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, path)
+        except OSError:
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
+            raise
+        self._appended = len(self._ring)
 
     def recent(self, limit: int | None = None) -> list[Alert]:
         """The newest alerts, oldest first (bounded by ``limit``)."""

@@ -168,8 +168,11 @@ class SlowRequestStore:
     One capture produces ``<stamp>-<request id>.jsonl`` (one span per
     line with ``id``/``parent_id``, reconstructable) and the matching
     ``.trace.json`` Chrome trace-event file.  ``keep`` bounds the number
-    of *captures*; exceeding it deletes the oldest pair.  All methods are
-    thread-safe -- multiple workers can cross the threshold at once.
+    of *captures* in the directory; exceeding it deletes the oldest pair.
+    Captures an earlier store left in the directory are indexed on
+    construction, oldest first, so the bound holds across restarts.  All
+    methods are thread-safe -- multiple workers can cross the threshold
+    at once.
     """
 
     def __init__(self, directory: str | Path, keep: int = 32) -> None:
@@ -179,6 +182,57 @@ class SlowRequestStore:
         self._seq = 0
         #: Newest-last index of captures (what ``GET /slow`` serves).
         self._index: deque[dict[str, Any]] = deque(maxlen=self.keep)
+        self._recover()
+
+    def _recover(self) -> None:
+        """Index the ``slow-<seq>-<id>`` pairs already on disk, by ``seq``."""
+        bases: dict[int, str] = {}
+        for path in self.directory.glob("slow-*"):
+            base = path.name.removesuffix(".trace.json").removesuffix(".jsonl")
+            parts = base.split("-", 2)
+            if len(parts) == 3 and parts[1].isdigit():
+                bases[int(parts[1])] = base
+        for seq in sorted(bases):
+            self._seq = seq
+            self._append(self._recovered_entry(bases[seq]))
+
+    def _recovered_entry(self, base: str) -> dict[str, Any]:
+        """The index entry of an earlier capture, read back from its JSONL;
+        its threshold was not recorded, so it reads ``None``."""
+        jsonl_path = self.directory / f"{base}.jsonl"
+        try:
+            spans = [json.loads(line) for line in
+                     jsonl_path.read_text(encoding="utf-8").splitlines() if line]
+            captured_at = jsonl_path.stat().st_mtime
+        except (OSError, ValueError):
+            spans, captured_at = [], 0.0
+        root = next((span for span in spans if span.get("parent_id") is None), {})
+        attributes = root.get("attributes", {})
+        return {
+            "request_id": base.split("-", 2)[2],
+            "trace_id": attributes.get("trace_id", ""),
+            "endpoint": attributes.get("endpoint", ""),
+            "duration_ms": root.get("duration_ms", 0.0),
+            "threshold_ms": None,
+            "spans": len(spans),
+            "captured_at": round(captured_at, 3),
+            "jsonl": f"{base}.jsonl",
+            "trace": f"{base}.trace.json",
+        }
+
+    def _append(self, entry: dict[str, Any]) -> None:
+        """Index ``entry``, deleting the files of the capture it evicts."""
+        with self._lock:
+            evicted = None
+            if len(self._index) == self._index.maxlen:
+                evicted = self._index[0]
+            self._index.append(entry)
+        if evicted is not None:
+            for name in (evicted["jsonl"], evicted["trace"]):
+                try:
+                    (self.directory / name).unlink()
+                except OSError:
+                    pass
 
     def capture(
         self,
@@ -221,17 +275,7 @@ class SlowRequestStore:
             "jsonl": jsonl_path.name,
             "trace": trace_path.name,
         }
-        with self._lock:
-            evicted = None
-            if len(self._index) == self._index.maxlen:
-                evicted = self._index[0]
-            self._index.append(entry)
-        if evicted is not None:
-            for name in (evicted["jsonl"], evicted["trace"]):
-                try:
-                    (self.directory / name).unlink()
-                except OSError:
-                    pass
+        self._append(entry)
         _log.info(
             "captured slow request %s (%.1fms > %.1fms) -> %s",
             request_id, entry["duration_ms"], threshold_ms, trace_path,

@@ -7,9 +7,8 @@ throughput (req/s) and tail latency (p50/p95/p99).  Doubles as:
   --requests 50 --concurrency 8`` boots its own easybiz workload (one
   ``/generate``, then a barrage of ``/validate``) against an already
   running server and exits non-zero on any dropped response, and
-* the measurement core of ``benchmarks/bench_serve_throughput.py`` and
-  the ``serve_validate`` arm of ``tools/bench_report.py`` (via
-  :func:`run_load`).
+* the measurement core of ``benchmarks/bench_serve_throughput.py``
+  (via :func:`run_load`).
 
 Each worker thread holds one keep-alive :class:`http.client.HTTPConnection`
 and replays the request loop; ``503`` (backpressure) responses are retried

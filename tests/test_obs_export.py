@@ -325,3 +325,18 @@ class TestQuantileFromBuckets:
         # Same buckets, same interpolation; the native side additionally
         # clamps to observed min/max.
         assert scraped == pytest.approx(native, rel=0.35)
+
+    @pytest.mark.parametrize("observations", [
+        [1.2] * 90 + [3.1] * 10,
+        [0.7] * 5 + [12000.0, 30000.0],  # the tail lies past the last finite bound
+    ])
+    def test_stats_quantile_is_the_clamped_scrape_quantile(self, observations):
+        registry = MetricsRegistry()
+        for value in observations:
+            registry.histogram("h_ms").observe(value)
+        stats = registry.snapshot()["h_ms"]  # what ``GET /stats`` serves
+        buckets = parse_prometheus_text(render_prometheus(registry))["h_ms"].buckets()
+        for q in (50, 90, 99):
+            scraped = quantile_from_buckets(buckets, q)
+            clamped = min(max(scraped, min(observations)), max(observations))
+            assert stats[f"p{q}"] == round(clamped, 3)

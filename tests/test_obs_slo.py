@@ -289,6 +289,41 @@ class TestAlertLog:
         # The newest alerts are always present:
         assert json.loads(lines[-1])["ts"] == 19.0
 
+    def test_failed_compaction_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "alerts.jsonl"
+        log = AlertLog(path=str(path), keep=2)
+        for i in range(4):  # 2 * keep lines: the next append compacts
+            log.append(self._alert(float(i)))
+        before = path.read_text(encoding="utf-8")
+        real_open = open
+
+        class DiskFullHandle:
+            """Writes half of what it is given, then fails."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return DiskFullHandle(handle) if "w" in mode else handle
+
+        monkeypatch.setattr("builtins.open", failing_open)
+        log.append(self._alert(4.0))
+        monkeypatch.undo()
+        assert path.read_text(encoding="utf-8") == before
+        assert [a.ts for a in log.recent()] == [3.0, 4.0]
+        assert [p.name for p in tmp_path.iterdir()] == ["alerts.jsonl"]
+
     def test_append_survives_file_write_failure(self, tmp_path, monkeypatch):
         # The engine tick runs on the runtime collector thread; a disk
         # blip on the JSONL write must neither raise (which would count

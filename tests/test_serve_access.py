@@ -111,6 +111,18 @@ class TestSlowRequestStore:
         assert [entry["request_id"] for entry in listed] == ["req3", "req4"]
         assert all((tmp_path / entry["jsonl"]).exists() for entry in listed)
 
+    def test_ring_is_bounded_across_restarts(self, tmp_path, tracer):
+        first = SlowRequestStore(tmp_path, keep=2)
+        for index in range(3):
+            first.capture(_finished_span(tracer), request_id=f"old{index}")
+        second = SlowRequestStore(tmp_path, keep=2)
+        assert [entry["request_id"] for entry in second.list()] == ["old1", "old2"]
+        assert second.list()[0]["endpoint"] == "validate"
+        for index in range(3):
+            second.capture(_finished_span(tracer), request_id=f"new{index}")
+        assert len(list(tmp_path.iterdir())) == 4  # 2 captures x (jsonl + trace)
+        assert [entry["request_id"] for entry in second.list()] == ["new1", "new2"]
+
     def test_index_entries_carry_duration_and_endpoint(self, tmp_path, tracer):
         store = SlowRequestStore(tmp_path)
         root = _finished_span(tracer, slow_s=0.01)
