@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from typing import Any
 
 from repro.errors import InstanceValidationError, SchemaError
@@ -19,7 +20,8 @@ from repro.xsd.components import (
     SequenceGroup,
     SimpleType,
 )
-from repro.xsd.validator import SchemaSet, _resolve_instance
+from repro.xsd.compiled import _clark_qname, _text_of, _tree_of
+from repro.xsd.validator import SchemaSet
 
 #: Dict key carrying the simple-content value.
 VALUE_KEY = "#value"
@@ -223,50 +225,51 @@ class _Unmarshaller:
         self.schema_set = schema_set
 
     def unmarshal(self, document: XmlElement) -> Any:
-        resolved = _resolve_instance(document, {})
-        decl = self.schema_set.find_global_element(resolved.qname)
+        root = _tree_of(document)
+        qname = _clark_qname(root.tag)
+        decl = self.schema_set.find_global_element(qname)
         if decl is None:
-            raise SchemaError(f"no global element {resolved.qname.clark()}")
-        return self._element(decl, resolved)
+            raise SchemaError(f"no global element {qname.clark()}")
+        return self._value(self._type_of(decl), root)
 
-    def _element(self, decl: ElementDecl, resolved) -> Any:
+    def _type_of(self, decl: ElementDecl) -> QName | None:
+        """``decl``'s type, through an element reference."""
         if decl.is_ref:
             target = self.schema_set.find_global_element(decl.ref)
             if target is None:
                 raise SchemaError(f"dangling element reference {decl.ref.clark()}")
-            return self._element(target, resolved)
-        if decl.type is None:
-            return resolved.text
-        return self._value(decl.type, resolved)
+            decl = target
+        return decl.type
 
-    def _value(self, type_name: QName, resolved) -> Any:
-        if type_name.namespace == XSD_NS:
-            return resolved.text
+    def _value(self, type_name: QName | None, element: ET.Element) -> Any:
+        # One frame per level, so that documents up to ``max_depth`` deep
+        # stay clear of the interpreter's recursion limit.
+        if type_name is None or type_name.namespace == XSD_NS:
+            return _text_of(element)
         definition = self.schema_set.find_type(type_name)
         if definition is None:
             raise SchemaError(f"unresolved type {type_name.clark()}")
         if isinstance(definition, SimpleType):
-            return resolved.text
+            return _text_of(element)
+        data: dict[str, Any] = {
+            ATTR_PREFIX + _clark_qname(name).local: value
+            for name, value in element.attrib.items()
+        }
         if definition.simple_content is not None:
-            if resolved.attributes:
-                data = {ATTR_PREFIX + qname.local: value for qname, value in resolved.attributes.items()}
-                data[VALUE_KEY] = resolved.text
+            if data:
+                data[VALUE_KEY] = _text_of(element)
                 return data
-            return resolved.text
-        data: dict[str, Any] = {}
-        for qname, value in resolved.attributes.items():
-            data[ATTR_PREFIX + qname.local] = value
-        schema = self.schema_set.schema_for(type_name.namespace)
+            return _text_of(element)
         declared = {}
         for decl in _Marshaller(self.schema_set)._declared_elements(definition.particle):
             key = decl.name if not decl.is_ref else decl.ref.local
             declared[key] = decl
-        for child in resolved.children:
-            key = child.qname.local
+        for child in element:
+            key = _clark_qname(child.tag).local
             child_decl = declared.get(key)
             if child_decl is None:
                 raise InstanceValidationError(f"unexpected element {key!r} in {definition.name}")
-            child_value = self._element(child_decl, child)
+            child_value = self._value(self._type_of(child_decl), child)
             repeatable = child_decl.max_occurs is None or child_decl.max_occurs > 1
             if repeatable:
                 data.setdefault(key, []).append(child_value)
@@ -274,7 +277,6 @@ class _Unmarshaller:
                 raise InstanceValidationError(f"element {key!r} repeated beyond its declaration")
             else:
                 data[key] = child_value
-        _ = schema
         return data
 
 

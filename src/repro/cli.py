@@ -47,6 +47,8 @@ from pathlib import Path
 
 from repro.ccts.model import CctsModel
 from repro.errors import ReproError
+from repro.obs import query
+from repro.serve import top as serve_top
 from repro.uml.visitor import render_tree
 from repro.xmi import DEFAULT_MAX_DEPTH, DEFAULT_MAX_ELEMENTS, read_xmi, write_xmi
 
@@ -559,46 +561,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0 if clean else 1
 
 
-def _cmd_obs_query(args: argparse.Namespace) -> int:
-    """Delegate to the :mod:`repro.obs.query` offline telemetry filter."""
-    from repro.obs import query
-
-    argv: list[str] = []
-    for flag, value in (
-        ("--access-log", args.access_log),
-        ("--slow-dir", args.slow_dir),
-        ("--alerts", args.alerts),
-        ("--trace-id", args.trace_id),
-        ("--request-id", args.request_id),
-        ("--status", args.status),
-        ("--slo", args.slo),
-        ("--state", args.state),
-        ("--since", args.since),
-        ("--until", args.until),
-    ):
-        if value is not None:
-            argv.extend([flag, value])
-    if args.limit:
-        argv.extend(["--limit", str(args.limit)])
-    if args.json:
-        argv.append("--json")
-    return query.main(argv)
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Delegate to the :mod:`repro.serve.top` dashboard loop."""
-    from repro.serve import top
-
-    argv = ["--url", args.url, "--interval", str(args.interval)]
-    if args.once:
-        argv.append("--once")
-    if args.count:
-        argv.extend(["--count", str(args.count)])
-    if args.json:
-        argv.append("--json")
-    return top.main(argv)
-
-
 def _cmd_validate_instances(args: argparse.Namespace) -> int:
     import json as json_module
 
@@ -868,21 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="live terminal dashboard for a running serve daemon "
         "(polls /stats + /metrics)",
     )
-    top.add_argument("--url", required=True, help="server base URL, e.g. http://127.0.0.1:8437")
-    top.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="poll period (default 2)",
-    )
-    top.add_argument("--once", action="store_true", help="render one frame and exit")
-    top.add_argument(
-        "--count", type=int, default=0, metavar="N",
-        help="stop after N frames (default 0 = until interrupted)",
-    )
-    top.add_argument(
-        "--json", action="store_true",
-        help="emit the raw snapshot as JSON instead of the board",
-    )
-    top.set_defaults(func=_cmd_top)
+    serve_top.add_arguments(top)
+    top.set_defaults(func=serve_top.run)
 
     obs = commands.add_parser(
         "obs",
@@ -895,19 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="filter access logs, slow captures, and alerts by trace id, "
         "request id, status, or time window",
     )
-    obs_query.add_argument("--access-log", metavar="FILE", help="access log JSONL (rotated generations included)")
-    obs_query.add_argument("--slow-dir", metavar="DIR", help="slow-request capture directory")
-    obs_query.add_argument("--alerts", metavar="FILE", help="SLO alert ring JSONL")
-    obs_query.add_argument("--trace-id", help="exact 32-hex W3C trace id")
-    obs_query.add_argument("--request-id", help="exact request id")
-    obs_query.add_argument("--status", help="status code (e.g. 503) or class (4xx, 5xx)")
-    obs_query.add_argument("--slo", help="alert filter: SLO name")
-    obs_query.add_argument("--state", choices=["firing", "resolved"], help="alert filter: state")
-    obs_query.add_argument("--since", metavar="WHEN", help="lower time bound (unix seconds or ISO-8601, UTC)")
-    obs_query.add_argument("--until", metavar="WHEN", help="upper time bound (unix seconds or ISO-8601, UTC)")
-    obs_query.add_argument("--limit", type=int, default=0, metavar="N", help="newest N matches per source")
-    obs_query.add_argument("--json", action="store_true", help="one JSON document instead of JSON lines")
-    obs_query.set_defaults(func=_cmd_obs_query)
+    query.add_arguments(obs_query)
+    obs_query.set_defaults(func=query.run)
 
     check = commands.add_parser("check-instance", help="validate an XML instance")
     check.add_argument("schemas", help="directory of generated schemas")

@@ -26,11 +26,15 @@ from typing import Any, Iterator
 
 __all__ = [
     "access_log_paths",
+    "add_arguments",
+    "capture_summary",
     "parse_when",
     "query_access_log",
     "query_alerts",
     "query_slow_captures",
     "read_jsonl",
+    "record_matches",
+    "run",
     "status_matches",
     "main",
 ]
@@ -105,28 +109,61 @@ def access_log_paths(path: str | Path) -> list[Path]:
     return ordered
 
 
-def _record_matches(
+def record_matches(
     record: dict[str, Any],
     *,
-    trace_id: str | None,
-    request_id: str | None,
-    status: str | None,
-    since: float | None,
-    until: float | None,
-    ts_key: str = "ts",
+    status: str | None = None,
+    since: float | None = None,
+    until: float | None = None,
+    **exact: str | None,
 ) -> bool:
-    if trace_id is not None and record.get("trace_id") != trace_id:
-        return False
-    if request_id is not None and record.get("request_id") != request_id:
-        return False
+    """True when ``record`` passes every filter that is not ``None``:
+    ``status`` by :func:`status_matches`, ``ts`` inside ``[since, until]``,
+    and each ``exact`` key by equality."""
+    for key, wanted in exact.items():
+        if wanted is not None and record.get(key) != wanted:
+            return False
     if status is not None and not status_matches(record.get("status", ""), status):
         return False
-    ts = record.get(ts_key)
+    ts = record.get("ts")
     if since is not None and (not isinstance(ts, (int, float)) or ts < since):
         return False
     if until is not None and (not isinstance(ts, (int, float)) or ts > until):
         return False
     return True
+
+
+def capture_summary(path: str | Path) -> dict[str, Any] | None:
+    """The summary of one ``slow-<seq>-<request id>.jsonl`` capture, or
+    ``None`` when it has no root span.
+
+    Request id comes from the file name; trace id, endpoint and status
+    from the root span's attributes; then the root's duration, the span
+    count, and the file name for drill-down with ``upcc trace``.
+    """
+    path = Path(path)
+    spans = list(read_jsonl(path))
+    root = next((span for span in spans if span.get("parent_id") is None), None)
+    if root is None:
+        return None
+    attributes = root.get("attributes", {})
+    try:
+        # Spans carry durations, not wall-clock instants; the file's
+        # mtime is the capture moment and serves as the record ts.
+        captured_at = path.stat().st_mtime
+    except OSError:
+        captured_at = 0.0
+    parts = path.stem.split("-", 2)
+    return {
+        "request_id": parts[2] if len(parts) == 3 else "",
+        "trace_id": attributes.get("trace_id", ""),
+        "endpoint": attributes.get("endpoint", ""),
+        "status": attributes.get("status"),
+        "duration_ms": root.get("duration_ms"),
+        "spans": len(spans),
+        "ts": round(captured_at, 3),
+        "jsonl": path.name,
+    }
 
 
 def query_access_log(
@@ -143,7 +180,7 @@ def query_access_log(
     matches: list[dict[str, Any]] = []
     for file_path in access_log_paths(path):
         for record in read_jsonl(file_path):
-            if _record_matches(
+            if record_matches(
                 record, trace_id=trace_id, request_id=request_id,
                 status=status, since=since, until=until,
             ):
@@ -161,37 +198,11 @@ def query_slow_captures(
     until: float | None = None,
     limit: int | None = None,
 ) -> list[dict[str, Any]]:
-    """Summaries of captured slow requests matching the filters.
-
-    Each ``slow-*.jsonl`` span-tree file yields one summary built from
-    its root span: request id (from the filename), trace id and endpoint
-    (root attributes), status, duration, span count, and the file name
-    for drill-down with ``upcc trace``.
-    """
-    directory = Path(directory)
+    """:func:`capture_summary` of each slow capture matching the filters."""
     summaries: list[dict[str, Any]] = []
-    for file_path in sorted(directory.glob("slow-*.jsonl")):
-        spans = list(read_jsonl(file_path))
-        roots = [s for s in spans if s.get("parent_id") is None]
-        if not roots:
-            continue
-        root = roots[0]
-        attributes = root.get("attributes", {})
-        # slow-<seq>-<request id>.jsonl
-        parts = file_path.stem.split("-", 2)
-        summary = {
-            "request_id": parts[2] if len(parts) == 3 else "",
-            "trace_id": attributes.get("trace_id", ""),
-            "endpoint": attributes.get("endpoint", ""),
-            "status": attributes.get("status"),
-            "duration_ms": root.get("duration_ms"),
-            "spans": len(spans),
-            # Spans carry durations, not wall-clock instants; the file's
-            # mtime is the capture moment and serves as the record ts.
-            "ts": round(file_path.stat().st_mtime, 3),
-            "jsonl": file_path.name,
-        }
-        if _record_matches(
+    for file_path in sorted(Path(directory).glob("slow-*.jsonl")):
+        summary = capture_summary(file_path)
+        if summary is not None and record_matches(
             summary, trace_id=trace_id or None, request_id=request_id,
             status=status, since=since, until=until,
         ):
@@ -209,28 +220,15 @@ def query_alerts(
     limit: int | None = None,
 ) -> list[dict[str, Any]]:
     """Matching alert-ring records (``--alert-log`` JSONL), in order."""
-    matches: list[dict[str, Any]] = []
-    for record in read_jsonl(path):
-        if slo is not None and record.get("slo") != slo:
-            continue
-        if state is not None and record.get("state") != state:
-            continue
-        ts = record.get("ts")
-        if since is not None and (not isinstance(ts, (int, float)) or ts < since):
-            continue
-        if until is not None and (not isinstance(ts, (int, float)) or ts > until):
-            continue
-        matches.append(record)
+    matches = [
+        record for record in read_jsonl(path)
+        if record_matches(record, slo=slo, state=state, since=since, until=until)
+    ]
     return matches[-limit:] if limit else matches
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI: ``upcc obs query`` -- filter serve telemetry files offline."""
-    parser = argparse.ArgumentParser(
-        prog="upcc obs query",
-        description="filter serve access logs, slow captures, and alert "
-        "rings by trace id, request id, status, or time window",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Define the ``upcc obs query`` options on ``parser``."""
     parser.add_argument("--access-log", metavar="FILE", help="access log JSONL (rotated generations are included)")
     parser.add_argument("--slow-dir", metavar="DIR", help="slow-request capture directory")
     parser.add_argument("--alerts", metavar="FILE", help="SLO alert ring JSONL")
@@ -243,8 +241,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--until", metavar="WHEN", help="upper time bound (unix seconds or ISO-8601, UTC)")
     parser.add_argument("--limit", type=int, default=0, metavar="N", help="keep only the newest N matches per source")
     parser.add_argument("--json", action="store_true", help="emit one JSON document instead of JSON lines")
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
+    """Run ``upcc obs query`` on options parsed by :func:`add_arguments`."""
     if not (args.access_log or args.slow_dir or args.alerts):
         print(
             "error: nothing to query -- pass --access-log, --slow-dir, "
@@ -288,6 +288,17 @@ def main(argv: list[str] | None = None) -> int:
         f"{total} match(es) across {len(results)} source(s)", file=sys.stderr
     )
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI: ``upcc obs query`` -- filter serve telemetry files offline."""
+    parser = argparse.ArgumentParser(
+        prog="upcc obs query",
+        description="filter serve access logs, slow captures, and alert "
+        "rings by trace id, request id, status, or time window",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -39,6 +39,7 @@ from typing import Any, Callable, Iterable
 
 from repro.obs.logging_bridge import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.query import read_jsonl, status_matches
 
 _log = get_logger("repro.obs.slo")
 
@@ -253,7 +254,10 @@ class AlertLog:
     Appends go to an in-memory deque and (when ``path`` is set) a JSONL
     file.  The file is compacted back to the ring contents whenever the
     appended lines exceed twice ``keep``, so a flapping SLO on a
-    long-running daemon cannot grow it without bound.
+    long-running daemon cannot grow it without bound.  A log opened on
+    an existing file reads its newest ``keep`` alerts back into the ring
+    and counts its records toward compaction, so both hold across
+    restarts.
     """
 
     def __init__(self, path: str | None = None, keep: int = 256) -> None:
@@ -264,6 +268,12 @@ class AlertLog:
         self._lock = threading.Lock()
         if path is not None:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            for record in read_jsonl(path):
+                self._appended += 1
+                try:
+                    self._ring.append(Alert.from_dict(record))
+                except (KeyError, TypeError, ValueError):
+                    _log.warning("alert log %s: skipped a malformed record", path)
 
     def append(self, alert: Alert) -> None:
         """Record one alert, compacting the backing file when oversized.
@@ -373,16 +383,6 @@ class _Window:
         )
 
 
-def _code_matches(code: str, classes: Iterable[str]) -> bool:
-    for pattern in classes:
-        if pattern.endswith("xx") and len(pattern) == 3:
-            if code and code[0] == pattern[0] and len(code) == 3:
-                return True
-        elif code == pattern:
-            return True
-    return False
-
-
 class SloEngine:
     """Samples good/total counters and evaluates burn-rate alerts.
 
@@ -442,7 +442,8 @@ class SloEngine:
                 continue
             value = instrument.value
             total += value
-            if _code_matches(str(instrument.labels.get("code", "")), spec.error_classes):
+            code = str(instrument.labels.get("code", ""))
+            if any(status_matches(code, pattern) for pattern in spec.error_classes):
                 errors += value
         return total, errors
 

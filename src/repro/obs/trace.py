@@ -21,7 +21,6 @@ instrumented hot paths effectively free by default.
 from __future__ import annotations
 
 import contextvars
-import itertools
 import json
 import sys
 import threading
@@ -32,27 +31,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
+from repro.obs.propagation import new_span_id
+
 #: Outcome values a span can end with.
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
-
-#: Process-wide span id source.  ``next()`` on :func:`itertools.count` is
-#: atomic in CPython, so ids are unique across threads without a lock.
-_span_ids = itertools.count(1)
-
-
-def _next_span_id() -> str:
-    return f"s{next(_span_ids)}"
 
 
 @dataclass
 class Span:
     """One timed, attributed region of work, nested under a parent span.
 
-    ``span_id`` is unique for the process lifetime -- span *names* repeat
-    freely (every library build is an ``xsdgen.library`` span), so sinks
-    that flatten the tree emit ``id``/``parent_id`` to keep the tree
-    losslessly reconstructable.
+    ``span_id`` is a random W3C Trace Context span id (16 lowercase hex
+    chars) -- span *names* repeat freely (every library build is an
+    ``xsdgen.library`` span), so sinks that flatten the tree emit
+    ``id``/``parent_id`` (:meth:`to_record`) to keep the tree losslessly
+    reconstructable.
     """
 
     name: str
@@ -63,7 +57,7 @@ class Span:
     error: str | None = None
     children: list["Span"] = field(default_factory=list)
     parent: "Span | None" = field(default=None, repr=False, compare=False)
-    span_id: str = field(default_factory=_next_span_id, compare=False)
+    span_id: str = field(default_factory=new_span_id, compare=False)
     #: CPU nanoseconds (``time.thread_time_ns`` delta) the opening thread
     #: spent inside the span.  Valid because a span context manager enters
     #: and exits on one thread; ``None`` while the span is still open.
@@ -115,6 +109,24 @@ class Span:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready representation (children inlined, parent omitted)."""
+        data = self._fields()
+        if self.children:
+            data["children"] = [child.to_dict() for child in self.children]
+        return data
+
+    def to_record(self) -> dict[str, Any]:
+        """The one-span-per-line JSONL record: :meth:`to_dict` without
+        ``children``, plus ``id``, ``parent_id`` and the ``parent`` name."""
+        record = self._fields()
+        parent = self.parent
+        record["id"] = self.span_id
+        record["parent_id"] = parent.span_id if parent is not None else None
+        # The parent *name* stays for human grepping; names are ambiguous
+        # (many spans share one), so tree reconstruction uses the ids.
+        record["parent"] = parent.name if parent is not None else None
+        return record
+
+    def _fields(self) -> dict[str, Any]:
         data: dict[str, Any] = {
             "name": self.name,
             "duration_ms": round(self.duration_ms, 3),
@@ -125,8 +137,6 @@ class Span:
             data["attributes"] = dict(self.attributes)
         if self.error is not None:
             data["error"] = self.error
-        if self.children:
-            data["children"] = [child.to_dict() for child in self.children]
         return data
 
 
@@ -277,14 +287,7 @@ class JsonLinesSink(SpanSink):
                     handle.write(line + "\n")
 
     def on_span_end(self, span: Span) -> None:
-        payload = span.to_dict()
-        payload.pop("children", None)  # one record per span; nesting via parent
-        payload["id"] = span.span_id
-        payload["parent_id"] = span.parent.span_id if span.parent is not None else None
-        # The parent *name* stays for human grepping; names are ambiguous
-        # (many spans share one), so tree reconstruction uses the ids.
-        payload["parent"] = span.parent.name if span.parent is not None else None
-        self._write(payload)
+        self._write(span.to_record())
 
     def on_provenance(self, record: dict[str, Any]) -> None:
         """Append one provenance record (see ``ProvenanceIndex.export``)."""

@@ -22,6 +22,7 @@ translated grammar (and mutated instances must fail both).
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,6 +30,7 @@ from repro.errors import SchemaError
 from repro.xmlutil.qname import QName
 from repro.xmlutil.writer import XmlElement
 from repro.xsd import datatypes
+from repro.xsd.compiled import _clark_qname, _text_of, _tree_of
 from repro.xsd.components import XSD_NS
 
 
@@ -240,7 +242,7 @@ class _Compiler:
 
 
 class RngValidator:
-    """Validates resolved instance trees against a compiled grammar."""
+    """Validates instance documents against a compiled grammar."""
 
     def __init__(self, grammar: RngGrammar) -> None:
         self.grammar = grammar
@@ -385,40 +387,38 @@ class RngValidator:
             return _NOT_ALLOWED
         return _NOT_ALLOWED
 
-    # -- children -----------------------------------------------------------------------------------
+    # -- the element walk ------------------------------------------------------------------------
 
-    def _children_deriv(self, pattern: Pattern, element) -> Pattern:
-        """Derivative over an element's content (resolved-element shape)."""
-        children = element.children
-        text = element.text
-        if not children and not text.strip():
-            # Empty content also satisfies a text/data pattern with "".
-            return choice(pattern, self._text_deriv(pattern, ""))
-        if text.strip() and not children:
-            return self._text_deriv(pattern, text)
-        current = pattern
-        if text.strip():
-            current = self._text_deriv(current, text)
-        for child in children:
-            current = self._child_element_deriv(current, child)
-        return current
-
-    def _child_element_deriv(self, pattern: Pattern, element) -> Pattern:
-        current = self._start_tag_open_deriv(pattern, element.qname)
-        for qname, value in element.attributes.items():
-            current = self._att_deriv(current, qname.local, value)
-        current = self._start_tag_close_deriv(current)
-        current = self._children_deriv(current, element)
-        return self._end_tag_deriv(current)
+    def _element_deriv(self, pattern: Pattern, root: ET.Element) -> Pattern:
+        """The derivative of ``pattern`` over ``root``'s subtree, walked with
+        one ``[children left, content derivative]`` frame per open element
+        instead of recursion, so document depth costs no interpreter frames."""
+        stack: list[list] = []
+        element = root
+        while True:
+            current = self._start_tag_open_deriv(pattern, _clark_qname(element.tag))
+            for name, value in element.attrib.items():
+                current = self._att_deriv(current, _clark_qname(name).local, value)
+            current = self._start_tag_close_deriv(current)
+            text = _text_of(element)
+            if text.strip():
+                current = self._text_deriv(current, text)
+            elif not len(element):
+                # Empty content also satisfies a text/data pattern with "".
+                current = choice(current, self._text_deriv(current, ""))
+            stack.append([iter(element), current])
+            while (child := next(stack[-1][0], None)) is None:
+                ended = self._end_tag_deriv(stack.pop()[1])
+                if not stack:
+                    return ended
+                stack[-1][1] = ended
+            pattern, element = stack[-1][1], child
 
     # -- entry point -----------------------------------------------------------------------------------
 
     def validate(self, document: XmlElement) -> bool:
         """True when ``document`` matches the grammar's start pattern."""
-        from repro.xsd.validator import _resolve_instance
-
-        resolved = _resolve_instance(document, {})
-        final = self._child_element_deriv(self.grammar.start, resolved)
+        final = self._element_deriv(self.grammar.start, _tree_of(document))
         return self._nullable(final)
 
 

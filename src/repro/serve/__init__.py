@@ -26,16 +26,24 @@ exposition), ``GET /slow`` (slow-request captures).  See the README's
 "Running as a service" section for the wire formats.
 """
 
-from repro.serve.access import AccessLog, SlowRequestStore, new_request_id
-from repro.serve.app import SchemaSetEntry, ServeApp
-from repro.serve.server import ServeConfig, UpccServer
+import importlib
 
-__all__ = [
-    "AccessLog",
-    "SchemaSetEntry",
-    "ServeApp",
-    "ServeConfig",
-    "SlowRequestStore",
-    "UpccServer",
-    "new_request_id",
-]
+#: Public name -> defining module, imported on first access (PEP 562) so
+#: that ``repro.serve.top`` loads without the daemon and its pipeline.
+_EXPORTS = {
+    name: f"repro.serve.{module}"
+    for module, names in (
+        ("access", ("AccessLog", "SlowRequestStore", "new_request_id")),
+        ("app", ("SchemaSetEntry", "ServeApp")),
+        ("server", ("ServeConfig", "UpccServer")),
+    )
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

@@ -30,6 +30,7 @@ from typing import Any
 
 from repro.obs.logging_bridge import get_logger
 from repro.obs.prof import to_trace_events
+from repro.obs.query import capture_summary
 from repro.obs.trace import Span
 
 __all__ = ["AccessLog", "SlowRequestStore", "new_request_id"]
@@ -165,8 +166,8 @@ class AccessLog:
 class SlowRequestStore:
     """Bounded on-disk ring of captured slow-request span trees.
 
-    One capture produces ``<stamp>-<request id>.jsonl`` (one span per
-    line with ``id``/``parent_id``, reconstructable) and the matching
+    One capture produces ``slow-<seq>-<request id>.jsonl`` (one
+    :meth:`~repro.obs.trace.Span.to_record` per line) and the matching
     ``.trace.json`` Chrome trace-event file.  ``keep`` bounds the number
     of *captures* in the directory; exceeding it deletes the oldest pair.
     Captures an earlier store left in the directory are indexed on
@@ -194,31 +195,22 @@ class SlowRequestStore:
                 bases[int(parts[1])] = base
         for seq in sorted(bases):
             self._seq = seq
-            self._append(self._recovered_entry(bases[seq]))
-
-    def _recovered_entry(self, base: str) -> dict[str, Any]:
-        """The index entry of an earlier capture, read back from its JSONL;
-        its threshold was not recorded, so it reads ``None``."""
-        jsonl_path = self.directory / f"{base}.jsonl"
-        try:
-            spans = [json.loads(line) for line in
-                     jsonl_path.read_text(encoding="utf-8").splitlines() if line]
-            captured_at = jsonl_path.stat().st_mtime
-        except (OSError, ValueError):
-            spans, captured_at = [], 0.0
-        root = next((span for span in spans if span.get("parent_id") is None), {})
-        attributes = root.get("attributes", {})
-        return {
-            "request_id": base.split("-", 2)[2],
-            "trace_id": attributes.get("trace_id", ""),
-            "endpoint": attributes.get("endpoint", ""),
-            "duration_ms": root.get("duration_ms", 0.0),
-            "threshold_ms": None,
-            "spans": len(spans),
-            "captured_at": round(captured_at, 3),
-            "jsonl": f"{base}.jsonl",
-            "trace": f"{base}.trace.json",
-        }
+            base = bases[seq]
+            # A capture without a readable root span is indexed all the
+            # same, so that eviction still deletes its files.
+            summary = capture_summary(self.directory / f"{base}.jsonl") or {}
+            self._append({
+                "request_id": base.split("-", 2)[2],
+                "trace_id": summary.get("trace_id", ""),
+                "endpoint": summary.get("endpoint", ""),
+                "duration_ms": summary.get("duration_ms", 0.0),
+                # The threshold of an earlier capture was not recorded.
+                "threshold_ms": None,
+                "spans": summary.get("spans", 0),
+                "captured_at": summary.get("ts", 0.0),
+                "jsonl": f"{base}.jsonl",
+                "trace": f"{base}.trace.json",
+            })
 
     def _append(self, entry: dict[str, Any]) -> None:
         """Index ``entry``, deleting the files of the capture it evicts."""
@@ -239,7 +231,6 @@ class SlowRequestStore:
         root: Span,
         *,
         request_id: str,
-        endpoint: str = "",
         threshold_ms: float = 0.0,
         trace_id: str = "",
     ) -> dict[str, Any]:
@@ -251,15 +242,9 @@ class SlowRequestStore:
         base = f"slow-{stamp}-{request_id or root.span_id}"
         jsonl_path = self.directory / f"{base}.jsonl"
         trace_path = self.directory / f"{base}.trace.json"
-        span_lines = []
-        for span_, _depth in root.walk():
-            payload = span_.to_dict()
-            payload.pop("children", None)
-            payload["id"] = span_.span_id
-            payload["parent_id"] = (
-                span_.parent.span_id if span_.parent is not None else None
-            )
-            span_lines.append(json.dumps(payload, sort_keys=True))
+        span_lines = [
+            json.dumps(span_.to_record(), sort_keys=True) for span_, _ in root.walk()
+        ]
         jsonl_path.write_text("\n".join(span_lines) + "\n", encoding="utf-8")
         trace_path.write_text(
             json.dumps(to_trace_events([root]), sort_keys=True), encoding="utf-8"
@@ -267,7 +252,7 @@ class SlowRequestStore:
         entry = {
             "request_id": request_id,
             "trace_id": trace_id,
-            "endpoint": endpoint or root.attributes.get("endpoint", ""),
+            "endpoint": root.attributes.get("endpoint", ""),
             "duration_ms": round(root.duration_ms, 3),
             "threshold_ms": threshold_ms,
             "spans": len(span_lines),

@@ -29,7 +29,8 @@ trace context, so pipeline child spans parent under it across the thread
 hop) and records ``serve.requests_total{endpoint=..}``,
 ``serve.responses_total{code=..}``, ``serve.request_ms{endpoint=..}`` (from
 before the body read to after the socket write),
-``serve.stage_ms{endpoint=..,stage=read|decode|queue|work|encode|write}``,
+``serve.stage_ms{endpoint=..,stage=read|decode|queue|work|log|encode|write|other}``
+(which sum to ``serve.request_ms``),
 ``serve.queue_depth`` and ``serve.rejected_total{reason=..}``.  Incoming
 W3C ``traceparent``/``tracestate`` headers are adopted: the trace id is
 echoed on the response, stamped on the access-log record and the
@@ -74,6 +75,7 @@ from repro.obs.propagation import (
     render_tracestate,
     use_trace_context,
 )
+from repro.obs.query import record_matches
 from repro.obs.runtime import RuntimeCollector
 from repro.obs.slo import AlertLog, DEFAULT_SLOS, SloEngine, load_slo_specs
 from repro.obs.trace import Span, get_tracer, span
@@ -91,7 +93,8 @@ describe("serve.rejected_total",
 describe("serve.request_ms",
          "Whole-request latency in milliseconds (body read to socket write), by endpoint.")
 describe("serve.stage_ms",
-         "Milliseconds per request stage (read, decode, queue, work, encode, write), by endpoint.")
+         "Milliseconds per request stage (read, decode, queue, work, log, encode, "
+         "write, other), by endpoint; a request's stages sum to its serve.request_ms.")
 describe("serve.queue_depth", "Jobs currently waiting in the bounded work queue.")
 describe("serve.slow_requests_total",
          "Requests over the --slow-ms threshold whose span tree was captured.")
@@ -116,7 +119,6 @@ class ServeConfig:
     drain_timeout_s: float = 10.0
     max_body_bytes: int = 32 * 1024 * 1024
     access_log: str | None = None  #: JSON-lines access-log path (None = ring only)
-    access_ring: int = 256  #: recent requests kept in memory for /stats
     slow_ms: float | None = None  #: capture span trees of requests slower than this
     slow_dir: str = "slow-traces"  #: where slow-request captures land
     slow_keep: int = 32  #: bounded on-disk ring size for slow captures
@@ -125,7 +127,6 @@ class ServeConfig:
     access_log_keep: int = 3  #: rolled access-log generations kept after rotation
     slo_file: str | None = None  #: JSON SloSpec file (None = DEFAULT_SLOS)
     alert_log: str | None = None  #: JSONL alert-ring path (None = memory only)
-    alert_keep: int = 256  #: alerts kept in the ring (memory and file)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -259,6 +260,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
         self._begin_request()
         url = urlsplit(self.path)
+        params = {key: values[0] for key, values in parse_qs(url.query).items()}
         if url.path == "/healthz":
             self._respond_inline("healthz", lambda: self.upcc.app.health(self.upcc.draining))
         elif url.path == "/stats":
@@ -280,9 +282,6 @@ class _Handler(BaseHTTPRequestHandler):
                 OPENMETRICS_CONTENT_TYPE if openmetrics else PROMETHEUS_CONTENT_TYPE,
             )
         elif url.path == "/slow":
-            params = {
-                key: values[0] for key, values in parse_qs(url.query).items()
-            }
             self._respond_inline("slow", lambda: self.upcc.slow_requests(
                 trace_id=params.get("trace_id"),
                 request_id=params.get("request_id"),
@@ -290,9 +289,6 @@ class _Handler(BaseHTTPRequestHandler):
         elif url.path == "/alerts":
             self._respond_inline("alerts", self.upcc.alerts)
         elif url.path == "/explain":
-            params = {
-                key: values[0] for key, values in parse_qs(url.query).items()
-            }
             self._dispatch("explain", lambda: self.upcc.app.explain(params))
         else:
             self._send(404, {"error": f"no such endpoint: GET {url.path}"})
@@ -410,11 +406,14 @@ class _Handler(BaseHTTPRequestHandler):
         """Count, log, encode and send one response, then time the request.
 
         ``serve.request_ms`` and ``serve.stage_ms`` are observed after the
-        socket write, so they cover everything the client waits for.
+        socket write, so they cover everything the client waits for.  The
+        stages tile the request: whatever no named stage covers (routing,
+        thread hand-offs, counting) is observed as stage ``other``.
         """
         self._count(endpoint, status)
-        self._access(status, request_span=request_span, job=job)
         started = time.perf_counter()
+        self._access(status, request_span=request_span, job=job)
+        started = self._timed("log", started)
         if isinstance(payload, str):
             body = payload.encode("utf-8")
         else:
@@ -428,6 +427,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._trace_context.trace_id, self._request_id, elapsed_ms
             )
         histogram("serve.request_ms", endpoint=endpoint).observe(elapsed_ms, exemplar)
+        self._stages["other"] = max(0.0, elapsed_ms - sum(self._stages.values()))
         for stage, stage_ms in self._stages.items():
             histogram("serve.stage_ms", endpoint=endpoint, stage=stage).observe(stage_ms)
 
@@ -565,7 +565,6 @@ class UpccServer:
         #: in-memory ring that /stats serves as recent_requests.
         self.access = AccessLog(
             self.config.access_log,
-            ring=self.config.access_ring,
             max_bytes=self.config.access_log_max_bytes,
             keep_rolled=self.config.access_log_keep,
         )
@@ -583,7 +582,7 @@ class UpccServer:
         )
         self.slo_engine = SloEngine(
             specs,
-            alert_log=AlertLog(self.config.alert_log, keep=self.config.alert_keep),
+            alert_log=AlertLog(self.config.alert_log),
             sample_interval_s=self.config.runtime_interval_s,
         )
         # The engine rides the runtime sampler's cadence -- one timer
@@ -739,11 +738,10 @@ class UpccServer:
             return 404, {
                 "error": "slow-request capture is disabled; start with --slow-ms"
             }
-        captures = self.slow_store.list()
-        if trace_id:
-            captures = [c for c in captures if c.get("trace_id") == trace_id]
-        if request_id:
-            captures = [c for c in captures if c.get("request_id") == request_id]
+        captures = [
+            capture for capture in self.slow_store.list()
+            if record_matches(capture, trace_id=trace_id or None, request_id=request_id or None)
+        ]
         return 200, {
             "slow_ms": self.config.slow_ms,
             "dir": str(self.slow_store.directory),
@@ -785,7 +783,6 @@ class UpccServer:
             self.slow_store.capture(
                 request_span,
                 request_id=request_id,
-                endpoint=str(request_span.attributes.get("endpoint", "")),
                 threshold_ms=self.config.slow_ms,
                 trace_id=trace_id,
             )
@@ -794,16 +791,12 @@ class UpccServer:
 
     # -- work admission --------------------------------------------------------
 
-    def submit(self, endpoint: str, fn: Callable[[], tuple[int, dict]]) -> tuple[int, dict]:
-        """Queue one unit of work and wait for its result (connection thread)."""
-        status, payload, _job = self.submit_job(endpoint, fn)
-        return status, payload
-
     def submit_job(
         self, endpoint: str, fn: Callable[[], tuple[int, dict]]
     ) -> tuple[int, dict, _Job | None]:
-        """Like :meth:`submit`, also returning the job (for access-log
-        queue-wait/worker attribution); the job is None when admission
+        """Queue one unit of work and wait for its result (connection
+        thread); returns status, payload and the job (for access-log
+        queue-wait/worker attribution), which is None when admission
         rejected the request before a job existed."""
         if self.draining:
             self._rejected_draining.inc()

@@ -34,7 +34,7 @@ from typing import Any
 from repro.obs.export import parse_prometheus_text, quantile_from_buckets
 from repro.serve.loadgen import request_json, request_text
 
-__all__ = ["fetch_snapshot", "render_board", "main"]
+__all__ = ["add_arguments", "fetch_snapshot", "render_board", "run", "main"]
 
 #: ANSI: clear screen, cursor home (the whole "UI framework").
 _CLEAR = "\x1b[2J\x1b[H"
@@ -195,12 +195,8 @@ def render_board(
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI loop: poll, render, clear, repeat (or one frame with ``--once``)."""
-    parser = argparse.ArgumentParser(
-        prog="upcc top",
-        description="live terminal dashboard for a running upcc serve daemon",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Define the ``upcc top`` options on ``parser``."""
     parser.add_argument("--url", required=True, help="server base URL, e.g. http://127.0.0.1:8437")
     parser.add_argument("--interval", type=float, default=2.0, help="poll period in seconds (default 2)")
     parser.add_argument("--once", action="store_true", help="render a single frame and exit")
@@ -211,8 +207,11 @@ def main(argv: list[str] | None = None) -> int:
         help="consecutive poll failures before giving up in loop mode "
              "(default 10; --once always fails on the first)",
     )
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
+    """The dashboard loop on options parsed by :func:`add_arguments`: poll,
+    render, clear, repeat (or one frame with ``--once``)."""
     previous: dict[str, Any] | None = None
     frames = 0
     failures = 0
@@ -253,6 +252,16 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print()
         return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI: ``upcc top`` -- the live dashboard."""
+    parser = argparse.ArgumentParser(
+        prog="upcc top",
+        description="live terminal dashboard for a running upcc serve daemon",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -101,8 +101,9 @@ def fingerprint_schema_set(schema_set: SchemaSet) -> str:
 # which applies ``parse_xml``'s text rule.  The two inputs ElementTree
 # cannot take directly -- text with an undeclared prefix, and
 # ``XmlElement`` trees -- go through one iterative prefix resolver
-# (``_Scope``) into an ``ET.TreeBuilder``, with the error messages and
-# namespace fallbacks of ``parse_xml`` + ``_resolve_instance``.
+# (``_Scope``) into an ``ET.TreeBuilder``, with ``parse_xml``'s error
+# messages.  ``_tree_of`` is also how ``repro.binding`` and the RELAX NG
+# validator read an ``XmlElement`` document.
 
 #: Deepest element nesting a document may have.  The plan walk recurses
 #: once per level, so this stays well under the interpreter's recursion
@@ -192,13 +193,13 @@ class _Scope:
 
 
 def _parse_document(text: str) -> ET.Element:
-    """Parse ``text`` into an ElementTree, matching ``parse_xml`` + ``_resolve_instance``.
+    """Parse ``text`` into an ElementTree, matching ``parse_xml`` + ``_tree_of``.
 
     Fast path: :func:`xml.etree.ElementTree.fromstring` resolves
     namespaces in C; its parse-error messages are identical to
     :func:`~repro.xmlutil.writer.parse_xml`'s.  The one divergence is an
     undeclared prefix -- ElementTree rejects the document outright where
-    ``_resolve_instance`` parses it and then reports the offending
+    ``parse_xml`` + ``_tree_of`` parse it and then report the offending
     element -- so that case falls back to :func:`_parse_document_expat`.
 
     A document can only breach :data:`max_depth` or :data:`max_elements`
@@ -222,7 +223,7 @@ def _parse_document_expat(text: str) -> ET.Element:
     """Parse ``text`` with namespace processing off, resolving prefixes in Python.
 
     Raises :class:`InstanceValidationError` with exactly the messages
-    ``parse_xml`` + ``_resolve_instance`` produce, for both malformed XML
+    ``parse_xml`` + ``_tree_of`` produce, for both malformed XML
     and undeclared element prefixes.
     """
     parser = xml.parsers.expat.ParserCreate()

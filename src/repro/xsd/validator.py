@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.errors import InstanceValidationError, SchemaError
-from repro.xmlutil.qname import XML_NAMESPACE, QName, split_qname
+from repro.xmlutil.qname import XML_NAMESPACE, QName
 from repro.xmlutil.writer import XmlElement
 from repro.xsd.components import ComplexType, ElementDecl, Schema, SimpleType
 from repro.xsd.parser import parse_schema
@@ -41,62 +41,6 @@ class ValidationProblem:
 
     def __str__(self) -> str:
         return f"{self.path}: {self.message}"
-
-
-@dataclass
-class _ResolvedElement:
-    """An instance element with names resolved to QNames."""
-
-    qname: QName
-    attributes: dict[QName, str]
-    children: list["_ResolvedElement"]
-    text: str
-
-
-def _resolve_instance(element: XmlElement, inherited: dict[str | None, str]) -> _ResolvedElement:
-    scope = dict(inherited)
-    plain_attrs: list[tuple[str, str]] = []
-    for name, value in element.attributes.items():
-        if name == "xmlns":
-            scope[None] = value
-        elif name.startswith("xmlns:"):
-            scope[name[len("xmlns:"):]] = value
-        else:
-            plain_attrs.append((name, value))
-    try:
-        prefix, local = split_qname(element.tag)
-    except ValueError as error:
-        raise InstanceValidationError(str(error)) from None
-    if prefix == "xml":
-        # The xml prefix is implicitly bound and needs no declaration.
-        namespace = XML_NAMESPACE
-    else:
-        namespace = scope.get(prefix, "") if prefix is not None else scope.get(None, "")
-        if prefix is not None and prefix not in scope:
-            raise InstanceValidationError(
-                f"undeclared prefix {prefix!r} on element {element.tag!r}"
-            )
-    attributes: dict[QName, str] = {}
-    for name, value in plain_attrs:
-        try:
-            attr_prefix, attr_local = split_qname(name)
-        except ValueError as error:
-            raise InstanceValidationError(str(error)) from None
-        # Unprefixed attributes live in no namespace per the XML spec;
-        # xml:* attributes live in the implicitly declared XML namespace.
-        if attr_prefix == "xml":
-            attr_namespace = XML_NAMESPACE
-        elif attr_prefix is not None:
-            attr_namespace = scope.get(attr_prefix, "")
-        else:
-            attr_namespace = ""
-        attributes[QName(attr_namespace, attr_local)] = value
-    return _ResolvedElement(
-        qname=QName(namespace, local),
-        attributes=attributes,
-        children=[_resolve_instance(child, scope) for child in element.element_children],
-        text=element.text_content,
-    )
 
 
 class SchemaSet:

@@ -20,12 +20,13 @@ independent oracle for verdicts.
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
 from repro.errors import InstanceValidationError
 from repro.instances.pipeline import BatchReport, DocumentReport, discover_corpus
-from repro.xmlutil.qname import QName
+from repro.xmlutil.qname import XML_NAMESPACE, QName, split_qname
 from repro.xmlutil.writer import XmlElement, parse_xml
 from repro.xsd import datatypes
 from repro.xsd.components import (
@@ -40,15 +41,67 @@ from repro.xsd.components import (
     SimpleType,
 )
 from repro.xsd.content_model import MAX_UNROLL, CompiledModel, MatchResult, Particle, SymbolOf
-from repro.xsd.validator import (
-    SchemaSet,
-    ValidationProblem,
-    _IGNORED_ATTR_NAMESPACES,
-    _ResolvedElement,
-    _resolve_instance,
-)
+from repro.xsd.validator import SchemaSet, ValidationProblem, _IGNORED_ATTR_NAMESPACES
 
 Engine = Literal["nfa", "backtracking"]
+
+
+@dataclass
+class _ResolvedElement:
+    """An instance element with names resolved to QNames."""
+
+    qname: QName
+    attributes: dict[QName, str]
+    children: list["_ResolvedElement"]
+    text: str
+
+
+def _resolve_instance(element: XmlElement, inherited: dict[str | None, str]) -> _ResolvedElement:
+    """``element`` with its prefixes resolved, recursively (an oracle for
+    the iterative resolver in :mod:`repro.xsd.compiled`)."""
+    scope = dict(inherited)
+    plain_attrs: list[tuple[str, str]] = []
+    for name, value in element.attributes.items():
+        if name == "xmlns":
+            scope[None] = value
+        elif name.startswith("xmlns:"):
+            scope[name[len("xmlns:"):]] = value
+        else:
+            plain_attrs.append((name, value))
+    try:
+        prefix, local = split_qname(element.tag)
+    except ValueError as error:
+        raise InstanceValidationError(str(error)) from None
+    if prefix == "xml":
+        # The xml prefix is implicitly bound and needs no declaration.
+        namespace = XML_NAMESPACE
+    else:
+        namespace = scope.get(prefix, "") if prefix is not None else scope.get(None, "")
+        if prefix is not None and prefix not in scope:
+            raise InstanceValidationError(
+                f"undeclared prefix {prefix!r} on element {element.tag!r}"
+            )
+    attributes: dict[QName, str] = {}
+    for name, value in plain_attrs:
+        try:
+            attr_prefix, attr_local = split_qname(name)
+        except ValueError as error:
+            raise InstanceValidationError(str(error)) from None
+        # Unprefixed attributes live in no namespace per the XML spec;
+        # xml:* attributes live in the implicitly declared XML namespace.
+        if attr_prefix == "xml":
+            attr_namespace = XML_NAMESPACE
+        elif attr_prefix is not None:
+            attr_namespace = scope.get(attr_prefix, "")
+        else:
+            attr_namespace = ""
+        attributes[QName(attr_namespace, attr_local)] = value
+    return _ResolvedElement(
+        qname=QName(namespace, local),
+        attributes=attributes,
+        children=[_resolve_instance(child, scope) for child in element.element_children],
+        text=element.text_content,
+    )
 
 #: Compiled content models per schema set, built lazily on first use and
 #: reused across calls (keyed by the complex type's identity), so timing

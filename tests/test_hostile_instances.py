@@ -22,6 +22,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from repro.binding import unmarshal
 from repro.catalog.easybiz import build_easybiz_model
 from repro.catalog.ecommerce import build_ecommerce_model
 from repro.cli import main
@@ -35,11 +36,12 @@ from repro.instances import (
     rebind_target_namespace,
     widen,
 )
+from repro.rngen.validator import RngValidator, compile_grammar
 from repro.serve import ServeApp, ServeConfig, UpccServer
 from repro.serve.loadgen import request_json
 from repro.xmi import write_xmi
 from repro.xmlutil.qname import QName
-from repro.xmlutil.writer import XmlElement, XmlWriter
+from repro.xmlutil.writer import XmlElement, XmlWriter, parse_xml
 from repro.xsd import compiled
 from repro.xsd.components import ComplexType, ElementDecl, Schema, SequenceGroup
 from repro.xsd.validator import SchemaSet, validate_instance
@@ -297,6 +299,51 @@ class TestDepthBound:
             f"document nests too deeply: element #{limit + 1} (in document order) "
             f"is at depth {limit + 1}, over max_depth={limit}"
         )
+
+
+def _deep_element(levels: int) -> XmlElement:
+    """A ``levels``-deep chain of ``<d:a>`` in ``urn:deep``, built iteratively."""
+    root = node = XmlElement("d:a", {"xmlns:d": "urn:deep"})
+    for _ in range(levels - 1):
+        node = node.add("d:a")
+    return root
+
+
+def _recursive_rng_validator() -> RngValidator:
+    """The RELAX NG twin of :func:`_recursive_schema_set`."""
+    return RngValidator(compile_grammar(parse_xml(
+        '<grammar xmlns="http://relaxng.org/ns/structure/1.0">'
+        '<start><ref name="e.a"/></start>'
+        '<define name="e.a"><element name="a" ns="urn:deep">'
+        '<optional><ref name="e.a"/></optional></element></define></grammar>'
+    )))
+
+
+class TestDepthBoundOfOtherReaders:
+    """``repro.binding`` and the RELAX NG validator read documents through
+    the pipeline's bounded prefix resolver."""
+
+    @pytest.mark.parametrize("levels", [600, DEEP_LEVELS])
+    def test_unmarshal(self, levels):
+        with pytest.raises(InstanceValidationError) as raised:
+            unmarshal(_recursive_schema_set(), _deep_element(levels))
+        _assert_deep_error(str(raised.value))
+
+    def test_unmarshal_at_the_limit(self):
+        data = unmarshal(_recursive_schema_set(), _deep_element(compiled.max_depth))
+        levels = 1
+        while data:
+            data, levels = data["a"], levels + 1
+        assert levels == compiled.max_depth
+
+    @pytest.mark.parametrize("levels", [600, DEEP_LEVELS])
+    def test_rng_validator(self, levels):
+        with pytest.raises(InstanceValidationError) as raised:
+            _recursive_rng_validator().validate(_deep_element(levels))
+        _assert_deep_error(str(raised.value))
+
+    def test_rng_validator_at_the_limit(self):
+        assert _recursive_rng_validator().validate(_deep_element(compiled.max_depth))
 
 
 class TestSizeBound:

@@ -289,6 +289,19 @@ class TestAlertLog:
         # The newest alerts are always present:
         assert json.loads(lines[-1])["ts"] == 19.0
 
+    def test_history_and_bound_hold_across_restarts(self, tmp_path):
+        path = tmp_path / "alerts.jsonl"
+        first = AlertLog(path=str(path), keep=2)
+        for i in range(3):
+            first.append(self._alert(float(i)))
+        for run in range(1, 5):
+            log = AlertLog(path=str(path), keep=2)
+            assert log.recent() == first.recent()
+            for i in range(3):
+                log.append(self._alert(float(3 * run + i)))
+            assert len(path.read_text(encoding="utf-8").splitlines()) <= 2 * 2
+            first = log
+
     def test_failed_compaction_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "alerts.jsonl"
         log = AlertLog(path=str(path), keep=2)

@@ -146,6 +146,24 @@ class TestJsonLinesSink:
         assert records[1]["parent"] is None
         assert all(r["status"] == "ok" for r in records)
 
+    def test_records_carry_w3c_span_ids(self, tracer):
+        stream = io.StringIO()
+        tracer.add_sink(JsonLinesSink(stream))
+        with tracer.span("outer") as outer:
+            with tracer.span("inner"):
+                pass
+        inner_record, outer_record = [
+            json.loads(line) for line in stream.getvalue().splitlines()
+        ]
+        assert outer_record["id"] == outer.span_id
+        assert inner_record["parent_id"] == outer.span_id
+        assert outer_record["parent_id"] is None
+        assert "children" not in outer_record
+        for record in (inner_record, outer_record):
+            assert len(record["id"]) == 16
+            assert record["id"] == record["id"].lower()
+            int(record["id"], 16)
+
     def test_file_target_appends(self, tracer, tmp_path):
         target = tmp_path / "spans.jsonl"
         tracer.add_sink(JsonLinesSink(target))
