@@ -9,6 +9,7 @@ from repro.errors import InstanceValidationError, SchemaError
 from repro.obs.metrics import counter
 from repro.obs.trace import span
 from repro.xmlutil.qname import QName
+from repro.xmlutil.reader import text_of
 from repro.xmlutil.writer import XmlElement, XmlWriter
 from repro.xsd.components import (
     XSD_NS,
@@ -20,7 +21,7 @@ from repro.xsd.components import (
     SequenceGroup,
     SimpleType,
 )
-from repro.xsd.compiled import _clark_qname, _text_of, _tree_of
+from repro.xsd.compiled import _clark_qname, _parse_document, _tree_of
 from repro.xsd.validator import SchemaSet
 
 #: Dict key carrying the simple-content value.
@@ -224,8 +225,7 @@ class _Unmarshaller:
     def __init__(self, schema_set: SchemaSet) -> None:
         self.schema_set = schema_set
 
-    def unmarshal(self, document: XmlElement) -> Any:
-        root = _tree_of(document)
+    def unmarshal(self, root: ET.Element) -> Any:
         qname = _clark_qname(root.tag)
         decl = self.schema_set.find_global_element(qname)
         if decl is None:
@@ -245,21 +245,21 @@ class _Unmarshaller:
         # One frame per level, so that documents up to ``max_depth`` deep
         # stay clear of the interpreter's recursion limit.
         if type_name is None or type_name.namespace == XSD_NS:
-            return _text_of(element)
+            return text_of(element)
         definition = self.schema_set.find_type(type_name)
         if definition is None:
             raise SchemaError(f"unresolved type {type_name.clark()}")
         if isinstance(definition, SimpleType):
-            return _text_of(element)
+            return text_of(element)
         data: dict[str, Any] = {
             ATTR_PREFIX + _clark_qname(name).local: value
             for name, value in element.attrib.items()
         }
         if definition.simple_content is not None:
             if data:
-                data[VALUE_KEY] = _text_of(element)
+                data[VALUE_KEY] = text_of(element)
                 return data
-            return _text_of(element)
+            return text_of(element)
         declared = {}
         for decl in _Marshaller(self.schema_set)._declared_elements(definition.particle):
             key = decl.name if not decl.is_ref else decl.ref.local
@@ -309,10 +309,7 @@ def marshal_string(schema_set: SchemaSet, root: QName | str, data: Any, validate
 
 def unmarshal(schema_set: SchemaSet, document: XmlElement | str) -> Any:
     """Project a document back onto the dict convention."""
-    if isinstance(document, str):
-        from repro.xmlutil.writer import parse_xml
-
-        document = parse_xml(document)
-    with span("binding.unmarshal", root=document.tag):
+    root = _parse_document(document) if isinstance(document, str) else _tree_of(document)
+    with span("binding.unmarshal", root=root.tag):
         counter("binding.documents_unmarshalled").inc()
-        return _Unmarshaller(schema_set).unmarshal(document)
+        return _Unmarshaller(schema_set).unmarshal(root)

@@ -28,9 +28,10 @@ from functools import lru_cache
 
 from repro.errors import SchemaError
 from repro.xmlutil.qname import QName
+from repro.xmlutil.reader import text_of
 from repro.xmlutil.writer import XmlElement
 from repro.xsd import datatypes
-from repro.xsd.compiled import _clark_qname, _text_of, _tree_of
+from repro.xsd.compiled import _clark_qname, _tree_of
 from repro.xsd.components import XSD_NS
 
 
@@ -400,7 +401,7 @@ class RngValidator:
             for name, value in element.attrib.items():
                 current = self._att_deriv(current, _clark_qname(name).local, value)
             current = self._start_tag_close_deriv(current)
-            text = _text_of(element)
+            text = text_of(element)
             if text.strip():
                 current = self._text_deriv(current, text)
             elif not len(element):

@@ -26,7 +26,7 @@ import time
 import uuid
 from collections import deque
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 from repro.obs.logging_bridge import get_logger
 from repro.obs.prof import to_trace_events
@@ -53,15 +53,18 @@ class AccessLog:
     """JSON-lines access log plus an in-memory ring of recent requests.
 
     ``path=None`` keeps only the ring (the daemon default until
-    ``--access-log`` is passed); the ring is always on because ``/stats``
-    serves it.  Writes append-and-flush under a lock, so concurrent
+    ``--access-log`` is passed; no JSON is built then); the ring is always
+    on because ``/stats`` serves it.  The file stays open until
+    :meth:`close` (the daemon's drain), and a failed open is retried by
+    the next record; writes append-and-flush under a lock, so concurrent
     connection threads never interleave partial lines.
 
     ``max_bytes`` bounds the live file: once an append pushes it past the
     limit, the file rotates to ``<name>.1`` (older generations shift to
     ``.2`` .. ``.<keep_rolled>``, the oldest is deleted), so a
     long-running daemon's disk use stays at roughly
-    ``max_bytes * (keep_rolled + 1)``.
+    ``max_bytes * (keep_rolled + 1)``.  The log owns rotation: a file
+    moved away from outside keeps receiving writes through the open handle.
     """
 
     def __init__(
@@ -79,12 +82,29 @@ class AccessLog:
         self.rotations = 0
         self._bytes = 0
         self._lock = threading.Lock()
+        self._file: TextIO | None = None
+        self._closed = False
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                self._bytes = self.path.stat().st_size
-            except OSError:
-                self._bytes = 0
+            self._open_locked()
+
+    def _open_locked(self) -> None:
+        """Open the live file for appending; counts what it already holds."""
+        assert self.path is not None
+        try:
+            self._file = self.path.open("a", encoding="utf-8")
+            self._bytes = self.path.stat().st_size
+        except OSError as error:
+            self._file = None
+            _log.warning("access log open failed: %s", error)
+
+    def close(self) -> None:
+        """Close the live file; later records go to the ring only."""
+        with self._lock:
+            self._closed = True
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
     def _rotate_locked(self) -> None:
         """Shift ``name`` -> ``name.1`` -> ... -> ``name.keep_rolled``."""
@@ -101,6 +121,8 @@ class AccessLog:
                     source.rename(self.path.with_name(f"{self.path.name}.{index + 1}"))
                 except OSError as error:
                     _log.warning("access log rotation failed: %s", error)
+        if self._file is not None:
+            self._file.close()
         try:
             self.path.rename(self.path.with_name(f"{self.path.name}.1"))
         except OSError as error:
@@ -108,9 +130,9 @@ class AccessLog:
             # append retries rotation instead of letting the file grow
             # past max_bytes forever behind a reset counter.
             _log.warning("access log rotation failed: %s", error)
-            return
-        self._bytes = 0
-        self.rotations += 1
+        else:
+            self.rotations += 1
+        self._open_locked()
 
     def log(
         self,
@@ -138,22 +160,26 @@ class AccessLog:
             "span_id": span_id,
             "trace_id": trace_id,
         }
-        line = json.dumps(record, sort_keys=True)
         with self._lock:
             self.ring.append(record)
-            if self.path is not None:
+            if self._file is None and self.path is not None and not self._closed:
+                # An earlier open failed (at construction or after a
+                # rotation); each record retries it.
+                self._open_locked()
+            if self._file is not None:
+                line = json.dumps(record, sort_keys=True) + "\n"
                 try:
-                    with self.path.open("a", encoding="utf-8") as handle:
-                        handle.write(line + "\n")
+                    self._file.write(line)
+                    self._file.flush()
                     self.lines_written += 1
                     # Size accounting must match what stat() would say:
                     # encoded bytes, not characters.
-                    self._bytes += len(line.encode("utf-8")) + 1
+                    self._bytes += len(line.encode("utf-8"))
                     if self.max_bytes is not None and self._bytes > self.max_bytes:
                         self._rotate_locked()
                 except OSError as error:
                     _log.warning("access log write failed: %s", error)
-            else:
+            elif self.path is None:
                 self.lines_written += 1
         return record
 

@@ -714,6 +714,7 @@ class UpccServer:
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
         self._runtime.stop()
+        self.access.close()
         if self._tracer_enabled_by_us:
             get_tracer().enabled = False
             self._tracer_enabled_by_us = False

@@ -8,7 +8,7 @@ components."  This package provides that format:
 * :func:`write_xmi` / :func:`model_to_xmi` -- serialize a
   :class:`repro.uml.Model` (with all stereotype applications and tagged
   values) to an XMI 2.1-shaped document,
-* :func:`read_xmi` / :func:`model_from_xmi` -- load it back.
+* :func:`read_xmi` -- load it back.
 
 Simplifications relative to full OMG XMI are documented in
 :mod:`repro.xmi.writer` (multiplicities as ``lower``/``upper`` attributes,
@@ -28,7 +28,6 @@ from repro.xmi.reader import (
     LoadIssue,
     LoadResult,
     load_xmi,
-    model_from_xmi,
     read_xmi,
 )
 from repro.xmi.writer import model_to_xmi, write_xmi
@@ -39,7 +38,6 @@ __all__ = [
     "LoadIssue",
     "LoadResult",
     "load_xmi",
-    "model_from_xmi",
     "model_to_xmi",
     "read_xmi",
     "write_xmi",

@@ -9,14 +9,18 @@ reader returns it, so it writes element fields past the tracked
 version and, when every element has an ``xmi:id``, records that for the
 generator.
 
+The loader walks the ElementTree of :func:`repro.xmlutil.reader.read_document`
+and matches names by their prefix as written, whatever namespace the
+prefix is bound to.  A diagnostic's line, column and element path are
+found only when it is reported.
+
 Error handling comes in two modes (see docs/architecture.md, "Strict and
 lenient loading"):
 
-* **strict** (the default of :func:`read_xmi` / :func:`model_from_xmi`) --
-  fail fast: the first defect raises :class:`~repro.errors.XmiError`, now
-  carrying the offending element's xmi:id, element path and the 1-based
-  line/column of its start tag (threaded through
-  :func:`repro.xmlutil.writer.parse_xml`).
+* **strict** (the default of :func:`read_xmi`) -- fail fast: the first
+  defect raises :class:`~repro.errors.XmiError`, carrying the offending
+  element's xmi:id, element path and the 1-based line/column of its
+  start tag.
 * **lenient** (:func:`load_xmi`, or ``strict=False``) -- recoverable
   defects (missing or duplicate ``xmi:id``, unresolvable type/client/
   supplier references, unknown ``packagedElement`` types, bad
@@ -50,7 +54,7 @@ from repro.uml.package import Package
 from repro.uml.property import Property
 from repro.validation.diagnostics import SourceLocation
 from repro.xmi.ids import IDS_COMPLETE
-from repro.xmlutil.writer import XmlElement, parse_xml
+from repro.xmlutil.reader import Document, read_document
 
 _CLASSIFIER_TYPES: dict[str, type[Classifier]] = {
     "uml:Class": Class,
@@ -130,19 +134,9 @@ class _LimitError(XmiError):
     """A resource limit was breached; never downgraded to a LoadIssue."""
 
 
-def _located(node: XmlElement | None) -> SourceLocation | None:
-    if node is None or node.source_line is None:
-        return None
-    return SourceLocation(node.source_line, node.source_column)
-
-
 class _Loader:
-    def __init__(
-        self,
-        strict: bool = True,
-        max_elements: int = DEFAULT_MAX_ELEMENTS,
-        max_depth: int = DEFAULT_MAX_DEPTH,
-    ) -> None:
+    def __init__(self, document: Document, strict: bool, max_elements: int, max_depth: int) -> None:
+        self.document = document
         self.strict = strict
         self.max_elements = max_elements
         self.max_depth = max_depth
@@ -151,54 +145,71 @@ class _Loader:
         self._synthetic_ids = 0
         #: False once an element of the model was left without an xmi:id.
         self.ids_complete = True
-        #: (property, ref, site): a site is the (xmi_id, path, node) where the
-        #: ref was written, located only if pass 2 reports a diagnostic.
-        self.pending_types: list[tuple[Property, str, tuple]] = []
-        self.pending_ends: list[tuple[AssociationEnd, str, Association, tuple]] = []
-        self.pending_dependencies: list[tuple[Dependency, str, str, tuple]] = []
+        #: (property, ref, node): the node where the ref was written,
+        #: located only if pass 2 reports a diagnostic.
+        self.pending_types: list[tuple[Property, str, ET.Element]] = []
+        self.pending_ends: list[tuple[AssociationEnd, str, Association, ET.Element]] = []
+        self.pending_dependencies: list[tuple[Dependency, str, str, ET.Element]] = []
+        # The tree's spelling of every name the loader matches.
+        name = document.name
+        self.packaged_tag = name(None, "packagedElement")
+        self.comment_tag = name(None, "ownedComment")
+        self.attribute_tag = name(None, "ownedAttribute")
+        self.literal_tag = name(None, "ownedLiteral")
+        self.end_tag = name(None, "ownedEnd")
+        self.id_key = name("xmi", "id")
+        self.type_key = name("xmi", "type")
+        self.model_node: ET.Element | None = None
+        self._parents: dict[ET.Element, ET.Element] | None = None
 
     # -- issue plumbing ----------------------------------------------------------
 
+    def path(self, node: ET.Element) -> str:
+        """``node``'s slash-separated path from the model element ("" outside it)."""
+        if self._parents is None:
+            self._parents = {
+                child: parent for parent in self.document.root.iter() for child in parent
+            }
+        segments = []
+        current: ET.Element | None = node
+        while current is not None:
+            segments.append(current.get("name") or self.document.written(current.tag))
+            if current is self.model_node:
+                return "/".join(reversed(segments))
+            current = self._parents.get(current)
+        return ""
+
+    def error(self, message: str, node: ET.Element, xmi_id: str | None) -> XmiError:
+        """An error located at ``node``."""
+        line, column = self.document.locate(node)
+        return XmiError(message, xmi_id=xmi_id, path=self.path(node), line=line, column=column)
+
     def issue(
-        self,
-        kind: str,
-        message: str,
-        *,
-        node: XmlElement | None = None,
-        xmi_id: str | None = None,
-        path: str = "",
-        source: SourceLocation | None = None,
+        self, kind: str, message: str, node: ET.Element, xmi_id: str | None = None
     ) -> None:
-        """Raise (strict) or record (lenient) one recoverable defect."""
-        if source is None:
-            source = _located(node)
+        """Raise (strict) or record (lenient) one recoverable defect at ``node``."""
+        error = self.error(message, node, xmi_id)
         if self.strict:
-            raise XmiError(
-                message,
-                xmi_id=xmi_id,
-                path=path,
-                line=source.line if source else None,
-                column=source.column if source else None,
-            )
-        self.issues.append(LoadIssue(kind, message, xmi_id=xmi_id, path=path, source=source))
+            raise error
+        source = SourceLocation(error.line, error.column)
+        self.issues.append(LoadIssue(kind, message, xmi_id, error.path, source))
         counter("xmi.load_issues", kind=kind).inc()
 
     # -- pass 1 ------------------------------------------------------------------
 
-    def register(self, node: XmlElement, element: Element, path: str = "") -> bool:
+    def register(self, node: ET.Element, element: Element) -> bool:
         """Assign ``element`` its xmi:id; False when the id was unusable."""
         if len(self.by_id) >= self.max_elements:
             raise _LimitError(
                 f"document exceeds max_elements={self.max_elements}; "
                 f"refusing to load more model elements"
             )
-        xmi_id = node.attributes.get("xmi:id")
+        xmi_id = node.get(self.id_key)
         if xmi_id is None:
             self.issue(
                 "missing-id",
-                f"element {node.tag!r} lacks an xmi:id",
-                node=node,
-                path=path,
+                f"element {self.document.written(node.tag)!r} lacks an xmi:id",
+                node,
             )
             # Lenient recovery: synthesize an id so later passes can still
             # address the element (the prefix cannot clash with real ids).
@@ -208,13 +219,7 @@ class _Loader:
             self.by_id[xmi_id] = element
             return True
         if xmi_id in self.by_id:
-            self.issue(
-                "duplicate-id",
-                f"duplicate xmi:id {xmi_id!r}",
-                node=node,
-                xmi_id=xmi_id,
-                path=path,
-            )
+            self.issue("duplicate-id", f"duplicate xmi:id {xmi_id!r}", node, xmi_id)
             # First registration wins; the element stays in the model but
             # references to this id keep resolving to the original.
             _set(element, "xmi_id", xmi_id)
@@ -223,247 +228,188 @@ class _Loader:
         self.by_id[xmi_id] = element
         return True
 
-    def load_model(self, node: XmlElement) -> Model:
-        model = Model(node.attributes.get("name", ""))
-        path = model.name or node.tag
-        self.register(node, model, path)
+    def load_model(self, node: ET.Element) -> Model:
+        self.model_node = node
+        model = Model(node.get("name", ""))
+        self.register(node, model)
         self._load_documentation(node, model)
-        for child in node.element_children:
-            if child.tag == "packagedElement":
-                self._load_packaged(child, model, path, 1)
+        for child in node.findall(self.packaged_tag):
+            self._load_packaged(child, model, 1)
         return model
 
-    def _load_documentation(self, node: XmlElement, element: Element) -> None:
-        comment = node.find("ownedComment")
+    def _load_documentation(self, node: ET.Element, element: Element) -> None:
+        comment = node.find(self.comment_tag)
         if comment is not None:
-            _set(element, "documentation", comment.attributes.get("body", ""))
+            _set(element, "documentation", comment.get("body", ""))
 
-    def _load_packaged(self, node: XmlElement, owner: Package, path: str, depth: int) -> None:
+    def _load_packaged(self, node: ET.Element, owner: Package, depth: int) -> None:
         if depth > self.max_depth:
             raise _LimitError(
                 f"document exceeds max_depth={self.max_depth} nested packagedElements"
             )
-        xmi_type = node.attributes.get("xmi:type", "")
-        child_path = f"{path}/{node.attributes.get('name') or node.tag}"
+        xmi_type = node.get(self.type_key, "")
         if xmi_type == "uml:Package":
-            package = Package(node.attributes.get("name", ""))
+            package = Package(node.get("name", ""))
             _set(package, "owner", owner)
             owner.packages.append(package)
-            self.register(node, package, child_path)
+            self.register(node, package)
             self._load_documentation(node, package)
-            for child in node.element_children:
-                if child.tag == "packagedElement":
-                    self._load_packaged(child, package, child_path, depth + 1)
+            for child in node.findall(self.packaged_tag):
+                self._load_packaged(child, package, depth + 1)
         elif xmi_type in _CLASSIFIER_TYPES:
-            self._load_classifier(node, owner, _CLASSIFIER_TYPES[xmi_type], child_path)
+            self._load_classifier(node, owner, _CLASSIFIER_TYPES[xmi_type])
         elif xmi_type == "uml:Association":
-            self._load_association(node, owner, child_path)
+            self._load_association(node, owner)
         elif xmi_type == "uml:Dependency":
-            self._load_dependency(node, owner, child_path)
+            self._load_dependency(node, owner)
         else:
-            self.issue(
-                "unknown-element",
-                f"unsupported packagedElement xmi:type {xmi_type!r}",
-                node=node,
-                xmi_id=node.attributes.get("xmi:id"),
-                path=child_path,
-            )
+            message = f"unsupported packagedElement xmi:type {xmi_type!r}"
+            self.issue("unknown-element", message, node, node.get(self.id_key))
 
-    def _load_classifier(
-        self, node: XmlElement, owner: Package, cls: type[Classifier], path: str
-    ) -> None:
-        classifier = cls(node.attributes.get("name", ""))
+    def _load_classifier(self, node: ET.Element, owner: Package, cls: type[Classifier]) -> None:
+        classifier = cls(node.get("name", ""))
         _set(classifier, "owner", owner)
         owner.classifiers.append(classifier)
-        self.register(node, classifier, path)
+        self.register(node, classifier)
         self._load_documentation(node, classifier)
-        for child in node.element_children:
-            child_path = f"{path}/{child.attributes.get('name') or child.tag}"
-            if child.tag == "ownedAttribute":
+        for child in node:
+            if child.tag == self.attribute_tag:
                 prop = Property(
-                    child.attributes.get("name", ""),
+                    child.get("name", ""),
                     None,
-                    self._multiplicity(child, child_path),
-                    child.attributes.get("default"),
+                    self._multiplicity(child),
+                    child.get("default"),
                 )
                 _set(prop, "owner", classifier)
                 classifier.attributes.append(prop)
-                self.register(child, prop, child_path)
-                type_ref = child.attributes.get("type")
+                self.register(child, prop)
+                type_ref = child.get("type")
                 if type_ref is not None:
-                    self.pending_types.append(
-                        (prop, type_ref, (prop.xmi_id, child_path, child))
-                    )
-            elif child.tag == "ownedLiteral" and isinstance(classifier, Enumeration):
+                    self.pending_types.append((prop, type_ref, child))
+            elif child.tag == self.literal_tag and isinstance(classifier, Enumeration):
                 try:
-                    literal = classifier.add_literal(
-                        child.attributes.get("name", ""), child.attributes.get("value")
-                    )
+                    literal = classifier.add_literal(child.get("name", ""), child.get("value"))
                 except ModelError as error:
                     if self.strict:
                         raise
-                    self.issue("bad-literal", str(error), node=child, path=child_path)
+                    self.issue("bad-literal", str(error), child)
                     continue
                 # Through register() so colliding literal ids are caught;
                 # literals without an id stay addressable-by-nothing, as
                 # before.
-                if child.attributes.get("xmi:id") is not None:
-                    self.register(child, literal, child_path)
+                if child.get(self.id_key) is not None:
+                    self.register(child, literal)
                 else:
                     self.ids_complete = False
 
-    def _multiplicity(self, node: XmlElement, path: str = "") -> Multiplicity:
-        lower_text = node.attributes.get("lower", "1")
-        upper_text = node.attributes.get("upper", "1")
+    def _multiplicity(self, node: ET.Element) -> Multiplicity:
+        lower_text = node.get("lower", "1")
+        upper_text = node.get("upper", "1")
         try:
             lower = int(lower_text)
             upper = None if upper_text == "*" else int(upper_text)
             return Multiplicity(lower, upper)
         except ValueError as error:
-            xmi_id = node.attributes.get("xmi:id")
+            xmi_id = node.get(self.id_key)
             if self.strict:
-                source = _located(node)
-                raise XmiError(
+                raise self.error(
                     f"element {xmi_id!r} has an invalid multiplicity "
                     f"lower={lower_text!r} upper={upper_text!r}: {error}",
-                    xmi_id=xmi_id,
-                    path=path,
-                    line=source.line if source else None,
-                    column=source.column if source else None,
+                    node,
+                    xmi_id,
                 ) from error
-            self.issue(
-                "bad-multiplicity",
-                f"invalid multiplicity lower={lower_text!r} upper={upper_text!r}: {error}",
-                node=node,
-                xmi_id=xmi_id,
-                path=path,
-            )
+            message = f"invalid multiplicity lower={lower_text!r} upper={upper_text!r}: {error}"
+            self.issue("bad-multiplicity", message, node, xmi_id)
             return Multiplicity(0, None)
 
-    def _load_association(self, node: XmlElement, owner: Package, path: str) -> None:
-        xmi_id = node.attributes.get("xmi:id")
-        end_nodes = node.find_all("ownedEnd")
+    def _load_association(self, node: ET.Element, owner: Package) -> None:
+        xmi_id = node.get(self.id_key)
+        end_nodes = node.findall(self.end_tag)
         if len(end_nodes) != 2:
-            self.issue(
-                "bad-association",
-                f"association {xmi_id!r} has {len(end_nodes)} ends, expected 2",
-                node=node,
-                xmi_id=xmi_id,
-                path=path,
-            )
+            message = f"association {xmi_id!r} has {len(end_nodes)} ends, expected 2"
+            self.issue("bad-association", message, node, xmi_id)
             return
         placeholder = Class("")  # replaced during reference resolution
         ends: list[AssociationEnd] = []
-        end_refs: list[tuple[str | None, XmlElement]] = []
+        end_refs: list[tuple[str, ET.Element]] = []
         for end_node in end_nodes:
-            end_path = f"{path}/{end_node.attributes.get('name') or end_node.tag}"
             try:
-                aggregation = AggregationKind(end_node.attributes.get("aggregation", "none"))
+                aggregation = AggregationKind(end_node.get("aggregation", "none"))
             except ValueError:
                 if self.strict:
                     raise
-                self.issue(
-                    "bad-aggregation",
-                    f"unknown aggregation kind "
-                    f"{end_node.attributes.get('aggregation')!r}",
-                    node=end_node,
-                    xmi_id=end_node.attributes.get("xmi:id"),
-                    path=end_path,
-                )
+                message = f"unknown aggregation kind {end_node.get('aggregation')!r}"
+                self.issue("bad-aggregation", message, end_node, end_node.get(self.id_key))
                 aggregation = AggregationKind.NONE
             end = AssociationEnd(
                 placeholder,
-                end_node.attributes.get("name", ""),
-                self._multiplicity(end_node, end_path),
+                end_node.get("name", ""),
+                self._multiplicity(end_node),
                 aggregation,
-                end_node.attributes.get("navigable", "true") == "true",
+                end_node.get("navigable", "true") == "true",
             )
-            self.register(end_node, end, end_path)
-            type_ref = end_node.attributes.get("type")
+            self.register(end_node, end)
+            type_ref = end_node.get("type")
             if type_ref is None:
-                self.issue(
-                    "missing-end-type",
-                    f"association end {end.xmi_id!r} lacks a type reference",
-                    node=end_node,
-                    xmi_id=end.xmi_id,
-                    path=end_path,
-                )
+                message = f"association end {end.xmi_id!r} lacks a type reference"
+                self.issue("missing-end-type", message, end_node, end.xmi_id)
                 return  # lenient: drop the whole association
             end_refs.append((type_ref, end_node))
             ends.append(end)
-        association = Association(ends[0], ends[1], node.attributes.get("name", ""))
+        association = Association(ends[0], ends[1], node.get("name", ""))
         _set(association, "owner", owner)
         owner.associations.append(association)
-        self.register(node, association, path)
+        self.register(node, association)
         for end, (type_ref, end_node) in zip(ends, end_refs):
-            end_path = f"{path}/{end_node.attributes.get('name') or end_node.tag}"
-            site = (end.xmi_id, end_path, end_node)
-            self.pending_ends.append((end, type_ref, association, site))
+            self.pending_ends.append((end, type_ref, association, end_node))
 
-    def _load_dependency(self, node: XmlElement, owner: Package, path: str) -> None:
+    def _load_dependency(self, node: ET.Element, owner: Package) -> None:
         placeholder = NamedElement("")
-        dependency = Dependency(placeholder, placeholder, node.attributes.get("name", ""))
+        dependency = Dependency(placeholder, placeholder, node.get("name", ""))
         _set(dependency, "owner", owner)
         owner.dependencies.append(dependency)
-        self.register(node, dependency, path)
-        missing = [key for key in ("client", "supplier") if key not in node.attributes]
+        self.register(node, dependency)
+        missing = [key for key in ("client", "supplier") if key not in node.attrib]
         if missing:
             owner.dependencies.remove(dependency)
             self.issue(
                 "missing-dependency-ref",
                 f"dependency {dependency.xmi_id!r} lacks a "
                 f"{' and '.join(missing)} reference",
-                node=node,
-                xmi_id=dependency.xmi_id,
-                path=path,
+                node,
+                dependency.xmi_id,
             )
             return
-        site = (dependency.xmi_id, path, node)
         self.pending_dependencies.append(
-            (dependency, node.attributes["client"], node.attributes["supplier"], site)
+            (dependency, node.attrib["client"], node.attrib["supplier"], node)
         )
 
     # -- pass 2 --------------------------------------------------------------------
 
     def resolve(self) -> None:
-        for prop, ref, (xmi_id, path, node) in self.pending_types:
+        for prop, ref, node in self.pending_types:
             target = self.by_id.get(ref)
             if not isinstance(target, Classifier):
-                self.issue(
-                    "dangling-type-ref",
-                    f"property {prop.name!r} references non-classifier id {ref!r}",
-                    xmi_id=xmi_id,
-                    path=path,
-                    node=node,
-                )
+                message = f"property {prop.name!r} references non-classifier id {ref!r}"
+                self.issue("dangling-type-ref", message, node, prop.xmi_id)
                 continue  # lenient: the property stays untyped
             _set(prop, "type", target)
-        for end, ref, association, (xmi_id, path, node) in self.pending_ends:
+        for end, ref, association, node in self.pending_ends:
             target = self.by_id.get(ref)
             if not isinstance(target, Class):
-                self.issue(
-                    "dangling-end-ref",
-                    f"association end references non-class id {ref!r}",
-                    xmi_id=xmi_id,
-                    path=path,
-                    node=node,
-                )
+                message = f"association end references non-class id {ref!r}"
+                self.issue("dangling-end-ref", message, node, end.xmi_id)
                 owner = association.owner
                 if isinstance(owner, Package) and association in owner.associations:
                     owner.associations.remove(association)
                 continue
             _set(end, "type", target)
-        for dependency, client_ref, supplier_ref, (xmi_id, path, node) in self.pending_dependencies:
+        for dependency, client_ref, supplier_ref, node in self.pending_dependencies:
             client = self.by_id.get(client_ref)
             supplier = self.by_id.get(supplier_ref)
             if not isinstance(client, NamedElement) or not isinstance(supplier, NamedElement):
-                self.issue(
-                    "dangling-dependency-ref",
-                    f"dependency references unresolved ids {client_ref!r}/{supplier_ref!r}",
-                    xmi_id=xmi_id,
-                    path=path,
-                    node=node,
-                )
+                message = f"dependency references unresolved ids {client_ref!r}/{supplier_ref!r}"
+                self.issue("dangling-dependency-ref", message, node, dependency.xmi_id)
                 owner = dependency.owner
                 if isinstance(owner, Package) and dependency in owner.dependencies:
                     owner.dependencies.remove(dependency)
@@ -471,56 +417,62 @@ class _Loader:
             _set(dependency, "client", client)
             _set(dependency, "supplier", supplier)
 
-    def apply_stereotypes(self, root: XmlElement) -> None:
-        for child in root.element_children:
-            if not child.tag.startswith("upcc:"):
+    def apply_stereotypes(self, root: ET.Element) -> None:
+        prefix = self.document.name("upcc", "")
+        if prefix is None:
+            return
+        xmi_prefix = self.document.name("xmi", "")
+        written = self.document.written
+        for child in root:
+            if not child.tag.startswith(prefix):
                 continue
-            stereotype = child.tag[len("upcc:"):]
-            base_ref = child.attributes.get("base")
+            stereotype = child.tag[len(prefix):]
+            attributes = child.attrib
+            base_ref = attributes.get("base")
             element = self.by_id.get(base_ref or "")
             if element is None:
                 self.issue(
                     "dangling-stereotype-base",
                     f"stereotype application <<{stereotype}>> references unknown id {base_ref!r}",
-                    node=child,
-                    xmi_id=base_ref,
+                    child,
+                    base_ref,
                 )
                 continue
-            tags = {
-                name: value
-                for name, value in child.attributes.items()
-                if name not in ("base",) and not name.startswith("xmi:")
-            }
-            element.stereotype_applications.setdefault(stereotype, {}).update(tags)
+            tags = element.stereotype_applications.setdefault(stereotype, {})
+            if len(attributes) > 1:  # tagged values beside the base reference
+                tags.update(
+                    (written(name), value)
+                    for name, value in attributes.items()
+                    if name != "base" and not (xmi_prefix and name.startswith(xmi_prefix))
+                )
 
 
 _log = get_logger("repro.xmi")
 
 
 def _load_document(
-    root: XmlElement,
+    document: Document,
     strict: bool,
     max_elements: int,
     max_depth: int,
 ) -> tuple[Model | None, list[LoadIssue]]:
     """Load one parsed document; (model, issues).  Strict mode raises."""
-    if root.tag != "xmi:XMI":
-        fatal = LoadIssue(
-            "document", f"expected an xmi:XMI root, got {root.tag!r}", source=_located(root)
-        )
-        if strict:
-            raise XmiError(fatal.message, line=fatal.line, column=fatal.column)
-        counter("xmi.load_issues", kind=fatal.kind).inc()
-        return None, [fatal]
-    model_node = root.find("uml:Model")
-    if model_node is None:
-        fatal = LoadIssue("document", "document contains no uml:Model", source=_located(root))
+    root = document.root
+    model_tag = document.name("uml", "Model")
+    if root.tag != document.name("xmi", "XMI"):
+        message = f"expected an xmi:XMI root, got {document.written(root.tag)!r}"
+    elif model_tag is None or (model_node := root.find(model_tag)) is None:
+        message = "document contains no uml:Model"
+    else:
+        message = None
+    if message is not None:
+        fatal = LoadIssue("document", message, source=SourceLocation(*document.locate(root)))
         if strict:
             raise XmiError(fatal.message, line=fatal.line, column=fatal.column)
         counter("xmi.load_issues", kind=fatal.kind).inc()
         return None, [fatal]
     with span("xmi.load") as load_span:
-        loader = _Loader(strict=strict, max_elements=max_elements, max_depth=max_depth)
+        loader = _Loader(document, strict, max_elements, max_depth)
         try:
             model = loader.load_model(model_node)
             loader.resolve()
@@ -542,15 +494,6 @@ def _load_document(
             load_span.set(issues=len(loader.issues))
         _log.debug("loaded model %r: %d element(s)", model.name, len(loader.by_id))
     return model, loader.issues
-
-
-def model_from_xmi(root: XmlElement) -> Model:
-    """Load a model from a parsed ``xmi:XMI`` element tree (strict mode)."""
-    model, _ = _load_document(
-        root, strict=True, max_elements=DEFAULT_MAX_ELEMENTS, max_depth=DEFAULT_MAX_DEPTH
-    )
-    assert model is not None  # strict mode raises instead
-    return model
 
 
 def _source_text(source: str | Path) -> str:
@@ -591,7 +534,7 @@ def load_xmi(
     with span("xmi.read", bytes=len(text)):
         counter("xmi.bytes_read").inc(len(text))
         try:
-            root = parse_xml(text)
+            document = read_document(text)
         except (ET.ParseError, ValueError) as error:
             if strict:
                 raise
@@ -601,7 +544,7 @@ def load_xmi(
             return LoadResult(
                 None, [LoadIssue("xml-syntax", f"not well-formed XML: {error}", source=located)]
             )
-        model, issues = _load_document(root, strict, max_elements, max_depth)
+        model, issues = _load_document(document, strict, max_elements, max_depth)
         return LoadResult(model, issues)
 
 

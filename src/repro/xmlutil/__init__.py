@@ -6,7 +6,9 @@ the pieces a schema/XMI toolchain normally takes from lxml:
 * :mod:`repro.xmlutil.escape` -- context-sensitive escaping/unescaping,
 * :mod:`repro.xmlutil.qname` -- qualified names and prefix resolution,
 * :mod:`repro.xmlutil.writer` -- a deterministic pretty-printing writer
-  built around an explicit element tree (:class:`XmlElement`).
+  built around an explicit element tree (:class:`XmlElement`),
+* :mod:`repro.xmlutil.reader` -- documents read into the ElementTree the
+  C parser builds, with the way back to names as written.
 
 Determinism matters: the figure benchmarks compare generated schemas
 byte-for-byte across runs.
@@ -20,7 +22,7 @@ from repro.xmlutil.qname import (
     resolve_prefixed,
     split_qname,
 )
-from repro.xmlutil.writer import XmlElement, XmlWriter, parse_xml
+from repro.xmlutil.writer import XmlElement, XmlWriter
 
 __all__ = [
     "QName",
@@ -31,7 +33,6 @@ __all__ = [
     "escape_attribute",
     "escape_text",
     "is_valid_xml_name",
-    "parse_xml",
     "resolve_prefixed",
     "split_qname",
 ]

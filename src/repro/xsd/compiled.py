@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import threading
 import xml.etree.ElementTree as ET
-import xml.parsers.expat
 from collections import OrderedDict
 from typing import Callable, Iterable
 
@@ -52,6 +51,7 @@ from repro.errors import InstanceValidationError, SchemaError
 from repro.obs.metrics import counter, gauge
 from repro.obs.trace import span
 from repro.xmlutil.qname import XML_NAMESPACE, QName, split_qname
+from repro.xmlutil.reader import parse_as_written, text_of
 from repro.xmlutil.writer import XmlElement
 from repro.xsd import datatypes
 from repro.xsd.components import (
@@ -97,13 +97,15 @@ def fingerprint_schema_set(schema_set: SchemaSet) -> str:
 #
 # Plans walk the ``xml.etree.ElementTree`` tree that ``ET.fromstring``
 # builds in C: tags and attribute names arrive in Clark notation
-# (``{namespace}local``), and element text is read through ``_text_of``,
-# which applies ``parse_xml``'s text rule.  The two inputs ElementTree
+# (``{namespace}local``), and element text is read through
+# :func:`~repro.xmlutil.reader.text_of`.  The two inputs ElementTree
 # cannot take directly -- text with an undeclared prefix, and
 # ``XmlElement`` trees -- go through one iterative prefix resolver
-# (``_Scope``) into an ``ET.TreeBuilder``, with ``parse_xml``'s error
-# messages.  ``_tree_of`` is also how ``repro.binding`` and the RELAX NG
-# validator read an ``XmlElement`` document.
+# (``_Scope``) in ``_tree_of``: the text first through
+# :func:`~repro.xmlutil.reader.parse_as_written`, the reader of every
+# document whose names the C parser cannot resolve.  ``_tree_of`` is
+# also how ``repro.binding`` and the RELAX NG validator read an
+# ``XmlElement`` document.
 
 #: Deepest element nesting a document may have.  The plan walk recurses
 #: once per level, so this stays well under the interpreter's recursion
@@ -119,15 +121,6 @@ def _clark_qname(name: str) -> QName:
         namespace, _, local = name[1:].partition("}")
         return QName(namespace, local)
     return QName("", name)
-
-
-def _text_of(element: ET.Element) -> str:
-    """``element``'s text under ``parse_xml``'s rule: only text before the
-    first child counts, and whitespace-only text only in childless elements."""
-    text = element.text
-    if not text or (len(element) and not text.strip()):
-        return ""
-    return text
 
 
 def _split(name: str) -> tuple[str | None, str]:
@@ -193,14 +186,12 @@ class _Scope:
 
 
 def _parse_document(text: str) -> ET.Element:
-    """Parse ``text`` into an ElementTree, matching ``parse_xml`` + ``_tree_of``.
+    """Parse ``text`` into a namespace-resolved ElementTree.
 
     Fast path: :func:`xml.etree.ElementTree.fromstring` resolves
-    namespaces in C; its parse-error messages are identical to
-    :func:`~repro.xmlutil.writer.parse_xml`'s.  The one divergence is an
-    undeclared prefix -- ElementTree rejects the document outright where
-    ``parse_xml`` + ``_tree_of`` parse it and then report the offending
-    element -- so that case falls back to :func:`_parse_document_expat`.
+    namespaces in C.  ElementTree rejects a document with an undeclared
+    prefix outright; that case goes through :func:`parse_as_written` and
+    :func:`_tree_of`, which report the offending element instead.
 
     A document can only breach :data:`max_depth` or :data:`max_elements`
     with more ``<`` than ``max_depth`` or through entity expansion, so
@@ -213,64 +204,44 @@ def _parse_document(text: str) -> ET.Element:
             raise InstanceValidationError(
                 f"document is not well-formed XML: {error}"
             ) from error
-        root = _parse_document_expat(text)
+        try:
+            written = parse_as_written(text)
+        except ET.ParseError as error:
+            # The unbound prefix was reported first; a later syntax error
+            # still makes the document malformed.
+            raise InstanceValidationError(
+                f"document is not well-formed XML: {error}"
+            ) from error
+        return _tree_of(written)
     if text.count("<") > max_depth or "<!ENTITY" in text:
         _check_bounds(root)
     return root
 
 
-def _parse_document_expat(text: str) -> ET.Element:
-    """Parse ``text`` with namespace processing off, resolving prefixes in Python.
-
-    Raises :class:`InstanceValidationError` with exactly the messages
-    ``parse_xml`` + ``_tree_of`` produce, for both malformed XML
-    and undeclared element prefixes.
-    """
-    parser = xml.parsers.expat.ParserCreate()
-    parser.ordered_attributes = True
-    parser.buffer_text = True
-    builder = ET.TreeBuilder()
-    scopes = [_Scope({})]
-
-    def handle_start(tag: str, attributes: list[str]) -> None:
-        pairs = zip(attributes[::2], attributes[1::2])
-        scopes.append(scopes[-1].start(builder, tag, pairs))
-
-    def handle_end(tag: str) -> None:
-        scopes.pop()
-        builder.end(tag)
-
-    parser.StartElementHandler = handle_start
-    parser.EndElementHandler = handle_end
-    parser.CharacterDataHandler = builder.data
-    try:
-        parser.Parse(text, True)
-    except xml.parsers.expat.ExpatError as error:
-        raise InstanceValidationError(
-            f"document is not well-formed XML: {error}"
-        ) from error
-    return builder.close()
-
-
-def _tree_of(document: XmlElement) -> ET.Element:
-    """``document`` as a namespace-resolved ElementTree (iteratively, so
-    any depth converts and then meets :func:`_check_bounds`)."""
+def _tree_of(document: XmlElement | ET.Element) -> ET.Element:
+    """``document``, an ``XmlElement`` tree or a :func:`parse_as_written`
+    tree, as a namespace-resolved ElementTree (iteratively, so any depth
+    converts and then meets :func:`_check_bounds`)."""
     builder = ET.TreeBuilder()
     scopes = [_Scope({})]
     # ``None`` marks the end of the element opened before it.
-    pending: list[XmlElement | None] = [document]
+    pending: list[XmlElement | ET.Element | None] = [document]
     while pending:
         element = pending.pop()
         if element is None:
             scopes.pop()
             builder.end("")
             continue
-        scopes.append(scopes[-1].start(builder, element.tag, element.attributes.items()))
-        text = element.text_content
+        if isinstance(element, ET.Element):
+            attributes, text, children = element.attrib.items(), element.text, list(element)
+        else:
+            attributes, text = element.attributes.items(), element.text_content
+            children = element.element_children
+        scopes.append(scopes[-1].start(builder, element.tag, attributes))
         if text:
             builder.data(text)
         pending.append(None)
-        pending.extend(reversed(element.element_children))
+        pending.extend(reversed(children))
     root = builder.close()
     _check_bounds(root)
     return root
@@ -498,7 +469,7 @@ class _SimplePlan:
         attrib = element.attrib
         if attrib:
             _EMPTY_ATTRS.run(attrib, segments, problems)
-        self.value.run(_text_of(element), segments, "", problems)
+        self.value.run(text_of(element), segments, "", problems)
 
 
 class _SimpleContentPlan:
@@ -532,7 +503,7 @@ class _SimpleContentPlan:
             problems.append(ValidationProblem(_materialize(segments), message))
         self.attrs.run(element.attrib, segments, problems)
         if self.value is not None:
-            self.value.run(_text_of(element), segments, "", problems)
+            self.value.run(text_of(element), segments, "", problems)
 
 
 class _ComplexPlan:

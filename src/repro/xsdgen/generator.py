@@ -841,6 +841,7 @@ class SchemaGenerator:
                     f"cannot generate a schema for library stereotype {stereotype!r}"
                 )
             counter("xsdgen.schemas_generated").inc()
+            counter("xsdgen.provenance_records").inc(len(builder.provenance))
         return (
             GeneratedSchema(
                 library,

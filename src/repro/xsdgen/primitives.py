@@ -69,11 +69,9 @@ def record_primitive_mapping(
     wrapper), so the record is built directly rather than via
     :func:`~repro.xsdgen.provenance.record_for`.
     """
-    from repro.obs.metrics import counter
     from repro.xsdgen.provenance import ProvenanceRecord
 
     qname = builtin_or_string(classifier.name)
-    counter("xsdgen.provenance_records").inc()
     builder.provenance.append(
         ProvenanceRecord(
             target_namespace=builder.namespace.urn,

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import CctsError
-from repro.obs.metrics import counter, gauge
+from repro.obs.metrics import gauge
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ccts.base import ElementWrapper
@@ -198,11 +198,11 @@ def record_for(
     based_on: str | None = None
     try:
         base = getattr(source, "based_on", None)
-        if base is not None and hasattr(base, "qualified_name"):
-            based_on = f"{base.stereotype} {base.qualified_name}"
+        qualified_name = getattr(base, "qualified_name", None)
+        if qualified_name is not None:
+            based_on = f"{base.stereotype} {qualified_name}"
     except CctsError:
         based_on = None
-    counter("xsdgen.provenance_records").inc()
     return ProvenanceRecord(
         target_namespace=namespace_urn,
         schema_file=schema_file,

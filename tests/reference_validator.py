@@ -27,7 +27,7 @@ from typing import Literal
 from repro.errors import InstanceValidationError
 from repro.instances.pipeline import BatchReport, DocumentReport, discover_corpus
 from repro.xmlutil.qname import XML_NAMESPACE, QName, split_qname
-from repro.xmlutil.writer import XmlElement, parse_xml
+from repro.xmlutil.writer import XmlElement
 from repro.xsd import datatypes
 from repro.xsd.components import (
     XSD_NS,
@@ -42,6 +42,8 @@ from repro.xsd.components import (
 )
 from repro.xsd.content_model import MAX_UNROLL, CompiledModel, MatchResult, Particle, SymbolOf
 from repro.xsd.validator import SchemaSet, ValidationProblem, _IGNORED_ATTR_NAMESPACES
+
+from tests.xml_oracle import parse_xml
 
 Engine = Literal["nfa", "backtracking"]
 

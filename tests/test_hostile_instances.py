@@ -41,13 +41,14 @@ from repro.serve import ServeApp, ServeConfig, UpccServer
 from repro.serve.loadgen import request_json
 from repro.xmi import write_xmi
 from repro.xmlutil.qname import QName
-from repro.xmlutil.writer import XmlElement, XmlWriter, parse_xml
+from repro.xmlutil.writer import XmlElement, XmlWriter
 from repro.xsd import compiled
 from repro.xsd.components import ComplexType, ElementDecl, Schema, SequenceGroup
 from repro.xsd.validator import SchemaSet, validate_instance
 from repro.xsdgen import GenerationOptions, SchemaGenerator
 
 from tests.reference_validator import reference_report
+from tests.xml_oracle import parse_xml
 
 ROOTS = {
     "easybiz": ("HoardingPermit", build_easybiz_model),
@@ -173,6 +174,45 @@ class TestStructuralMutations:
             document = InstanceGenerator(schema_set).generate(root)
             assert mutation(document)
             assert compiled_set.validate(document), mutation.__name__
+
+
+# -- malformed documents that also use an undeclared prefix ----------------------
+
+
+MALFORMED_WITH_UNBOUND_PREFIX = ["<p:a>", "<p:a><b></a>"]
+
+
+class TestMalformedWithUnboundPrefix:
+    """ElementTree reports the unbound prefix before the later syntax
+    error, so these take the as-written fallback, which must still end as
+    the document's own error rather than escape as ``ET.ParseError``."""
+
+    @pytest.mark.parametrize("text", MALFORMED_WITH_UNBOUND_PREFIX)
+    def test_validate(self, corpora, text):
+        with pytest.raises(ET.ParseError, match="unbound prefix"):
+            ET.fromstring(text)
+        with pytest.raises(InstanceValidationError, match="not well-formed XML"):
+            compiled.compile_schema_set(corpora["easybiz"][0]).validate(text)
+
+    @pytest.mark.parametrize("text", MALFORMED_WITH_UNBOUND_PREFIX)
+    def test_unmarshal(self, corpora, text):
+        with pytest.raises(InstanceValidationError, match="not well-formed XML"):
+            unmarshal(corpora["easybiz"][0], text)
+
+    @pytest.mark.parametrize("text", MALFORMED_WITH_UNBOUND_PREFIX)
+    def test_validate_string(self, pipeline, text):
+        report = pipeline.validate_string(text, "bad.xml")
+        assert not report.ok
+        assert report.error.startswith("document is not well-formed XML")
+
+    def test_batch_continues(self, pipeline, corpora):
+        schema_set, root = corpora["easybiz"]
+        good = XmlWriter().to_string(InstanceGenerator(schema_set).generate(root))
+        report = pipeline.run_strings(
+            [(f"bad{n}.xml", text) for n, text in enumerate(MALFORMED_WITH_UNBOUND_PREFIX)]
+            + [("good.xml", good)]
+        )
+        assert [document.ok for document in report.documents] == [False, False, True]
 
 
 # -- entity expansion -------------------------------------------------------------

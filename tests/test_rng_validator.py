@@ -34,8 +34,9 @@ from repro.rngen.validator import (
     group,
 )
 from repro.xmlutil.qname import QName
-from repro.xmlutil.writer import parse_xml
 from repro.xsd.validator import validate_instance
+
+from tests.xml_oracle import parse_xml
 
 
 @pytest.fixture

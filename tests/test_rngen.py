@@ -4,7 +4,8 @@ import pytest
 
 from repro.rngen import model_to_rdfs, rdfs_to_string, result_to_rng, rng_to_string
 from repro.rngen.relaxng import RNG_NS, XSD_DATATYPES
-from repro.xmlutil.writer import parse_xml
+
+from tests.xml_oracle import parse_xml
 
 
 @pytest.fixture

@@ -63,6 +63,62 @@ class TestAccessLog:
         assert log.path is None
         assert len(log.recent()) == 1
 
+    def test_ring_only_mode_builds_no_json(self, monkeypatch):
+        import repro.serve.access as access
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called without a log file")
+
+        monkeypatch.setattr(access.json, "dumps", refuse)
+        log = AccessLog()
+        for index in range(3):
+            log.log(method="GET", path="/stats", status=200, duration_ms=0.5,
+                    request_id=str(index))
+        assert len(log.recent()) == 3
+
+    def test_file_moved_from_outside_keeps_receiving_writes(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        log = AccessLog(path)
+        log.log(method="GET", path="/a", status=200, duration_ms=0.1)
+        moved = path.rename(tmp_path / "moved.jsonl")
+        log.log(method="GET", path="/b", status=200, duration_ms=0.1)
+        log.close()
+        assert [json.loads(line)["path"] for line in moved.read_text().splitlines()] == [
+            "/a", "/b"
+        ]
+        assert not path.exists()
+
+    def test_close_stops_file_writes_but_keeps_the_ring(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        log = AccessLog(path)
+        log.log(method="GET", path="/a", status=200, duration_ms=0.1)
+        log.close()
+        log.close()  # idempotent
+        log.log(method="GET", path="/b", status=200, duration_ms=0.1)
+        assert len(path.read_text().splitlines()) == 1
+        assert [record["path"] for record in log.recent()] == ["/a", "/b"]
+
+    def test_failed_open_is_retried_by_the_next_record(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        path = tmp_path / "access.jsonl"
+        real_open = Path.open
+        failures = []
+
+        def fail_once(self, *args, **kwargs):
+            if not failures:
+                failures.append(self)
+                raise OSError("EMFILE: too many open files")
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", fail_once)
+        log = AccessLog(path)
+        assert failures == [path]
+        log.log(method="GET", path="/a", status=200, duration_ms=0.1)
+        log.close()
+        assert [json.loads(line)["path"] for line in path.read_text().splitlines()] == ["/a"]
+        assert log.lines_written == 1
+
     def test_creates_parent_directories(self, tmp_path):
         nested = tmp_path / "logs" / "deep" / "access.jsonl"
         AccessLog(nested).log(
@@ -198,6 +254,22 @@ class TestAccessLogRotation:
         assert log.rotations == 0
         assert log._bytes == path.stat().st_size
 
+    def test_thousand_records_stay_bounded_and_parse(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        log = AccessLog(path, max_bytes=4096, keep_rolled=2)
+        self._fill(log, 1000)
+        log.close()
+        files = sorted(tmp_path.iterdir())
+        assert {file.name for file in files} <= {
+            "access.jsonl", "access.jsonl.1", "access.jsonl.2"
+        }
+        for file in files:
+            # One record may push a file past the bound before it rotates.
+            assert file.stat().st_size <= 4096 + 300
+            for line in file.read_text(encoding="utf-8").splitlines():
+                json.loads(line)
+        assert log.rotations > 10
+
     def test_failed_rotation_keeps_counter_and_retries(self, tmp_path, monkeypatch):
         from pathlib import Path
 
@@ -219,6 +291,28 @@ class TestAccessLogRotation:
         self._fill(log, 1)
         assert log.rotations == 1
         assert path.with_name("access.jsonl.1").exists()
+
+    def test_failed_reopen_after_rotation_is_retried(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        path = tmp_path / "access.jsonl"
+        log = AccessLog(path, max_bytes=300, keep_rolled=2)
+        real_open = Path.open
+        failures = []
+
+        def fail_once(self, *args, **kwargs):
+            if not failures:
+                failures.append(self)
+                raise OSError("ENOSPC: no space left on device")
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", fail_once)
+        while not failures:
+            self._fill(log, 1)
+        assert log.rotations == 1
+        self._fill(log, 1, path="/after")
+        log.close()
+        assert json.loads(path.read_text().splitlines()[-1])["path"] == "/after"
 
 
 class TestTraceIdField:

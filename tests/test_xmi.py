@@ -6,9 +6,8 @@ from repro.ccts.model import CctsModel
 from repro.errors import XmiError
 from repro.interchange import diff_models
 from repro.uml.classifier import Enumeration
-from repro.xmi import model_from_xmi, read_xmi, write_xmi
+from repro.xmi import read_xmi, write_xmi
 from repro.xmi.ids import assign_ids
-from repro.xmlutil.writer import parse_xml
 
 
 class TestWriter:
@@ -135,11 +134,11 @@ class TestSourceClassification:
 class TestReaderErrors:
     def test_non_xmi_root_rejected(self):
         with pytest.raises(XmiError):
-            model_from_xmi(parse_xml("<notxmi/>"))
+            read_xmi("<notxmi/>")
 
     def test_missing_model_rejected(self):
         with pytest.raises(XmiError):
-            model_from_xmi(parse_xml('<xmi:XMI xmlns:xmi="http://www.omg.org/XMI"/>'))
+            read_xmi('<xmi:XMI xmlns:xmi="http://www.omg.org/XMI"/>')
 
     def test_duplicate_id_rejected(self, figure1):
         text = write_xmi(figure1.model.model)

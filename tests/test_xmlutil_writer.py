@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.xmlutil.escape import is_valid_xml_name
-from repro.xmlutil.writer import XmlElement, XmlWriter, parse_xml
+from repro.xmlutil.writer import XmlElement, XmlWriter
+
+from tests.xml_oracle import parse_xml
 
 
 class TestXmlElement:
