@@ -110,8 +110,9 @@ def _cmd_validate_xmi(args: argparse.Namespace) -> int:
             defects += 1
             continue
         except (ET.ParseError, ValueError) as error:  # strict-mode syntax errors
+            # expat counts columns from 0; every located diagnostic is 1-based.
             position = getattr(error, "position", None)
-            location = ":".join(str(part) for part in position) if position else ""
+            location = f"{position[0]}:{position[1] + 1}" if position else ""
             where = f"{name}:{location}" if location else name
             print(f"{where}: error: not well-formed XML: {error}", file=sys.stderr)
             defects += 1
@@ -766,12 +767,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=4, metavar="K",
-        help="worker threads handling queued requests (default 4)",
+        help="requests run at once; more wait for a slot (default 4)",
     )
     serve.add_argument(
         "--queue-size", type=int, default=64, metavar="N",
-        help="bounded request queue; overflow is rejected with 503 + "
-        "Retry-After (default 64)",
+        help="requests that may wait for a run slot; overflow is rejected "
+        "with 503 + Retry-After (default 64)",
     )
     serve.add_argument(
         "--timeout", type=float, default=30.0, metavar="SECONDS",
@@ -789,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--access-log", metavar="FILE",
         help="append one JSON line per request to FILE (method, path, "
-        "status, duration, queue wait, worker, request id, trace id)",
+        "status, duration, queue wait, request id, trace id)",
     )
     serve.add_argument(
         "--access-log-max-bytes", type=int, metavar="BYTES",

@@ -11,7 +11,7 @@ pre-register anything::
         run_rule()
 
 Every instrument carries its *own* lock, so two counters incremented from
-different serve worker threads never contend with each other; the
+different serve connection threads never contend with each other; the
 registry lock is only taken on first-creation and while snapshotting.
 Histograms additionally bucket every observation into a fixed log-scale
 latency ladder (:data:`DEFAULT_BUCKETS`, milliseconds), from which

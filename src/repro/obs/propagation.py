@@ -17,9 +17,10 @@ its clients, per the `W3C Trace Context
 * a :mod:`contextvars` slot (:func:`current_trace_context` /
   :func:`use_trace_context`) so code deep in the pipeline -- metric
   exemplars, access logs, slow-trace captures -- can read the active
-  trace identity without threading it through every call.  The slot
-  rides the same ``contextvars.copy_context()`` snapshot the serve
-  worker pool already propagates across its thread hop.
+  trace identity without threading it through every call.  The serve
+  daemon sets it on the connection thread that runs the request; code
+  that hops threads carries it in a ``contextvars.copy_context()``
+  snapshot.
 
 Stdlib-only; ids come from :func:`os.urandom` (the spec requires random,
 not sequential, ids).
@@ -177,8 +178,8 @@ def render_tracestate(entries: tuple[tuple[str, str], ...] | list[tuple[str, str
 
 
 #: The ambient trace identity of the current execution context.  Rides
-#: ``contextvars.copy_context()`` snapshots, so the serve worker pool's
-#: thread hop preserves it without extra plumbing.
+#: ``contextvars.copy_context()`` snapshots, so a thread hop that runs
+#: its work inside one preserves it without extra plumbing.
 _current: contextvars.ContextVar[TraceContext | None] = contextvars.ContextVar(
     "repro_obs_trace_context", default=None
 )

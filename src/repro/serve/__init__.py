@@ -10,13 +10,15 @@ pipeline into one process that stays warm:
   and a fingerprint-keyed schema-set registry,
 * :class:`~repro.serve.server.UpccServer` /
   :class:`~repro.serve.server.ServeConfig` -- the stdlib HTTP daemon:
-  bounded worker pool, 503 backpressure, per-request timeouts, graceful
-  drain with zero dropped responses,
+  work runs on the connection thread behind one admission counter
+  (``workers`` run, ``queue_size`` wait first come first served), 503
+  backpressure, per-request timeouts, graceful drain with zero dropped
+  responses,
 * :mod:`repro.serve.access` -- structured JSON-lines request logging
   (request ids, queue-wait attribution) and the bounded slow-request
   span-capture store,
 * :mod:`repro.serve.loadgen` -- the stdlib load generator driving the
-  throughput benchmark and the CI smoke test,
+  load tests and the CI smoke test,
 * :mod:`repro.serve.top` -- the ``upcc top`` terminal dashboard polling
   ``/stats`` + ``/metrics``.
 

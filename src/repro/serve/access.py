@@ -3,8 +3,8 @@
 Two small, thread-safe stores the HTTP layer writes into:
 
 * :class:`AccessLog` -- one JSON object per finished request (method,
-  path, status, ``duration_ms``, ``queue_wait_ms``, worker, request id,
-  root span id), appended to a JSON-lines file when a path is configured
+  path, status, ``duration_ms``, ``queue_wait_ms``, request id, root
+  span id, trace id), appended to a JSON-lines file when a path is configured
   and always kept in a bounded in-memory ring surfaced by ``GET /stats``.
   Request ids come from :func:`new_request_id` (or the client's
   ``X-Request-Id``) and are echoed back on every response, so one id
@@ -40,7 +40,7 @@ _log = get_logger("repro.serve")
 #: Keys every access-log record carries, in emission order.
 ACCESS_LOG_FIELDS = (
     "ts", "method", "path", "status", "duration_ms", "queue_wait_ms",
-    "worker", "request_id", "span_id", "trace_id",
+    "request_id", "span_id", "trace_id",
 )
 
 
@@ -142,7 +142,6 @@ class AccessLog:
         status: int,
         duration_ms: float,
         queue_wait_ms: float = 0.0,
-        worker: str = "inline",
         request_id: str = "",
         span_id: str | None = None,
         trace_id: str = "",
@@ -155,7 +154,6 @@ class AccessLog:
             "status": status,
             "duration_ms": round(duration_ms, 3),
             "queue_wait_ms": round(queue_wait_ms, 3),
-            "worker": worker,
             "request_id": request_id,
             "span_id": span_id,
             "trace_id": trace_id,
@@ -198,8 +196,8 @@ class SlowRequestStore:
     of *captures* in the directory; exceeding it deletes the oldest pair.
     Captures an earlier store left in the directory are indexed on
     construction, oldest first, so the bound holds across restarts.  All
-    methods are thread-safe -- multiple workers can cross the threshold
-    at once.
+    methods are thread-safe -- several connection threads can cross the
+    threshold at once.
     """
 
     def __init__(self, directory: str | Path, keep: int = 32) -> None:

@@ -16,9 +16,9 @@
   re-shipping schema documents on every request.
 
 Every handler takes plain dicts and returns ``(http status, payload)``;
-the HTTP layer (:mod:`repro.serve.server`) does framing, queueing and
+the HTTP layer (:mod:`repro.serve.server`) does framing, admission and
 backpressure.  Handlers never raise for bad input -- defects become 4xx
-payloads -- so one malformed request can never take a worker down.
+payloads -- so one malformed request can never take a connection down.
 
 The ``/generate`` and ``/validate`` payloads are byte-compatible with the
 CLI paths: schema texts are exactly what ``upcc generate --out`` writes,
@@ -67,10 +67,11 @@ class SchemaSetEntry:
 class ServeApp:
     """The daemon's shared request-handling state and endpoint logic.
 
-    Thread-safe: handlers run on the server's worker pool, so every
-    mutable structure is guarded.  The expensive state (generation cache,
-    compilation cache) is the *process-wide* instances -- a CLI run in the
-    same process, or a second ``ServeApp``, shares the same warm paths.
+    Thread-safe: handlers run on the server's connection threads, up to
+    ``workers`` at once, so every mutable structure is guarded.  The
+    expensive state (generation cache, compilation cache) is the
+    *process-wide* instances -- a CLI run in the same process, or a second
+    ``ServeApp``, shares the same warm paths.
     """
 
     def __init__(

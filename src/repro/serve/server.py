@@ -1,36 +1,32 @@
-"""The ``upcc serve`` HTTP daemon: worker pool, backpressure, graceful drain.
+"""The ``upcc serve`` HTTP daemon: admission control, backpressure, graceful drain.
 
-Stdlib only.  A :class:`ThreadingHTTPServer` accepts connections; each
-connection thread parses the request and -- for the work endpoints
-(``/generate``, ``/validate``, ``/explain``) -- enqueues a :class:`_Job`
-onto a *bounded* queue consumed by ``workers`` long-lived worker threads,
-then waits (with the per-request timeout) for the job's done-event.  This
-decouples concurrency admission from connection count:
-
-* queue full           -> immediate ``503`` with ``Retry-After`` (backpressure),
-* job waited too long  -> ``504``; the job is flagged abandoned so a worker
-  never burns CPU on a response nobody is waiting for,
-* draining             -> new work gets ``503``, queued work still completes.
-
-``/healthz`` and ``/stats`` are answered inline on the connection thread so
-they stay responsive while the pool is saturated -- exactly when an
-operator needs them.
+Stdlib only.  A :class:`ThreadingHTTPServer` accepts connections, and each
+connection thread runs the request it parsed; there is no worker pool.
+The work endpoints (``/generate``, ``/validate``, ``/explain``) first take
+a run slot from one lock-and-condition counter in :class:`UpccServer`:
+at most ``workers`` run at once and at most ``queue_size`` wait, first
+come, first served.  Overflow, and any request arriving while draining,
+gets ``503`` with ``Retry-After``; a request whose timeout passes while
+it waits gets ``504`` at its deadline and never runs, and one whose
+timeout passes while it runs gets ``504`` when its work returns.
+``/healthz``, ``/stats``, ``/metrics``, ``/slow`` and ``/alerts`` bypass
+admission, so they stay responsive while every slot is busy.
 
 Graceful drain (:meth:`UpccServer.drain`, wired to ``SIGTERM``/``SIGINT``
-by the CLI): stop admitting work, let the queue and in-flight jobs finish,
-stop the workers, then shut the listener down.  Connection threads are
-non-daemon and ``server_close`` joins them, so every admitted request gets
-its response bytes written before the process exits -- zero dropped
+by the CLI): stop admitting work, wait on the counter until no request
+runs or waits, then shut the listener down.  Connection threads are
+non-daemon and ``server_close`` joins them, so every admitted request
+gets its response bytes written before the process exits -- zero dropped
 responses, asserted by ``tests/test_serve.py``.
 
-Observability: every request runs under a ``serve.request`` span (the
-worker executes the job inside the connection thread's snapshot of the
-trace context, so pipeline child spans parent under it across the thread
-hop) and records ``serve.requests_total{endpoint=..}``,
+Observability: every request runs under a ``serve.request`` span on its
+connection thread, so pipeline child spans parent under it and its
+``cpu_ms`` includes the work.  Each request records
+``serve.requests_total{endpoint=..}``,
 ``serve.responses_total{code=..}``, ``serve.request_ms{endpoint=..}`` (from
 before the body read to after the socket write),
 ``serve.stage_ms{endpoint=..,stage=read|decode|queue|work|log|encode|write|other}``
-(which sum to ``serve.request_ms``),
+(which sum to ``serve.request_ms``; ``queue`` is the admission wait),
 ``serve.queue_depth`` and ``serve.rejected_total{reason=..}``.  Incoming
 W3C ``traceparent``/``tracestate`` headers are adopted: the trace id is
 echoed on the response, stamped on the access-log record and the
@@ -44,13 +40,12 @@ evaluates burn rates on the runtime collector's cadence and serves
 
 from __future__ import annotations
 
-import contextvars
 import json
-import queue
 import re
 import select
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
@@ -95,7 +90,7 @@ describe("serve.request_ms",
 describe("serve.stage_ms",
          "Milliseconds per request stage (read, decode, queue, work, log, encode, "
          "write, other), by endpoint; a request's stages sum to its serve.request_ms.")
-describe("serve.queue_depth", "Jobs currently waiting in the bounded work queue.")
+describe("serve.queue_depth", "Work requests currently waiting for a run slot.")
 describe("serve.slow_requests_total",
          "Requests over the --slow-ms threshold whose span tree was captured.")
 describe("serve.model_cache_hits", "Model cache lookups served from memory.")
@@ -113,8 +108,8 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  #: 0 = ephemeral; read the bound port from ``UpccServer.port``
-    workers: int = 4
-    queue_size: int = 64
+    workers: int = 4  #: requests that run their work at once
+    queue_size: int = 64  #: requests that may wait for a run slot (more get 503)
     timeout_s: float = 30.0  #: per-request ceiling before the client gets a 504
     drain_timeout_s: float = 10.0
     max_body_bytes: int = 32 * 1024 * 1024
@@ -133,71 +128,6 @@ class ServeConfig:
             raise ValueError("ServeConfig needs workers >= 1")
         if self.queue_size < 1:
             raise ValueError("ServeConfig needs queue_size >= 1")
-
-
-class _Job:
-    """One unit of queued work plus its completion handshake.
-
-    The connection thread waits on ``done``; the worker publishes
-    ``result`` then sets it.  ``abandon()`` (called when the wait times
-    out) wins any race with ``claim()`` (called by the worker before
-    executing), so a timed-out job is either never run or its result is
-    discarded -- but never both executed *and* re-queued.
-    """
-
-    __slots__ = (
-        "endpoint", "fn", "context", "done", "result", "_state", "_lock",
-        "enqueued_at", "claimed_at", "finished_at", "worker",
-    )
-
-    def __init__(self, endpoint: str, fn: Callable[[], tuple[int, dict]]) -> None:
-        self.endpoint = endpoint
-        self.fn = fn
-        # Snapshot the caller's trace context at enqueue time so the
-        # worker's child spans parent under this request's serve.request.
-        self.context = contextvars.copy_context()
-        self.done = threading.Event()
-        self.result: tuple[int, dict] | None = None
-        self._state = "queued"
-        self._lock = threading.Lock()
-        self.enqueued_at = time.perf_counter()
-        self.claimed_at: float | None = None
-        self.finished_at: float | None = None
-        self.worker: str | None = None
-
-    @property
-    def queue_wait_ms(self) -> float:
-        """Milliseconds the job sat queued before a worker claimed it."""
-        if self.claimed_at is None:
-            return 0.0
-        return (self.claimed_at - self.enqueued_at) * 1000.0
-
-    @property
-    def work_ms(self) -> float:
-        """Milliseconds a worker spent executing the job."""
-        if self.claimed_at is None or self.finished_at is None:
-            return 0.0
-        return (self.finished_at - self.claimed_at) * 1000.0
-
-    def claim(self) -> bool:
-        """Worker-side: take the job; False if the client already gave up."""
-        with self._lock:
-            if self._state != "queued":
-                return False
-            self._state = "running"
-            return True
-
-    def abandon(self) -> bool:
-        """Client-side: give up on the job; False if a worker already has it."""
-        with self._lock:
-            if self._state != "queued":
-                return False
-            self._state = "abandoned"
-            return True
-
-    def finish(self, result: tuple[int, dict]) -> None:
-        self.result = result
-        self.done.set()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -262,12 +192,12 @@ class _Handler(BaseHTTPRequestHandler):
         url = urlsplit(self.path)
         params = {key: values[0] for key, values in parse_qs(url.query).items()}
         if url.path == "/healthz":
-            self._respond_inline("healthz", lambda: self.upcc.app.health(self.upcc.draining))
+            self._respond("healthz", lambda: self.upcc.app.health(self.upcc.draining))
         elif url.path == "/stats":
-            self._respond_inline("stats", self.upcc.app.stats)
+            self._respond("stats", self.upcc.app.stats)
         elif url.path == "/metrics":
-            # Answered inline (like /healthz) so scrapes stay responsive
-            # while the worker pool is saturated.  Exemplars are an
+            # Bypasses admission (like /healthz) so scrapes stay
+            # responsive while every run slot is busy.  Exemplars are an
             # OpenMetrics-only feature the classic 0.0.4 parser rejects,
             # so they are served only to scrapers that Accept the
             # OpenMetrics content type.
@@ -282,14 +212,14 @@ class _Handler(BaseHTTPRequestHandler):
                 OPENMETRICS_CONTENT_TYPE if openmetrics else PROMETHEUS_CONTENT_TYPE,
             )
         elif url.path == "/slow":
-            self._respond_inline("slow", lambda: self.upcc.slow_requests(
+            self._respond("slow", lambda: self.upcc.slow_requests(
                 trace_id=params.get("trace_id"),
                 request_id=params.get("request_id"),
             ))
         elif url.path == "/alerts":
-            self._respond_inline("alerts", self.upcc.alerts)
+            self._respond("alerts", self.upcc.alerts)
         elif url.path == "/explain":
-            self._dispatch("explain", lambda: self.upcc.app.explain(params))
+            self._respond("explain", lambda: self.upcc.app.explain(params), admit=True)
         else:
             self._send(404, {"error": f"no such endpoint: GET {url.path}"})
 
@@ -317,7 +247,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.close_connection = True
             self._send(error.status, {"error": str(error)})
             return
-        self._dispatch(endpoint, lambda: handler(payload))
+        self._respond(endpoint, lambda: handler(payload), admit=True)
 
     # -- plumbing --------------------------------------------------------------
 
@@ -366,32 +296,42 @@ class _Handler(BaseHTTPRequestHandler):
         self._timed("decode", started)
         return payload
 
-    def _respond_inline(self, endpoint: str, fn: Callable[[], tuple[int, Any]]) -> None:
-        """Answer on the connection thread (healthz/stats never queue)."""
+    def _respond(
+        self, endpoint: str, fn: Callable[[], tuple[int, Any]], admit: bool = False
+    ) -> None:
+        """Run ``fn`` on this thread under the serve.request span, then reply.
+
+        Work endpoints (``admit``) first take a run slot from the server's
+        admission counter; the endpoints that bypass it stay responsive
+        while every slot is busy.
+        """
+        upcc = self.upcc
         with use_trace_context(self._trace_context):
             with span("serve.request", **self._span_attributes(endpoint)) as request_span:
                 started = time.perf_counter()
-                status, payload = fn()
-                self._timed("work", started)
+                deadline = started + upcc.config.timeout_s
+                refusal = upcc.admit(deadline) if admit else None
+                if admit:
+                    started = self._timed("queue", started)
+                if refusal is not None:
+                    status, payload = refusal
+                else:
+                    try:
+                        status, payload = fn()
+                    except Exception as error:  # noqa: BLE001 -- answer, don't drop
+                        _log.exception("unhandled error serving /%s", endpoint)
+                        status, payload = 500, {
+                            "error": f"internal error: {error.__class__.__name__}: {error}"
+                        }
+                    finally:
+                        if admit:
+                            upcc.release()
+                    finished = self._timed("work", started)
+                    if admit and finished > deadline:
+                        status, payload = upcc.timed_out()
                 request_span.set(status=status)
-        self._reply(endpoint, status, payload, request_span=request_span)
-
-    def _dispatch(self, endpoint: str, fn: Callable[[], tuple[int, dict]]) -> None:
-        """Admit work onto the queue and wait for (or give up on) its result."""
-        upcc = self.upcc
-        # The trace context is entered before the job exists: _Job's
-        # contextvars snapshot then carries it (with the serve.request
-        # span) across the worker-thread hop.
-        with use_trace_context(self._trace_context):
-            with span("serve.request", **self._span_attributes(endpoint)) as request_span:
-                status, payload, job = upcc.submit_job(endpoint, fn)
-                request_span.set(status=status)
-        if job is not None:
-            self._stages["queue"] = job.queue_wait_ms
-            self._stages["work"] = job.work_ms
         headers = {"Retry-After": "1"} if status == 503 else None
-        self._reply(endpoint, status, payload, headers=headers,
-                    request_span=request_span, job=job)
+        self._reply(endpoint, status, payload, headers=headers, request_span=request_span)
 
     def _reply(
         self,
@@ -401,18 +341,17 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str = "application/json",
         headers: dict[str, str] | None = None,
         request_span: Any = None,
-        job: "_Job | None" = None,
     ) -> None:
         """Count, log, encode and send one response, then time the request.
 
         ``serve.request_ms`` and ``serve.stage_ms`` are observed after the
         socket write, so they cover everything the client waits for.  The
         stages tile the request: whatever no named stage covers (routing,
-        thread hand-offs, counting) is observed as stage ``other``.
+        counting) is observed as stage ``other``.
         """
         self._count(endpoint, status)
         started = time.perf_counter()
-        self._access(status, request_span=request_span, job=job)
+        self._access(status, request_span=request_span)
         started = self._timed("log", started)
         if isinstance(payload, str):
             body = payload.encode("utf-8")
@@ -435,12 +374,7 @@ class _Handler(BaseHTTPRequestHandler):
         counter("serve.requests_total", endpoint=endpoint).inc()
         counter("serve.responses_total", code=status).inc()
 
-    def _access(
-        self,
-        status: int,
-        request_span: Any = None,
-        job: "_Job | None" = None,
-    ) -> None:
+    def _access(self, status: int, request_span: Any = None) -> None:
         """Write the request's access-log record and, past the slow
         threshold, hand its span tree to the capture store."""
         duration_ms = (time.perf_counter() - self._started) * 1000.0
@@ -453,8 +387,7 @@ class _Handler(BaseHTTPRequestHandler):
             path=self.path,
             status=status,
             duration_ms=duration_ms,
-            queue_wait_ms=job.queue_wait_ms if job is not None else 0.0,
-            worker=(job.worker if job is not None and job.worker else "inline"),
+            queue_wait_ms=self._stages.get("queue", 0.0),
             request_id=self._request_id,
             span_id=real_span.span_id if real_span is not None else None,
             trace_id=trace_id,
@@ -529,14 +462,14 @@ class _HttpServer(ThreadingHTTPServer):
     # them, so drain cannot finish before every response is written.
     daemon_threads = False
     block_on_close = True
-    # The default listen(5) backlog rejects bursts the bounded queue is
+    # The default listen(5) backlog rejects bursts that admission is
     # designed to absorb (as 503s); admit the burst, answer it properly.
     request_queue_size = 128
     upcc_server: "UpccServer"
 
 
 class UpccServer:
-    """The long-running daemon: listener + bounded queue + worker pool.
+    """The long-running daemon: listener + admission counter.
 
     Lifecycle: ``start()`` binds and spins everything up (``port`` resolves
     the ephemeral port); ``drain()`` performs the graceful shutdown and
@@ -549,10 +482,11 @@ class UpccServer:
         self.app = app if app is not None else ServeApp()
         self.config = config if config is not None else ServeConfig()
         self.draining = False
-        self._queue: queue.Queue[_Job | None] = queue.Queue(self.config.queue_size)
-        self._inflight = 0
-        self._idle = threading.Condition()
-        self._workers: list[threading.Thread] = []
+        #: Admission state, guarded by ``_admission``: requests running
+        #: their work, and the FIFO of requests waiting for a slot.
+        self._admission = threading.Condition()
+        self._running = 0
+        self._waiting: deque[object] = deque()
         self._serve_thread: threading.Thread | None = None
         self._httpd: _HttpServer | None = None
         self._started = False
@@ -611,12 +545,6 @@ class UpccServer:
             (self.config.host, self.config.port), _Handler
         )
         self._httpd.upcc_server = self
-        for index in range(self.config.workers):
-            worker = threading.Thread(
-                target=self._worker_loop, name=f"upcc-serve-worker-{index}", daemon=True
-            )
-            worker.start()
-            self._workers.append(worker)
         self._serve_thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -652,49 +580,39 @@ class UpccServer:
         return f"http://{self.host}:{self.port}"
 
     def info(self) -> dict[str, Any]:
-        """Queue/pool facts for ``/stats``."""
-        return {
-            "workers": self.config.workers,
-            "queue_size": self.config.queue_size,
-            "queue_depth": self._queue.qsize(),
-            "inflight": self._inflight,
-            "draining": self.draining,
-        }
+        """Admission facts for ``/stats``: ``inflight`` requests run their
+        work, ``queue_depth`` requests wait for a slot."""
+        with self._admission:
+            return {
+                "workers": self.config.workers,
+                "queue_size": self.config.queue_size,
+                "queue_depth": len(self._waiting),
+                "inflight": self._running,
+                "draining": self.draining,
+            }
 
     def drain(self, timeout_s: float | None = None) -> bool:
         """Gracefully stop: reject new work, finish admitted work, shut down.
 
-        Returns True when the queue emptied and all in-flight jobs finished
-        within the timeout (``config.drain_timeout_s`` by default); on
-        False the server is still shut down, but some queued jobs were
-        discarded (their clients received 503s at admission, never
-        silence).
+        Returns True when no request was running or waiting within the
+        timeout (``config.drain_timeout_s`` by default); on False the
+        server is still shut down, and the connection threads still
+        running work are joined before this returns.
         """
         if not self._started:
             return True
         deadline = time.monotonic() + (
             self.config.drain_timeout_s if timeout_s is None else timeout_s
         )
-        self.draining = True
         clean = True
-        with self._idle:
-            while self._queue.qsize() > 0 or self._inflight > 0:
+        with self._admission:
+            self.draining = True
+            while self._running or self._waiting:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._idle.wait(timeout=min(remaining, 0.1)):
-                    if deadline - time.monotonic() <= 0:
-                        clean = False
-                        break
-        for _ in self._workers:
-            # Sentinels wake every worker; queue.put may block briefly if
-            # an unclean drain left the queue full, hence the timeout.
-            try:
-                self._queue.put(None, timeout=0.5)
-            except queue.Full:
-                clean = False
-        for worker in self._workers:
-            worker.join(timeout=max(0.1, deadline - time.monotonic() + 1.0))
-            if worker.is_alive():
-                clean = False
+                if remaining <= 0:
+                    clean = False
+                    break
+                self._admission.wait(remaining)
         assert self._httpd is not None
         # Empty the TCP accept backlog before closing the listener: a
         # client whose connect() already succeeded must get a real
@@ -792,74 +710,55 @@ class UpccServer:
 
     # -- work admission --------------------------------------------------------
 
-    def submit_job(
-        self, endpoint: str, fn: Callable[[], tuple[int, dict]]
-    ) -> tuple[int, dict, _Job | None]:
-        """Queue one unit of work and wait for its result (connection
-        thread); returns status, payload and the job (for access-log
-        queue-wait/worker attribution), which is None when admission
-        rejected the request before a job existed."""
-        if self.draining:
-            self._rejected_draining.inc()
-            return 503, {"error": "server is draining"}, None
-        job = _Job(endpoint, fn)
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            self._rejected_backpressure.inc()
-            return 503, {"error": "request queue is full, retry later"}, None
-        self._queue_depth.set(self._queue.qsize())
-        if job.done.wait(timeout=self.config.timeout_s):
-            assert job.result is not None
-            return job.result[0], job.result[1], job
-        if job.abandon():
-            # Never claimed: it will be skipped when a worker dequeues it.
-            with self._idle:
-                self._idle.notify_all()
-            self._rejected_timeout.inc()
-            return 504, {"error": f"request timed out after {self.config.timeout_s}s"}, job
-        # A worker claimed it while we were giving up; the result is
-        # imminent -- grant a short grace so the work isn't wasted.
-        if job.done.wait(timeout=1.0):
-            assert job.result is not None
-            return job.result[0], job.result[1], job
+    def admit(self, deadline: float) -> tuple[int, dict] | None:
+        """Take a run slot for one work request; None once it is taken.
+
+        A request runs at once when a slot is free and nobody waits;
+        otherwise it joins the FIFO of waiters, and only the head of the
+        FIFO may take a freed slot, so a new arrival never overtakes a
+        waiter.  Returns the refusal instead: ``503`` while draining or
+        when ``queue_size`` requests already wait, ``504`` when
+        ``deadline`` (a ``time.perf_counter`` value) passes first.  The
+        caller must :meth:`release` a slot it was given.
+        """
+        workers = self.config.workers
+        with self._admission:
+            if self.draining:
+                self._rejected_draining.inc()
+                return 503, {"error": "server is draining"}
+            if self._running < workers and not self._waiting:
+                self._running += 1
+                return None
+            if len(self._waiting) >= self.config.queue_size:
+                self._rejected_backpressure.inc()
+                return 503, {"error": "request queue is full, retry later"}
+            ticket = object()
+            self._waiting.append(ticket)
+            self._queue_depth.set(len(self._waiting))
+            while self._waiting[0] is not ticket or self._running >= workers:
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    self._waiting.remove(ticket)
+                    self._queue_depth.set(len(self._waiting))
+                    # The next waiter may now head the FIFO (and drain
+                    # may be waiting for the FIFO to empty).
+                    self._admission.notify_all()
+                    return self.timed_out()
+                self._admission.wait(remaining)
+            self._waiting.popleft()
+            self._queue_depth.set(len(self._waiting))
+            self._running += 1
+            # A second free slot may be waiting for the new head.
+            self._admission.notify_all()
+            return None
+
+    def release(self) -> None:
+        """Give back a run slot taken by :meth:`admit`."""
+        with self._admission:
+            self._running -= 1
+            self._admission.notify_all()
+
+    def timed_out(self) -> tuple[int, dict]:
+        """The ``504`` for a request whose deadline passed (counted)."""
         self._rejected_timeout.inc()
-        return 504, {"error": f"request timed out after {self.config.timeout_s}s"}, job
-
-    # -- worker side -----------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            self._queue_depth.set(self._queue.qsize())
-            if job is None:
-                return
-            if not job.claim():  # client gave up while the job was queued
-                self._job_done()
-                continue
-            job.claimed_at = time.perf_counter()
-            job.worker = threading.current_thread().name
-            with self._idle:
-                self._inflight += 1
-            try:
-                # Run inside the connection thread's context snapshot so
-                # pipeline spans parent under its serve.request span.
-                result = job.context.run(self._execute, job)
-                job.finished_at = time.perf_counter()
-            finally:
-                with self._idle:
-                    self._inflight -= 1
-                self._job_done()
-            job.finish(result)
-
-    def _execute(self, job: _Job) -> tuple[int, dict]:
-        try:
-            return job.fn()
-        except Exception as error:  # noqa: BLE001 -- a worker must survive anything
-            _log.exception("unhandled error serving /%s", job.endpoint)
-            return 500, {"error": f"internal error: {error.__class__.__name__}: {error}"}
-
-    def _job_done(self) -> None:
-        self._queue.task_done()
-        with self._idle:
-            self._idle.notify_all()
+        return 504, {"error": f"request timed out after {self.config.timeout_s}s"}

@@ -188,7 +188,7 @@ def render_board(
                 f"    {record.get('method', '?'):>4} {record.get('path', '?'):<12} "
                 f"{record.get('status', 0):>3}  {record.get('duration_ms', 0.0):>9.2f}ms  "
                 f"wait {record.get('queue_wait_ms', 0.0):>7.2f}ms  "
-                f"{record.get('worker', '')}  {record.get('request_id', '')}"
+                f"{record.get('request_id', '')}"
             )
     else:
         lines.append("    (none yet)")

@@ -538,8 +538,9 @@ def load_xmi(
         except (ET.ParseError, ValueError) as error:
             if strict:
                 raise
+            # expat counts columns from 0; every located diagnostic is 1-based.
             position = getattr(error, "position", None)
-            located = SourceLocation(*position) if position else None
+            located = SourceLocation(position[0], position[1] + 1) if position else None
             counter("xmi.load_issues", kind="xml-syntax").inc()
             return LoadResult(
                 None, [LoadIssue("xml-syntax", f"not well-formed XML: {error}", source=located)]

@@ -28,8 +28,7 @@ class TestAccessLog:
         log = AccessLog(tmp_path / "access.jsonl")
         record = log.log(
             method="POST", path="/validate", status=200, duration_ms=12.3456,
-            queue_wait_ms=1.2, worker="upcc-serve-worker-1",
-            request_id="abc123", span_id="s9",
+            queue_wait_ms=1.2, request_id="abc123", span_id="s9",
         )
         assert tuple(sorted(record)) == tuple(sorted(ACCESS_LOG_FIELDS))
         assert record["duration_ms"] == 12.346

@@ -51,7 +51,7 @@ LENIENT = {
     ],
     "truncated.xmi": [
         ("xml-syntax", "not well-formed XML: unclosed token: line 6, column 8",
-         None, "", 6, 8),
+         None, "", 6, 9),
     ],
     "unknown_stereotype_base.xmi": [
         ("unknown-element", "unsupported packagedElement xmi:type 'uml:Interface'",
@@ -108,6 +108,19 @@ class TestMalformedCorpusPinned:
             read_xmi(CORPUS / "truncated.xmi")
         assert str(excinfo.value) == "unclosed token: line 6, column 8"
         assert excinfo.value.position == (6, 8)
+
+    def test_syntax_error_column_is_one_based(self, monkeypatch, capsys):
+        # expat's column is 0-based; the reports count from 1 like every
+        # other located diagnostic, so 6:9 is the '<' of the unclosed tag.
+        line = (CORPUS / "truncated.xmi").read_text(encoding="utf-8").splitlines()[5]
+        column = line.index("<ownedAttribute") + 1
+        [issue] = load_xmi(CORPUS / "truncated.xmi").issues
+        assert (issue.line, issue.column) == (6, column) == (6, 9)
+        monkeypatch.chdir(ROOT)
+        assert main(["validate-xmi", "--strict", "tests/corpus/malformed/truncated.xmi"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "tests/corpus/malformed/truncated.xmi:6:9: error: not well-formed XML"
+        )
 
     def test_validate_xmi_report_matches_committed_copy(self, monkeypatch):
         # The CI step diffs the same report; paths are relative to the root.
