@@ -134,7 +134,7 @@ class TestAmbientContext:
         assert current_trace_context() is None
 
     def test_survives_copy_context_thread_hop(self):
-        """The same hop the serve worker pool does: snapshot + run in thread."""
+        """A thread hop that runs its work in a context snapshot keeps it."""
         ctx = TraceContext.new()
         seen: list[TraceContext | None] = []
         with use_trace_context(ctx):
