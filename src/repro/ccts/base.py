@@ -8,13 +8,16 @@ round-tripping through lookups yields interchangeable handles.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro.profile import TAG_DEFINITION, TAG_DICTIONARY_ENTRY_NAME, TAG_VERSION
 from repro.uml.elements import NamedElement
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.uml.model import Model
+
+WrapperT = TypeVar("WrapperT", bound="ElementWrapper")
+T = TypeVar("T")
 
 
 class ElementWrapper:
@@ -35,7 +38,24 @@ class ElementWrapper:
     @property
     def qualified_name(self) -> str:
         """Dot-separated path from the model root."""
-        return self.element.qualified_name
+        return self.model.qualified_name_of(self.element)
+
+    def snapshot_memo(self: WrapperT, compute: Callable[[WrapperT], T]) -> T:
+        """``compute(self)``, kept in the model's snapshot while a
+        :meth:`~repro.uml.model.Model.indexed` pass is active.
+
+        ``compute`` must derive its answer from the model alone; outside a
+        pass it runs every time.
+        """
+        index = self.model.active_index
+        if index is None:
+            return compute(self)
+        key = (compute, self.element)
+        memo = index.memo
+        if key in memo:
+            return memo[key]
+        value = memo[key] = compute(self)
+        return value
 
     def _tag(self, tag: str, default: str | None = None) -> str | None:
         return self.element.tagged_value(self.stereotype, tag, default)

@@ -62,6 +62,9 @@ class Bbie(ElementWrapper):
     @property
     def based_on(self) -> Bcc | None:
         """The BCC this BBIE restricts: the same-named attribute of the base ACC."""
+        return self.snapshot_memo(Bbie._find_based_on)
+
+    def _find_based_on(self) -> Bcc | None:
         acc = self.abie.based_on
         if acc is None:
             return None
@@ -117,6 +120,9 @@ class Asbie(ElementWrapper):
     @property
     def based_on(self) -> Ascc | None:
         """The ASCC this ASBIE restricts (None when missing or mismatched)."""
+        return self.snapshot_memo(Asbie._find_based_on)
+
+    def _find_based_on(self) -> Ascc | None:
         target = self.model.based_on_target(self.element)
         if target is None or not isinstance(target, Association) or not target.has_stereotype(ASCC):
             return None
@@ -219,6 +225,9 @@ class Abie(ElementWrapper):
         None when the dependency is missing *or* points at a non-ACC (rule
         UPCC-P07 reports the latter; queries stay usable on broken models).
         """
+        return self.snapshot_memo(Abie._find_based_on)
+
+    def _find_based_on(self) -> Acc | None:
         target = self.model.based_on_target(self.element)
         if target is None or not target.has_stereotype(ACC):
             return None

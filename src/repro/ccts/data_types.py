@@ -165,6 +165,9 @@ class QualifiedDataType(CoreDataType):
         A ``basedOn`` pointing at a non-CDT is reported by rule UPCC-P07;
         the accessor stays usable on broken models.
         """
+        return self.snapshot_memo(QualifiedDataType._find_based_on)
+
+    def _find_based_on(self) -> CoreDataType | None:
         target = self.model.based_on_target(self.element)
         if target is None or not target.has_stereotype(CDT):
             return None

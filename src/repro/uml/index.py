@@ -6,10 +6,11 @@ whole tree: ``all_of_type``, ``all_with_stereotype``,
 built on them.  Whole-model passes (generation, validation) ask these
 questions over and over, which makes them quadratic in model size.
 :class:`ModelIndex` walks the model once, keeps the elements in walk order,
-and answers every one of those queries from that snapshot: association and
-dependency lookups in O(1), type and stereotype queries by filtering the
-element list once per type or stereotype and caching the result, so the
-answers keep model order.
+and answers every one of those queries from that snapshot: association,
+dependency, ``basedOn`` and stereotype lookups in O(1) from tables filled
+in that walk, type queries by filtering the element list once per type and
+caching the result, so the answers keep model order.  Qualified names are
+computed once per element and snapshot, sharing each owner's name.
 
 The index is deliberately *not* self-invalidating: build it at the start of
 a pass that does not mutate the model (the generator and the validation
@@ -42,13 +43,29 @@ class ModelIndex:
         self.elements: list[Element] = list(model.walk())
         self._associations_by_source: dict[int, list[Association]] = {}
         self._dependencies_by_client: dict[int, list[Dependency]] = {}
+        self._based_on_suppliers: dict[int, list[NamedElement]] = {}
         self._of_type: dict[type, list] = {}
         self._with_stereotype: dict[str, list[Element]] = {}
+        self._qualified_names: dict[NamedElement, str] = {}
+        #: Facts a caller derives from this snapshot, keyed by the caller
+        #: (see :meth:`repro.ccts.base.ElementWrapper.snapshot_memo`).
+        self.memo: dict = {}
+        with_stereotype = self._with_stereotype
         for element in self.elements:
+            for stereotype in element.stereotype_applications:
+                found = with_stereotype.get(stereotype)
+                if found is None:
+                    with_stereotype[stereotype] = [element]
+                else:
+                    found.append(element)
             if isinstance(element, Association):
                 self._associations_by_source.setdefault(id(element.source.type), []).append(element)
             elif isinstance(element, Dependency):
                 self._dependencies_by_client.setdefault(id(element.client), []).append(element)
+                if element.has_stereotype("basedOn"):
+                    self._based_on_suppliers.setdefault(id(element.client), []).append(
+                        element.supplier
+                    )
 
     def of_type(self, element_type: type[ElementT]) -> list[ElementT]:
         """Every element that is an instance of ``element_type``, in walk order.
@@ -63,11 +80,30 @@ class ModelIndex:
 
     def with_stereotype(self, stereotype: str) -> list[Element]:
         """Every element carrying ``stereotype``, in walk order (shared; do not modify)."""
-        found = self._with_stereotype.get(stereotype)
-        if found is None:
-            found = [element for element in self.elements if element.has_stereotype(stereotype)]
-            self._with_stereotype[stereotype] = found
-        return found
+        return self._with_stereotype.get(stereotype, [])
+
+    def qualified_name(self, element: NamedElement) -> str:
+        """``element.qualified_name``, computed once per element and snapshot."""
+        names = self._qualified_names
+        found = names.get(element)
+        if found is not None:
+            return found
+        # Climb to the nearest named owner whose name is known, then name
+        # the chain back down from it.
+        chain = [element]
+        prefix = ""
+        owner = element.owner
+        while owner is not None:
+            if isinstance(owner, NamedElement) and owner.name:
+                known = names.get(owner)
+                if known is not None:
+                    prefix = known
+                    break
+                chain.append(owner)
+            owner = owner.owner
+        for named in reversed(chain):
+            prefix = names[named] = f"{prefix}.{named.name}" if prefix else named.name
+        return prefix
 
     def associations_from(self, source: Classifier) -> list[Association]:
         """All associations whose whole end attaches to ``source``."""
@@ -82,9 +118,11 @@ class ModelIndex:
 
     def based_on_target(self, client: NamedElement) -> NamedElement | None:
         """The supplier of the client's single ``basedOn`` dependency."""
-        deps = self.dependencies_of(client, "basedOn")
-        if not deps:
+        suppliers = self._based_on_suppliers.get(id(client))
+        if not suppliers:
             return None
-        if len(deps) > 1:
-            raise ModelError(f"{client.name!r} has {len(deps)} basedOn dependencies, expected one")
-        return deps[0].supplier
+        if len(suppliers) > 1:
+            raise ModelError(
+                f"{client.name!r} has {len(suppliers)} basedOn dependencies, expected one"
+            )
+        return suppliers[0]

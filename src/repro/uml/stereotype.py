@@ -56,10 +56,23 @@ class StereotypeDef:
 
 @dataclass
 class Profile:
-    """A named profile: packages of stereotype definitions."""
+    """A named profile: packages of stereotype definitions.
+
+    Lookups and checks read two tables compiled from the definitions: a
+    name -> definition dict for :meth:`find`, and the problems of each
+    ``(element type, stereotype, applied tag names)`` application for
+    :meth:`check_element`.  Both depend only on the profile and are
+    dropped by :meth:`add`, so a profile edited later is checked afresh.
+    """
 
     name: str
     packages: dict[str, list[StereotypeDef]] = field(default_factory=dict)
+    _definitions: dict[str, StereotypeDef] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _checks: dict[tuple[type, str, tuple[str, ...]], tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add(self, package: str, stereotype: StereotypeDef) -> StereotypeDef:
         """Register a stereotype definition under a profile package."""
@@ -67,15 +80,20 @@ class Profile:
         if existing is not None:
             raise ProfileError(f"stereotype {stereotype.name!r} already defined in profile {self.name!r}")
         self.packages.setdefault(package, []).append(stereotype)
+        self._definitions = None
+        self._checks = {}
         return stereotype
 
     def find(self, name: str) -> StereotypeDef | None:
         """Look up a stereotype definition by name across all packages."""
-        for stereotypes in self.packages.values():
-            for stereotype in stereotypes:
-                if stereotype.name == name:
-                    return stereotype
-        return None
+        definitions = self._definitions
+        if definitions is None:
+            definitions = {}
+            for stereotypes in self.packages.values():
+                for stereotype in stereotypes:
+                    definitions.setdefault(stereotype.name, stereotype)
+            self._definitions = definitions
+        return definitions.get(name)
 
     def get(self, name: str) -> StereotypeDef:
         """Like :meth:`find` but raises :class:`ProfileError` when missing."""
@@ -120,8 +138,19 @@ class Profile:
         return problems
 
     def check_element(self, element: Element) -> list[str]:
-        """Validate every stereotype application on ``element``."""
+        """Validate every stereotype application on ``element``.
+
+        An application's problems depend only on the element's type, the
+        stereotype and the applied tag names, so each such triple is
+        checked once per profile edit.
+        """
         problems: list[str] = []
-        for stereotype_name in element.stereotypes:
-            problems.extend(self.check_application(element, stereotype_name))
+        checks = self._checks
+        element_type = type(element)
+        for stereotype_name, tags in element.stereotype_applications.items():
+            key = (element_type, stereotype_name, tuple(tags))
+            found = checks.get(key)
+            if found is None:
+                found = checks[key] = tuple(self.check_application(element, stereotype_name))
+            problems.extend(found)
         return problems

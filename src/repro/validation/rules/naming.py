@@ -7,6 +7,7 @@ from repro.ccts.naming import strip_qualifier
 from repro.errors import NamingError
 from repro.ndr.names import sanitize_ncname
 from repro.uml.classifier import Classifier
+from repro.uml.elements import NamedElement
 from repro.uml.property import Property
 from repro.validation.diagnostics import ValidationReport
 from repro.validation.engine import ValidationEngine
@@ -18,13 +19,11 @@ def register(engine: ValidationEngine) -> None:
     @engine.register("UPCC-N01", "model names must yield valid XML names", basic=True)
     def xml_name_viability(model: CctsModel, report: ValidationReport) -> None:
         for element in model.model.all_of_type(Classifier):
-            if not element.stereotypes:
-                continue
-            _check_name(element.name, element.qualified_name, report)
+            if element.stereotype_applications:
+                _check_name(element, report)
         for prop in model.model.all_of_type(Property):
-            if not prop.stereotypes:
-                continue
-            _check_name(prop.name, prop.qualified_name, report)
+            if prop.stereotype_applications:
+                _check_name(prop, report)
 
     @engine.register("UPCC-N02", "ABIE names should qualify their base ACC's name")
     def abie_qualifier_convention(model: CctsModel, report: ValidationReport) -> None:
@@ -67,11 +66,13 @@ def register(engine: ValidationEngine) -> None:
                 )
 
 
-def _check_name(name: str, location: str, report: ValidationReport) -> None:
+def _check_name(element: NamedElement, report: ValidationReport) -> None:
+    """Report a name that yields no XML name; locate the element only then."""
+    name = element.name
     if not name:
-        report.error("UPCC-N01", "element has an empty name", location)
+        report.error("UPCC-N01", "element has an empty name", element.qualified_name)
         return
     try:
         sanitize_ncname(name)
     except NamingError as exc:
-        report.error("UPCC-N01", str(exc), location)
+        report.error("UPCC-N01", str(exc), element.qualified_name)

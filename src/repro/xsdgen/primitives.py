@@ -81,7 +81,7 @@ def record_primitive_mapping(
             target_path=path,
             source_stereotype="PRIM",
             source_name=classifier.name,
-            source_path=classifier.qualified_name,
+            source_path=builder.generator.model.model.qualified_name_of(classifier),
             source_id=getattr(classifier, "xmi_id", None),
             rule="NDR-PRIM-BUILTIN",
         )

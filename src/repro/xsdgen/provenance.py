@@ -195,14 +195,11 @@ def record_for(
     """Build a record from a CCTS wrapper, deriving the ``basedOn`` link."""
     if rule not in NDR_RULES:
         raise ValueError(f"unknown NDR rule id {rule!r}")
-    based_on: str | None = None
     try:
         base = getattr(source, "based_on", None)
-        qualified_name = getattr(base, "qualified_name", None)
-        if qualified_name is not None:
-            based_on = f"{base.stereotype} {qualified_name}"
     except CctsError:
-        based_on = None
+        base = None
+    based_on = f"{base.stereotype} {base.qualified_name}" if base is not None else None
     return ProvenanceRecord(
         target_namespace=namespace_urn,
         schema_file=schema_file,
