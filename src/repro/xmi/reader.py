@@ -536,15 +536,14 @@ def load_xmi(
         try:
             document = read_document(text)
         except (ET.ParseError, ValueError) as error:
-            if strict:
-                raise
             # expat counts columns from 0; every located diagnostic is 1-based.
             position = getattr(error, "position", None)
             located = SourceLocation(position[0], position[1] + 1) if position else None
-            counter("xmi.load_issues", kind="xml-syntax").inc()
-            return LoadResult(
-                None, [LoadIssue("xml-syntax", f"not well-formed XML: {error}", source=located)]
-            )
+            issue = LoadIssue("xml-syntax", f"not well-formed XML: {error}", source=located)
+            if strict:
+                raise XmiError(issue.message, line=issue.line, column=issue.column) from None
+            counter("xmi.load_issues", kind=issue.kind).inc()
+            return LoadResult(None, [issue])
         model, issues = _load_document(document, strict, max_elements, max_depth)
         return LoadResult(model, issues)
 

@@ -1,5 +1,8 @@
 """End-to-end tests for the command-line interface (the Figure-5 dialog)."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -322,6 +325,30 @@ class TestValidateXmiCommand:
     def test_missing_file_reported(self, tmp_path, capsys):
         assert main(["validate-xmi", str(tmp_path / "gone.xmi")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestMalformedXmiIsALocatedError:
+    """Commands that read a model strictly end a syntax error as ``error:``."""
+
+    TRUNCATED = Path(__file__).parent / "corpus" / "malformed" / "truncated.xmi"
+
+    @pytest.mark.parametrize("command", ["validate", "inspect"])
+    def test_syntax_error_exits_one_with_error_line(self, command, capsys):
+        assert main([command, str(self.TRUNCATED)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: not well-formed XML: unclosed token: line 6, column 8\n"
+
+    def test_no_traceback_in_a_fresh_process(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "validate", str(self.TRUNCATED)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
 
 
 class TestKeepGoingFlag:

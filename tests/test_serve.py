@@ -21,6 +21,7 @@ import http.client
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +103,16 @@ class TestEndpointContracts:
             server.url, "/generate", {"xmi": "<notxmi/>", "library": "X"}
         )
         assert status == 400
+
+    def test_generate_rejects_malformed_xmi_with_a_located_400(self, server):
+        truncated = Path(__file__).parent / "corpus" / "malformed" / "truncated.xmi"
+        status, payload = request_json(
+            server.url,
+            "/generate",
+            {"xmi": truncated.read_text(encoding="utf-8"), "library": "X"},
+        )
+        assert status == 400
+        assert payload["error"] == "not well-formed XML: unclosed token: line 6, column 8"
 
     def test_non_json_body_400(self, server):
         connection = http.client.HTTPConnection(server.host, server.port, timeout=10)

@@ -104,10 +104,14 @@ class TestMalformedCorpusPinned:
         assert (str(error), error.xmi_id, error.path, error.line, error.column) == STRICT[name]
 
     def test_strict_syntax_error(self):
-        with pytest.raises(ET.ParseError) as excinfo:
+        # A syntax error ends as a located XmiError at the 1-based position
+        # the lenient issue reports, never as a bare ET.ParseError.
+        with pytest.raises(XmiError) as excinfo:
             read_xmi(CORPUS / "truncated.xmi")
-        assert str(excinfo.value) == "unclosed token: line 6, column 8"
-        assert excinfo.value.position == (6, 8)
+        error = excinfo.value
+        assert str(error) == "not well-formed XML: unclosed token: line 6, column 8"
+        assert (error.line, error.column) == (6, 9)
+        assert isinstance(error.__context__, ET.ParseError)
 
     def test_syntax_error_column_is_one_based(self, monkeypatch, capsys):
         # expat's column is 0-based; the reports count from 1 like every

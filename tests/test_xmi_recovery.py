@@ -5,7 +5,6 @@ Strict mode must fail fast with a located error; lenient mode must load
 whatever is sound and report every defect as a :class:`LoadIssue`.
 """
 
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -118,10 +117,10 @@ class TestCorpusLenient:
 
 
 class TestCorpusStrict:
-    def test_truncated_raises_parse_error_with_position(self):
-        with pytest.raises(ET.ParseError) as excinfo:
+    def test_truncated_raises_located_xmi_error(self):
+        with pytest.raises(XmiError) as excinfo:
             read_xmi(CORPUS / "truncated.xmi")
-        assert excinfo.value.position[0] == 6
+        assert (excinfo.value.line, excinfo.value.column) == (6, 9)
 
     @pytest.mark.parametrize(
         ("name", "match"),
