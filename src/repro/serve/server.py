@@ -221,7 +221,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif url.path == "/explain":
             self._respond("explain", lambda: self.upcc.app.explain(params), admit=True)
         else:
-            self._send(404, {"error": f"no such endpoint: GET {url.path}"})
+            self._not_found(url.path)
 
     def do_POST(self) -> None:  # noqa: N802
         self._begin_request()
@@ -231,23 +231,25 @@ class _Handler(BaseHTTPRequestHandler):
         elif url.path == "/validate":
             endpoint, handler = "validate", self.upcc.app.validate
         else:
-            self._send(404, {"error": f"no such endpoint: POST {url.path}"})
+            self._not_found(url.path)
             return
         try:
             payload = self._read_json()
         except _BadRequest as error:
-            # Malformed requests are real traffic: count them by status
-            # (SLO availability objectives watch these) and log them, so
-            # an error burst is visible in the same trails as successes.
-            self._count(endpoint, error.status)
-            self._access(error.status)
+            # Malformed requests are real traffic: count, log and time
+            # them (SLO objectives watch these), so an error burst is
+            # visible in the same trails as successes.
             if error.close:
                 # The body's framing is unknown: nothing after it on this
                 # connection can be parsed as the next request.
                 self.close_connection = True
-            self._send(error.status, {"error": str(error)})
+            self._reply(endpoint, error.status, {"error": str(error)})
             return
         self._respond(endpoint, lambda: handler(payload), admit=True)
+
+    def _not_found(self, path: str) -> None:
+        # One fixed label: a raw path would give every probe its own series.
+        self._reply("unknown", 404, {"error": f"no such endpoint: {self.command} {path}"})
 
     # -- plumbing --------------------------------------------------------------
 
@@ -396,9 +398,6 @@ class _Handler(BaseHTTPRequestHandler):
             self.upcc.maybe_capture_slow(
                 real_span, self._request_id, trace_id=trace_id
             )
-
-    def _send(self, status: int, payload: dict) -> None:
-        self._send_bytes(status, _encode_json(payload), "application/json")
 
     def _send_bytes(
         self,

@@ -3,14 +3,17 @@
 A hypothesis :class:`RuleBasedStateMachine` drives a live
 :class:`~repro.serve.UpccServer` (two requests at a time, two waiting)
 through interleaved steps: register a schema set (``/generate``),
-validate, explain, health checks, broken body framing (missing, negative
-or non-decimal ``Content-Length``, a short body, a non-JSON body, an
-oversized body), concurrent bursts that overflow admission, and a final
-drain with requests in flight.  After every step it checks:
+validate, explain, health checks, unknown paths, broken body framing
+(missing, negative or non-decimal ``Content-Length``, a short body, a
+non-JSON body, an oversized body), a truncated XMI, concurrent bursts
+that overflow admission, and a final drain with requests in flight.
+After every step it checks:
 
 * every request got exactly one response, and a client fault got a 4xx;
 * ``serve.requests_total`` and ``serve.responses_total`` reconcile with
   the access-log ring, code by code;
+* every counted request is timed: the ``serve.request_ms`` count equals
+  ``serve.requests_total``;
 * the ``serve.stage_ms`` sums equal the ``serve.request_ms`` sum within
   5% (the stages tile the request);
 * ``/stats`` reports no running and no waiting request once the daemon
@@ -28,6 +31,7 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -47,6 +51,12 @@ from repro.xsdgen import SchemaGenerator
 
 MAX_BODY = 512 * 1024
 ROOT = "HoardingPermit"
+TRUNCATED_XMI = Path(__file__).parent / "corpus" / "malformed" / "truncated.xmi"
+#: Every path a method is routed on; any other answers 404.
+ROUTED = {
+    "GET": {"/healthz", "/stats", "/metrics", "/slow", "/alerts", "/explain"},
+    "POST": {"/generate", "/validate"},
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,11 +136,8 @@ class ServeBoundary(RuleBasedStateMachine):
         self.server = UpccServer(ServeApp(), config).start()
         self.schema_set: str | None = None
         self.drained = False
-        #: Requests the server counts (everything these rules send).
+        #: Requests the server counts and times (everything these rules send).
         self.counted = 0
-        #: Requests whose latency the server observes: all but the
-        #: framing and JSON faults, which are answered before routing.
-        self.timed = 0
 
     def teardown(self) -> None:
         try:
@@ -141,7 +148,7 @@ class ServeBoundary(RuleBasedStateMachine):
 
     # -- transport -------------------------------------------------------------
 
-    def _exchange(self, raw: bytes, *, timed: bool = True,
+    def _exchange(self, raw: bytes, *,
                   half_close: bool = False) -> tuple[int, dict[str, str], bytes]:
         with _connect(self.server) as sock:
             sock.sendall(raw)
@@ -149,12 +156,11 @@ class ServeBoundary(RuleBasedStateMachine):
                 sock.shutdown(socket.SHUT_WR)
             data = _read_all(sock)
         self.counted += 1
-        self.timed += int(timed)
         return _one_response(data)
 
-    def _client_fault(self, raw: bytes, expected: int, *, timed: bool = False,
+    def _client_fault(self, raw: bytes, expected: int, *,
                       half_close: bool = False) -> bytes:
-        status, _, body = self._exchange(raw, timed=timed, half_close=half_close)
+        status, _, body = self._exchange(raw, half_close=half_close)
         assert status == expected, (status, body[:300])
         return body
 
@@ -243,16 +249,28 @@ class ServeBoundary(RuleBasedStateMachine):
     def non_json_body(self, path: str, body: bytes) -> None:
         # Bytes that happen to decode to JSON are still no valid request
         # (not an object, or missing its fields): the app answers 400.
-        try:
-            json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            is_json = False
-        else:
-            is_json = True
         self._client_fault(
-            _request("POST", path, body, (f"Content-Length: {len(body)}",)),
-            400, timed=is_json,
+            _request("POST", path, body, (f"Content-Length: {len(body)}",)), 400
         )
+
+    @precondition(lambda self: not self.drained)
+    @rule(method=st.sampled_from(["GET", "POST"]),
+          path=st.from_regex(r"/[a-z0-9_]{0,12}", fullmatch=True))
+    def unknown_path(self, method: str, path: str) -> None:
+        if path in ROUTED[method]:
+            path += "_"
+        body = self._client_fault(_request(method, path), 404)
+        assert json.loads(body) == {"error": f"no such endpoint: {method} {path}"}
+
+    @precondition(lambda self: not self.drained)
+    @rule()
+    def truncated_xmi(self) -> None:
+        _, library, _ = _easybiz()
+        xmi = TRUNCATED_XMI.read_text(encoding="utf-8")
+        body = self._client_fault(
+            _json_post("/generate", {"xmi": xmi, "library": library}), 400
+        )
+        assert json.loads(body)["error"].startswith("not well-formed XML")
 
     @precondition(lambda self: not self.drained)
     @rule(excess=st.integers(min_value=1, max_value=10**12))
@@ -310,7 +328,6 @@ class ServeBoundary(RuleBasedStateMachine):
         for thread in threads:
             thread.join()
         self.counted += clients
-        self.timed += clients
         statuses = []
         for data in results:
             status, headers, body = _one_response(data)
@@ -360,10 +377,14 @@ class ServeBoundary(RuleBasedStateMachine):
             _, _, histograms = self.registry.instruments()
             requests = [h for h in histograms if h.base_name == "serve.request_ms"]
             stages = [h for h in histograms if h.base_name == "serve.stage_ms"]
-            if sum(h.count for h in requests) >= self.timed or time.monotonic() > deadline:
+            if sum(h.count for h in requests) >= self.counted or time.monotonic() > deadline:
                 break
             time.sleep(0.01)
-        assert sum(h.count for h in requests) == self.timed
+        counters, _, _ = self.registry.instruments()
+        requests_total = sum(
+            c.value for c in counters if c.base_name == "serve.requests_total"
+        )
+        assert sum(h.count for h in requests) == requests_total == self.counted
         request_sum = sum(h.total for h in requests)
         stage_sum = sum(h.total for h in stages)
         assert abs(stage_sum - request_sum) <= 0.05 * request_sum + 1e-6, (
