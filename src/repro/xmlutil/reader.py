@@ -104,7 +104,9 @@ class Document:
     to its namespace, in written order.
     """
 
-    __slots__ = ("text", "root", "prefixes", "as_written", "_prefix_of", "_positions")
+    __slots__ = (
+        "text", "root", "prefixes", "as_written", "_prefix_of", "_positions", "_scopes"
+    )
 
     def __init__(
         self, text: str, root: ET.Element, prefixes: dict[str | None, str], as_written: bool
@@ -116,6 +118,7 @@ class Document:
         self._prefix_of = {namespace: prefix for prefix, namespace in prefixes.items()}
         self._prefix_of.setdefault(XML_NAMESPACE, "xml")
         self._positions: dict[ET.Element, tuple[int, int]] | None = None
+        self._scopes: dict[ET.Element, dict[str | None, str]] | None = None
 
     def name(self, prefix: str | None, local: str) -> str | None:
         """This tree's spelling of the tag ``prefix:local`` (or of a
@@ -134,6 +137,27 @@ class Document:
         namespace, _, local = name[1:].partition("}")
         prefix = self._prefix_of.get(namespace)
         return f"{prefix}:{local}" if prefix else local
+
+    def prefixes_at(self, element: ET.Element) -> dict[str | None, str]:
+        """The prefixes in scope at ``element``: the root's, overridden by
+        those ``element`` and its ancestors declare.
+
+        Only an as-written tree can declare below the root (see
+        :func:`read_document`); its scopes are found in one pass, made at
+        the first call.
+        """
+        if not self.as_written:
+            return self.prefixes
+        if self._scopes is None:
+            scopes: dict[ET.Element, dict[str | None, str]] = {}
+            pending = [(self.root, {})]
+            while pending:
+                node, inherited = pending.pop()
+                declared = _declarations(node.attrib)
+                scope = scopes[node] = {**inherited, **declared} if declared else inherited
+                pending.extend((child, scope) for child in node)
+            self._scopes = scopes
+        return self._scopes[element]
 
     def locate(self, element: ET.Element) -> tuple[int, int]:
         """The 1-based line and column of ``element``'s start tag."""

@@ -28,10 +28,11 @@ from repro.xsd.components import (
 )
 
 
-def _resolve(document: Document, text: str) -> QName:
-    """A QName-valued attribute, resolved by the prefixes the root declares."""
+def _resolve(document: Document, node: ET.Element, text: str) -> QName:
+    """A QName-valued attribute of ``node``, resolved by the prefixes in
+    scope there."""
     prefix, local = split_qname(text)
-    uri = document.prefixes.get(prefix, "" if prefix is None else None)
+    uri = document.prefixes_at(node).get(prefix, "" if prefix is None else None)
     if uri is None:
         raise SchemaError(f"undeclared prefix {prefix!r} in type reference {text!r}")
     return QName(uri, local)
@@ -116,7 +117,7 @@ def _parse_element(node: ET.Element, document: Document, global_decl: bool = Fal
     ref_text = node.get("ref")
     if ref_text is not None:
         return ElementDecl(
-            ref=_resolve(document, ref_text),
+            ref=_resolve(document, node, ref_text),
             min_occurs=min_occurs,
             max_occurs=max_occurs,
             annotation=annotation,
@@ -124,7 +125,7 @@ def _parse_element(node: ET.Element, document: Document, global_decl: bool = Fal
     type_text = node.get("type")
     return ElementDecl(
         name=node.attrib["name"],
-        type=_resolve(document, type_text) if type_text is not None else None,
+        type=_resolve(document, node, type_text) if type_text is not None else None,
         min_occurs=min_occurs,
         max_occurs=max_occurs,
         annotation=annotation,
@@ -135,7 +136,7 @@ def _parse_attribute(node: ET.Element, document: Document) -> AttributeDecl:
     annotation, _ = _pop_annotation(node)
     return AttributeDecl(
         name=node.attrib["name"],
-        type=_resolve(document, node.attrib["type"]),
+        type=_resolve(document, node, node.attrib["type"]),
         use=AttributeUse(node.get("use", "optional")),
         annotation=annotation,
     )
@@ -179,7 +180,7 @@ def _parse_simple_content(node: ET.Element, document: Document) -> SimpleContent
                 if _local(attr.tag) == "attribute"
             ]
             return SimpleContent(
-                base=_resolve(document, child.attrib["base"]),
+                base=_resolve(document, child, child.attrib["base"]),
                 derivation=derivation,
                 attributes=attributes,
                 facets=_parse_facets(child),
@@ -209,7 +210,7 @@ def _parse_simple_type(node: ET.Element, document: Document) -> SimpleType:
         if _local(child.tag) == "restriction":
             return SimpleType(
                 name=node.attrib["name"],
-                base=_resolve(document, child.attrib["base"]),
+                base=_resolve(document, child, child.attrib["base"]),
                 facets=_parse_facets(child),
                 annotation=annotation,
             )

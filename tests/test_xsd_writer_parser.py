@@ -153,3 +153,47 @@ class TestRoundTrip:
             once = generated.to_string()
             twice = schema_to_string(parse_schema(once))
             assert once == twice
+
+
+class TestInScopePrefixes:
+    """QName-valued ``type``, ``ref`` and ``base`` resolve through the
+    prefixes in scope at their element, not only the root's."""
+
+    HEAD = '<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema" targetNamespace="urn:t">'
+
+    def test_prefix_declared_on_the_element(self):
+        parsed = parse_schema(
+            self.HEAD + '<xsd:element xmlns:b="urn:b" name="X" type="b:T"/></xsd:schema>'
+        )
+        assert parsed.items[0].type == QName("urn:b", "T")
+
+    def test_prefix_declared_on_an_ancestor_and_rebound_below(self):
+        parsed = parse_schema(
+            self.HEAD
+            + '<xsd:complexType name="C" xmlns:b="urn:b"><xsd:sequence>'
+            '<xsd:element name="x" type="b:T"/>'
+            '<xsd:element name="y" type="b:T" xmlns:b="urn:other"/>'
+            '</xsd:sequence>'
+            '<xsd:attribute name="a" type="b:A"/></xsd:complexType>'
+            '<xsd:simpleType name="S" xmlns:b="urn:s"><xsd:restriction base="b:string"/>'
+            '</xsd:simpleType></xsd:schema>'
+        )
+        particles = parsed.complex_type("C").particle.particles
+        assert [element.type for element in particles] == [
+            QName("urn:b", "T"), QName("urn:other", "T"),
+        ]
+        assert parsed.complex_type("C").attributes[0].type == QName("urn:b", "A")
+        assert parsed.items[1].base == QName("urn:s", "string")
+
+    def test_undeclared_prefix_still_raises(self):
+        import pytest
+
+        from repro.errors import SchemaError
+
+        text = (
+            self.HEAD
+            + '<xsd:element xmlns:b="urn:b" name="X" type="b:T"/>'
+            '<xsd:element name="Y" type="b:T"/></xsd:schema>'
+        )
+        with pytest.raises(SchemaError, match="undeclared prefix 'b' in type reference 'b:T'"):
+            parse_schema(text)
