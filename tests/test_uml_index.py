@@ -258,3 +258,66 @@ class TestSnapshotEquivalence:
         assert id(added) in _ids(lazy)
         assert model.find_classifier_anywhere("AddedOutside") is added
         assert added in model.all_of_type(Classifier)
+
+
+class TestSnapshotNamesAndBasedOn:
+    """Qualified names and basedOn targets read from the snapshot equal
+    the live answers, and a pass after an edit sees the edit."""
+
+    def test_qualified_names_equal_live_names(self, ccts_model):
+        model = ccts_model.model
+        named = [element for element in model.walk() if hasattr(element, "qualified_name")]
+        live = [element.qualified_name for element in named]
+        with model.indexed():
+            # Leaves first, then owners: either order shares the same names.
+            assert [model.qualified_name_of(e) for e in reversed(named)] == live[::-1]
+            assert [model.qualified_name_of(e) for e in named] == live
+
+    def test_unnamed_elements_are_named_like_the_live_tree(self):
+        model, a, *_ = _model()
+        unnamed = model.package("lib").add_class("")
+        inner = model.add_package("")
+        deep = inner.add_class("Deep")
+        with model.indexed():
+            assert model.qualified_name_of(unnamed) == unnamed.qualified_name == "M.lib."
+            assert model.qualified_name_of(deep) == deep.qualified_name == "M.Deep"
+            assert model.qualified_name_of(model) == "M"
+
+    def test_rename_between_passes_moves_names(self, easybiz):
+        model = easybiz.model.model
+        permit = easybiz.hoarding_permit.element
+        with model.indexed():
+            before = easybiz.hoarding_permit.qualified_name
+        permit.owner.name = "Renamed"
+        with model.indexed():
+            after = easybiz.hoarding_permit.qualified_name
+        assert before != after == permit.qualified_name
+        assert ".Renamed." in after
+
+    def test_based_on_targets_equal_live_answers(self, ccts_model):
+        model = ccts_model.model
+        clients = [d.client for d in model.all_of_type(Dependency) if d.has_stereotype("basedOn")]
+        assert clients
+        live = [model.based_on_target(client) for client in clients]
+        with model.indexed():
+            assert [model.based_on_target(client) for client in clients] == live
+
+    def test_wrapper_answers_are_kept_only_inside_a_pass(self, easybiz):
+        model = easybiz.model.model
+        calls = []
+
+        def compute(wrapper):
+            calls.append(wrapper)
+            return wrapper.name
+
+        permit = easybiz.hoarding_permit
+        assert permit.snapshot_memo(compute) == permit.snapshot_memo(compute) == "HoardingPermit"
+        assert len(calls) == 2
+        with model.indexed():
+            permit.snapshot_memo(compute)
+            permit.snapshot_memo(compute)
+        assert len(calls) == 3
+        permit.element.name = "Edited"
+        with model.indexed():
+            assert permit.snapshot_memo(compute) == "Edited"
+        assert len(calls) == 4

@@ -98,3 +98,25 @@ class TestApplicationChecks:
         prim = PrimitiveType("String")
         prim.apply_stereotype("PRIM")
         assert profile.check_element(prim) == []
+
+
+class TestCompiledChecks:
+    """Checks are compiled per (element type, stereotype, applied tag
+    names); ``tests/test_validation_pinned.py`` covers a later
+    ``Profile.add``."""
+
+    def test_same_key_same_answer_different_tags_different_answer(self):
+        profile = _profile()
+        plain, tagged = Class("A"), Class("B")
+        plain.apply_stereotype("ACC")
+        tagged.apply_stereotype("ACC", bogus="x")
+        assert profile.check_element(plain) == []
+        assert profile.check_element(tagged) == ["<<ACC>> defines no tagged value 'bogus'"]
+        assert profile.check_element(Class("C").apply_stereotype("ACC")) == []
+
+    def test_type_is_part_of_the_key(self):
+        profile = _profile()
+        assert profile.check_element(Class("A").apply_stereotype("CCLibrary", baseURN="u")) == [
+            "stereotype <<CCLibrary>> extends Package, not Class"
+        ]
+        assert profile.check_element(Package("p").apply_stereotype("CCLibrary", baseURN="u")) == []
