@@ -5,7 +5,8 @@ exchange (EDI / UN/EDIFACT heritage); this catalog entry exercises the full
 machinery on that canonical domain: a ``PurchaseOrder`` document assembled
 from reusable party/line-item aggregates, with currency- and country-
 qualified data types.  It doubles as the second domain-specific example
-application and as the workload of several scaling benchmarks.
+application and as the second catalog of the binding, reverse-engineering
+and instance-pipeline tests.
 """
 
 from __future__ import annotations

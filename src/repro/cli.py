@@ -46,7 +46,7 @@ import sys
 from pathlib import Path
 
 from repro.ccts.model import CctsModel
-from repro.errors import ReproError
+from repro.errors import ReproError, XmiError
 from repro.obs import query
 from repro.serve import top as serve_top
 from repro.uml.visitor import render_tree
@@ -91,7 +91,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_xmi(args: argparse.Namespace) -> int:
-    from repro.errors import XmiError
     from repro.xmi import load_xmi
 
     defects = 0
@@ -964,7 +963,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         status = args.func(args)
     except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
+        where = ""
+        if isinstance(error, XmiError) and error.line is not None:
+            where = f"line {error.line}, column {error.column}: "
+        print(f"error: {where}{error}", file=sys.stderr)
         status = 1
     finally:
         if observed:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.ccts.model import CctsModel
-from repro.errors import ReproError
+from repro.errors import ReproError, XmiError
 from repro.instances.pipeline import ValidationPipeline
 from repro.obs.logging_bridge import get_logger
 from repro.obs.metrics import counter, get_registry
@@ -166,6 +166,9 @@ class ServeApp:
         try:
             model = self.model_for(xmi_text)
             result = SchemaGenerator(model, options).generate(library, root=root)
+        except XmiError as error:
+            located = {"line": error.line, "column": error.column} if error.line is not None else {}
+            return 400, {"error": str(error), **located}
         except ReproError as error:
             return 400, {"error": str(error)}
         # Serialize once: the registry id hashes the same texts the

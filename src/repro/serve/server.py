@@ -251,6 +251,35 @@ class _Handler(BaseHTTPRequestHandler):
         # One fixed label: a raw path would give every probe its own series.
         self._reply("unknown", 404, {"error": f"no such endpoint: {self.command} {path}"})
 
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """Answer a fault the stdlib finds before routing (request line,
+        version, method, header size) as JSON through :meth:`_reply`, so it
+        is counted, logged and timed like every other response.
+
+        A bad request line or an unsupported version is a 400, any method
+        but GET and POST a 405; the connection closes either way.
+        """
+        # Headers may not have been read, so _begin_request cannot run.
+        self._started = time.perf_counter()
+        self._stages = {}
+        self._request_id = new_request_id()
+        self._trace_context = None
+        if not self.command:
+            # The request line did not parse: no method or path to log.
+            self.command, self.path = "", ""
+        if self.request_version == "HTTP/0.9":
+            # The version was never read; the answer still needs a status line.
+            self.request_version = self.protocol_version
+        self.close_connection = True
+        headers = None
+        if code == 501:
+            code, headers = 405, {"Allow": "GET, POST"}
+            message = f"method {self.command!r} not allowed"
+        elif code == 505:
+            code = 400
+        error = message or self.responses.get(code, ("error",))[0]
+        self._reply("unknown", int(code), {"error": error}, headers=headers)
+
     # -- plumbing --------------------------------------------------------------
 
     def _timed(self, stage: str, started: float) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -81,8 +82,9 @@ class ValidationEngine:
                     )
                 timer.observe(elapsed_ms)
                 fired += 1
-                for diagnostic in report.diagnostics[before:]:
-                    counter("validation.findings", severity=diagnostic.severity.value).inc()
+            severities = Counter(diagnostic.severity.value for diagnostic in report.diagnostics)
+            for severity, findings in severities.items():
+                counter("validation.findings", severity=severity).inc(findings)
             counter("validation.rules_fired").inc(fired)
             run_span.set(rules=fired, findings=len(report.diagnostics))
             _log.info(

@@ -37,6 +37,7 @@ pathological inputs in both modes.  Lenient-mode defect counts land on the
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+import xml.parsers.expat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -537,9 +538,13 @@ def load_xmi(
             document = read_document(text)
         except (ET.ParseError, ValueError) as error:
             # expat counts columns from 0; every located diagnostic is 1-based.
+            # Its message embeds that 0-based position, so only the reason
+            # is kept: the location travels separately.
             position = getattr(error, "position", None)
             located = SourceLocation(position[0], position[1] + 1) if position else None
-            issue = LoadIssue("xml-syntax", f"not well-formed XML: {error}", source=located)
+            code = getattr(error, "code", None)
+            reason = xml.parsers.expat.ErrorString(code) if code is not None else str(error)
+            issue = LoadIssue("xml-syntax", f"not well-formed XML: {reason}", source=located)
             if strict:
                 raise XmiError(issue.message, line=issue.line, column=issue.column) from None
             counter("xmi.load_issues", kind=issue.kind).inc()

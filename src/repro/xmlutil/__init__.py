@@ -10,7 +10,7 @@ the pieces a schema/XMI toolchain normally takes from lxml:
 * :mod:`repro.xmlutil.reader` -- documents read into the ElementTree the
   C parser builds, with the way back to names as written.
 
-Determinism matters: the figure benchmarks compare generated schemas
+Determinism matters: the figure tests compare generated schemas
 byte-for-byte across runs.
 """
 

@@ -60,6 +60,14 @@ class TestMarshal:
         document = marshal(order_pipeline, "PurchaseOrder", _order_data())
         lines = [c for c in document.element_children if c.tag.endswith("OrderedLineItem")]
         assert len(lines) == 2
+        data = _order_data()
+        data["OrderedLineItem"] = [
+            {"Identification": f"L-{i}", "Quantity": str(i + 1), "UnitPrice": "9.99"}
+            for i in range(10)
+        ]
+        document = marshal(order_pipeline, "PurchaseOrder", data)
+        assert len(document.element_children) >= 13
+        assert unmarshal(order_pipeline, document) == data
 
     def test_simple_content_attributes(self, order_pipeline):
         document = marshal(order_pipeline, "PurchaseOrder", _order_data())

@@ -1,4 +1,5 @@
-"""Figure 4: the EasyBiz model census and structure."""
+"""Figure 4: the EasyBiz model census and structure; Figure 2's meta model
+as the EasyBiz model instantiates it."""
 
 from repro.catalog.easybiz import (
     APPLICATION_BCCS,
@@ -6,7 +7,10 @@ from repro.catalog.easybiz import (
     COUNTRY_LITERALS,
 )
 from repro.catalog.primitives import FIGURE4_PRIMITIVES
-from repro.uml.visitor import census
+from repro.profile import ABIE, ACC, ASCC, CDT, QDT
+from repro.uml.association import Association
+from repro.uml.classifier import Classifier
+from repro.uml.visitor import census, render_tree
 from repro.validation import validate_model
 
 
@@ -130,6 +134,7 @@ class TestCensusAndHealth:
         assert counts["ABIE"] == 8  # 5 CommonAggregates + Registration + 2 DOC
         assert counts["ACC"] == 9
         assert counts["QDT"] == 4
+        assert counts["CDT"] == 9
         assert counts["ENUM"] == 2
         assert counts["ASBIE"] == 6
         assert counts["DOCLibrary"] == 1
@@ -139,3 +144,72 @@ class TestCensusAndHealth:
         report = validate_model(easybiz.model)
         assert report.ok
         assert {d.code for d in report.warnings} <= {"UPCC-D09"}
+
+    def test_tree_view_shows_figure4(self, easybiz):
+        text = render_tree(easybiz.model.model)
+        for expected in (
+            "«DOCLibrary» EB005-HoardingPermit",
+            "«BIELibrary» CommonAggregates",
+            "«QDTLibrary» CommonDataTypes",
+            "«CDTLibrary» coredatatypes",
+            "«CCLibrary» CandidateCoreComponents",
+            "«ENUMLibrary» EnumerationTypes",
+            "«PRIMLibrary» Primitives",
+            "«BIELibrary» LocalLawAggregates",
+            "HoardingPermit -> +Billing Person_Identification [0..1] (composite)",
+            "Person_Identification -> +Assigned Address [1] (shared)",
+        ):
+            assert expected in text, expected
+
+
+def _metamodel_edges(model):
+    """(client kind, supplier kind) for every basedOn and typing edge in use."""
+    edges = set()
+    for abie in model.abies():
+        if abie.based_on is not None:
+            edges.add(("ABIE", "ACC"))
+        for bbie in abie.bbies:
+            type_ = bbie.element.type
+            if type_ is not None and type_.has_stereotype(QDT):
+                edges.add(("BBIE", "QDT"))
+            elif type_ is not None and type_.has_stereotype(CDT):
+                edges.add(("BBIE", "CDT"))
+        if any(asbie.based_on is not None for asbie in abie.asbies):
+            edges.add(("ASBIE", "ASCC"))
+    for qdt in model.qdts():
+        if qdt.based_on is not None:
+            edges.add(("QDT", "CDT"))
+        if qdt.content_enum is not None:
+            edges.add(("QDT", "ENUM"))
+    for acc in model.accs():
+        if any(bcc.cdt is not None for bcc in acc.bccs):
+            edges.add(("BCC", "CDT"))
+        if acc.asccs:
+            edges.add(("ASCC", "ACC"))
+    for library in model.doc_libraries():
+        if any(abie.asbies for abie in library.abies):
+            edges.add(("MessageAssembly", "ABIE"))
+    return edges
+
+
+class TestFigure2Metamodel:
+    def test_dependency_structure(self, easybiz):
+        assert _metamodel_edges(easybiz.model) == {
+            ("ABIE", "ACC"), ("ASBIE", "ASCC"), ("BBIE", "CDT"), ("BBIE", "QDT"),
+            ("BCC", "CDT"), ("ASCC", "ACC"), ("QDT", "CDT"), ("QDT", "ENUM"),
+            ("MessageAssembly", "ABIE"),
+        }
+
+    def test_layer_separation(self, easybiz):
+        # No core element references the business layer (downward only).
+        model = easybiz.model.model
+        for association in model.all_of_type(Association):
+            if association.has_stereotype(ASCC):
+                for end in (association.source, association.target):
+                    assert not end.type.has_stereotype(ABIE), association
+        for classifier in model.all_of_type(Classifier):
+            assert not (classifier.has_stereotype(ACC) and classifier.has_stereotype(ABIE))
+
+    def test_business_entities_all_trace_to_core(self, easybiz):
+        assert [a.name for a in easybiz.model.abies() if a.based_on is None] == []
+        assert [q.name for q in easybiz.model.qdts() if q.based_on is None] == []

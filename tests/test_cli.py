@@ -336,7 +336,7 @@ class TestMalformedXmiIsALocatedError:
     def test_syntax_error_exits_one_with_error_line(self, command, capsys):
         assert main([command, str(self.TRUNCATED)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: not well-formed XML: unclosed token: line 6, column 8\n"
+        assert err == "error: line 6, column 9: not well-formed XML: unclosed token\n"
 
     def test_no_traceback_in_a_fresh_process(self):
         result = subprocess.run(

@@ -129,6 +129,25 @@ class TestRootSelection:
 
         with pytest.raises(GenerationError, match="select a root element"):
             SchemaGenerator(easybiz.model).generate(easybiz.doc_library)
+        # The Figure-5 dialog's root dropdown offers the DOCLibrary's ABIEs.
+        candidates = [abie.name for abie in easybiz.doc_library.root_candidates()]
+        assert candidates == ["HoardingPermit", "HoardingDetails"]
+
+    def test_rendered_lines_match_figure6(self, easybiz_result):
+        text = easybiz_result.root.to_string()
+        for expected in (
+            'targetNamespace="urn:au:gov:vic:easybiz:data:draft:EB005-HoardingPermit"',
+            '<xsd:element minOccurs="0" name="ClosureReason" type="cdt1:TextType"/>',
+            '<xsd:element minOccurs="0" name="SafetyPrecaution" type="cdt1:TextType"/>',
+            '<xsd:element minOccurs="0" maxOccurs="unbounded" name="IncludedAttachment" '
+            'type="commonAggregates:AttachmentType"/>',
+            '<xsd:element minOccurs="0" name="CurrentApplication" type="commonAggregates:ApplicationType"/>',
+            '<xsd:element name="IncludedRegistration" type="bie2:RegistrationType"/>',
+            '<xsd:element minOccurs="0" name="BillingPerson_Identification" '
+            'type="commonAggregates:Person_IdentificationType"/>',
+            '<xsd:element name="HoardingPermit" type="doc:HoardingPermitType"/>',
+        ):
+            assert expected in text, expected
 
     def test_rendered_text_is_stable(self, easybiz, easybiz_result):
         from repro.xsdgen import SchemaGenerator

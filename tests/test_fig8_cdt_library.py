@@ -52,6 +52,8 @@ class TestCodeTypeFigure8:
         assert "<xsd:simpleContent>" in text
         assert '<xsd:extension base="xsd:string">' in text
         assert '<xsd:attribute name="CodeListAgName" type="xsd:string" use="required"/>' in text
+        assert '<xsd:attribute name="CodeListName" type="xsd:string" use="required"/>' in text
+        assert '<xsd:attribute name="CodeListSchemeURI" type="xsd:string" use="required"/>' in text
         assert '<xsd:attribute name="LanguageIdentifier" type="xsd:string" use="optional"/>' in text
 
     def test_every_cdt_gets_a_type(self, cdt_schema):

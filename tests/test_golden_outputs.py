@@ -1,6 +1,6 @@
 """Golden-file tests: generation output is byte-stable across runs.
 
-The figure benchmarks assert structure; these tests pin the *exact bytes*
+The figure tests assert structure; these tests pin the *exact bytes*
 of every generated EasyBiz schema (and a sample instance) so any
 unintentional change to naming, ordering, prefixes or formatting shows up
 as a diff against the checked-in goldens.

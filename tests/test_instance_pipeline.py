@@ -44,6 +44,7 @@ from repro.xsd import (
 )
 from repro.xsdgen import GenerationOptions, SchemaGenerator
 
+from tests.conftest import best_of
 from tests.reference_validator import reference_report, reference_validate
 
 ROOTS = {
@@ -333,6 +334,37 @@ class TestValidationPipeline:
         assert snapshot["instances.docs_total"] == 4
         assert snapshot["instances.docs_invalid"] == 1
         assert snapshot["instances.validate_ms"]["count"] == 4
+
+    def test_compiled_serial_beats_reference_walker_3x(self, corpora, tmp_path):
+        """The bar that justifies compiling: on a 200-document corpus the
+        compiled pipeline is >=3x faster than the reference walker, with a
+        byte-identical report (best of 3 on both sides, taking turns)."""
+        schema_set, root = corpora["easybiz"]
+        writer = XmlWriter()
+        for index in range(200):
+            generator = InstanceGenerator(
+                schema_set, fill_optional=True, repeat_unbounded=3 + index % 3
+            )
+            document = generator.generate(root)
+            if index % 40 == 39:
+                add_unknown_child(document)
+            (tmp_path / f"doc{index:04d}.xml").write_text(
+                writer.to_string(document), encoding="utf-8"
+            )
+        compiled = ValidationPipeline(schema_set)
+
+        (reference_s, reference), (compiled_s, report) = best_of(
+            [lambda: reference_report(schema_set, tmp_path), lambda: compiled.run(tmp_path)], 3
+        )
+        assert json.dumps(report.to_json(), sort_keys=True) == json.dumps(
+            reference.to_json(), sort_keys=True
+        )
+        assert report.docs_total == 200
+        assert report.docs_invalid == 200 // 40
+        assert compiled_s * 3 <= reference_s, (
+            f"compiled not >=3x faster: reference={reference_s * 1e3:.1f}ms "
+            f"compiled={compiled_s * 1e3:.1f}ms ({reference_s / compiled_s:.2f}x)"
+        )
 
 
 # -- the CLI surface -----------------------------------------------------------

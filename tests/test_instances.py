@@ -90,7 +90,8 @@ class TestMutations:
 
     def test_drop_required_child_invalidates(self, easybiz_schema_set, instance):
         assert drop_required_child(instance, "IncludedRegistration")
-        assert validate_instance(easybiz_schema_set, instance)
+        problems = validate_instance(easybiz_schema_set, instance)
+        assert problems and "IncludedRegistration" in problems[0].message
 
     def test_drop_missing_child_returns_false(self, instance):
         assert not drop_required_child(instance, "NoSuchThing")

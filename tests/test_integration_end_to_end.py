@@ -7,6 +7,8 @@ XMI round trip -> registry -> regeneration equivalence.
 
 from pathlib import Path
 
+import pytest
+
 from repro import CctsModel, SchemaGenerator, validate_model
 from repro.instances import InstanceGenerator
 from repro.registry import Registry
@@ -14,6 +16,7 @@ from repro.xmi import read_xmi, write_xmi
 from repro.xsd.validator import SchemaSet, validate_instance
 from repro.xsdgen import GenerationOptions
 
+from tests.conftest import build_synthetic_model
 from tests.reference_validator import reference_validate
 
 
@@ -40,10 +43,17 @@ class TestFullPipeline:
                 resolved = (schema_path.parent / import_decl.schema_location).resolve()
                 assert resolved.exists(), f"{import_decl.schema_location} missing"
 
-    def test_annotated_generation_round_trips(self, easybiz, tmp_path):
+    def test_annotated_generation_round_trips(self, easybiz, easybiz_result, tmp_path):
         options = GenerationOptions(annotated=True, target_directory=tmp_path)
-        SchemaGenerator(easybiz.model, options).generate(
+        annotated = SchemaGenerator(easybiz.model, options).generate(
             easybiz.doc_library, root="HoardingPermit"
+        )
+        # The Figure-5 annotation toggle: only the annotated run carries
+        # CCTS documentation, and it makes every document longer.
+        assert "ccts:AcronymCode" not in easybiz_result.root.to_string()
+        assert len(annotated.root.to_string()) > len(easybiz_result.root.to_string())
+        assert sum(len(g.to_string()) for g in annotated.schemas.values()) > sum(
+            len(g.to_string()) for g in easybiz_result.schemas.values()
         )
         schema_set = SchemaSet.from_directory(tmp_path)
         document = InstanceGenerator(schema_set).generate("HoardingPermit")
@@ -84,6 +94,21 @@ class TestFullPipeline:
             generator = InstanceGenerator(easybiz_schema_set, fill_optional=fill)
             document = generator.generate("HoardingPermit")
             assert validate_instance(easybiz_schema_set, document) == []
+
+
+@pytest.mark.parametrize("entity_count", [5, 20, 80])
+def test_synthetic_model_scales(entity_count):
+    """Paper section 4: "a manual transformation ... is unmanageable" -- the
+    pipeline handles a document over ``entity_count`` aggregates."""
+    model, doc, root = build_synthetic_model(entity_count)
+    assert len(model.abies()) == entity_count + 1
+    assert validate_model(model).ok
+    result = SchemaGenerator(model).generate(doc, root=root)
+    bies = next(g for g in result.schemas.values() if g.library.name == "Bies")
+    assert len(bies.schema.complex_types) == entity_count
+    schema_set = result.schema_set()
+    message = InstanceGenerator(schema_set, repeat_unbounded=3).generate(root)
+    assert validate_instance(schema_set, message) == []
 
 
 class TestCrossBusinessLibraryGeneration:

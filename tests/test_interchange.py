@@ -64,7 +64,10 @@ class TestFidelityGap:
         from repro.ccts.model import CctsModel
         from repro.xmi import read_xmi, write_xmi
 
-        reloaded = CctsModel(model=read_xmi(write_xmi(easybiz.model.model)))
+        text = write_xmi(easybiz.model.model)
+        assert text.startswith("<?xml")
+        reloaded = CctsModel(model=read_xmi(text))
+        assert reloaded.model.name == "EasyBiz"
         assert diff_models(easybiz.model, reloaded) == []
 
     def test_csv_round_trip_loses_information(self, easybiz):

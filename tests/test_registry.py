@@ -84,6 +84,8 @@ class TestSearch:
         kinds = {library["kind"] for library in entry.libraries}
         assert "CDTLibrary" in kinds and "DOCLibrary" in kinds
         assert any(den.startswith("Hoarding Permit.") for den in entry.dictionary_entries)
+        hits = registry.search("Hoarding Permit")
+        assert hits and all("Hoarding Permit" in den for _, den in hits)
 
 
 class TestVersioning:

@@ -140,6 +140,7 @@ class TestValidation:
             xsd_verdict = validate_instance(easybiz_schema_set, document) == []
             rng_verdict = rng_validator.validate(document)
             assert xsd_verdict == rng_verdict, f"validators disagree after {mutate}"
+            assert rng_verdict is (mutate is None)
 
     def test_wrong_root_rejected(self, rng_validator):
         assert not rng_validator.validate(parse_xml("<WrongRoot/>"))

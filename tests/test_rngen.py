@@ -100,6 +100,8 @@ class TestRdfs:
         abouts = {node.attributes.get("rdf:about") for node in rdf.find_all("rdfs:Class")}
         assert any(about.endswith("#HoardingPermit") for about in abouts)
         assert any(about.endswith("#Person_Identification") for about in abouts)
+        assert len(rdf.find_all("rdfs:Class")) >= 30
+        assert len(rdf.find_all("rdf:Property")) >= 40
 
     def test_based_on_becomes_subclass(self, easybiz):
         rdf = model_to_rdfs(easybiz.model)

@@ -112,7 +112,7 @@ class TestEndpointContracts:
             {"xmi": truncated.read_text(encoding="utf-8"), "library": "X"},
         )
         assert status == 400
-        assert payload["error"] == "not well-formed XML: unclosed token: line 6, column 8"
+        assert payload == {"error": "not well-formed XML: unclosed token", "line": 6, "column": 9}
 
     def test_non_json_body_400(self, server):
         connection = http.client.HTTPConnection(server.host, server.port, timeout=10)

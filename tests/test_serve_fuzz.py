@@ -3,10 +3,12 @@
 A hypothesis :class:`RuleBasedStateMachine` drives a live
 :class:`~repro.serve.UpccServer` (two requests at a time, two waiting)
 through interleaved steps: register a schema set (``/generate``),
-validate, explain, health checks, unknown paths, broken body framing
-(missing, negative or non-decimal ``Content-Length``, a short body, a
-non-JSON body, an oversized body), a truncated XMI, concurrent bursts
-that overflow admission, and a final drain with requests in flight.
+validate, explain, health checks, unknown paths, broken request lines
+(a path with a space, an unsupported HTTP version, a method other than
+GET and POST), broken body framing (missing, negative or non-decimal
+``Content-Length``, a short body, a non-JSON body, an oversized body), a
+truncated XMI, concurrent bursts that overflow admission, and a final
+drain with requests in flight.
 After every step it checks:
 
 * every request got exactly one response, and a client fault got a 4xx;
@@ -69,8 +71,8 @@ def _easybiz() -> tuple[str, str, str]:
 
 
 def _request(method: str, path: str, body: bytes = b"",
-             headers: tuple[str, ...] = ()) -> bytes:
-    lines = [f"{method} {path} HTTP/1.1", "Host: fuzz", "Connection: close", *headers]
+             headers: tuple[str, ...] = (), version: str = "HTTP/1.1") -> bytes:
+    lines = [f"{method} {path} {version}", "Host: fuzz", "Connection: close", *headers]
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
@@ -261,6 +263,25 @@ class ServeBoundary(RuleBasedStateMachine):
             path += "_"
         body = self._client_fault(_request(method, path), 404)
         assert json.loads(body) == {"error": f"no such endpoint: {method} {path}"}
+
+    @precondition(lambda self: not self.drained)
+    @rule(path=st.from_regex(r"/[a-z]{0,6} [a-z]{1,6}", fullmatch=True))
+    def bad_request_line(self, path: str) -> None:
+        body = self._client_fault(_request("GET", path), 400)
+        assert json.loads(body)["error"].startswith("Bad request syntax")
+
+    @precondition(lambda self: not self.drained)
+    @rule(version=st.sampled_from(["HTTP/9.9", "HTTP/2.0", "HTTP/1", "HTTPS/1.1", "HTTP/1.x"]))
+    def bad_version(self, version: str) -> None:
+        body = self._client_fault(_request("GET", "/healthz", version=version), 400)
+        assert "version" in json.loads(body)["error"]
+
+    @precondition(lambda self: not self.drained)
+    @rule(method=st.sampled_from(["BREW", "PUT", "DELETE", "OPTIONS", "PATCH"]))
+    def unknown_method(self, method: str) -> None:
+        status, headers, body = self._exchange(_request(method, "/validate"))
+        assert (status, headers.get("allow")) == (405, "GET, POST"), (status, headers)
+        assert json.loads(body) == {"error": f"method {method!r} not allowed"}
 
     @precondition(lambda self: not self.drained)
     @rule()

@@ -23,6 +23,8 @@ from repro.uml.package import Package
 from repro.uml.property import Property
 from repro.xmi import read_xmi
 
+from tests.conftest import build_synthetic_model
+
 ROOT = Path(__file__).resolve().parent.parent
 _TYPES = (Classifier, Property, Association, Dependency, Package)
 _STEREOTYPES = MANAGEMENT_STEREOTYPES + DATATYPE_STEREOTYPES + COMMON_STEREOTYPES
@@ -102,6 +104,14 @@ class TestIndexedContext:
             with model.indexed():
                 raise RuntimeError("boom")
         assert model._active_index is None
+
+    def test_asbie_sweep_identical_inside_and_outside(self):
+        # The snapshot's whole-model ASBIE sweep equals per-query scans.
+        model, _, _ = build_synthetic_model(60)
+        unindexed = sum(len(abie.asbies) for abie in model.abies())
+        with model.model.indexed():
+            indexed = sum(len(abie.asbies) for abie in model.abies())
+        assert indexed == unindexed == 60
 
     def test_generation_results_identical_with_and_without_index(self, easybiz):
         # The generator uses the index internally; a manual no-index run

@@ -50,7 +50,7 @@ LENIENT = {
          "id_4", "DuplicateIds/Example/Person", 10, 7),
     ],
     "truncated.xmi": [
-        ("xml-syntax", "not well-formed XML: unclosed token: line 6, column 8",
+        ("xml-syntax", "not well-formed XML: unclosed token",
          None, "", 6, 9),
     ],
     "unknown_stereotype_base.xmi": [
@@ -109,7 +109,7 @@ class TestMalformedCorpusPinned:
         with pytest.raises(XmiError) as excinfo:
             read_xmi(CORPUS / "truncated.xmi")
         error = excinfo.value
-        assert str(error) == "not well-formed XML: unclosed token: line 6, column 8"
+        assert str(error) == "not well-formed XML: unclosed token"
         assert (error.line, error.column) == (6, 9)
         assert isinstance(error.__context__, ET.ParseError)
 

@@ -87,6 +87,13 @@ class TestBothEngines:
         assert match(_el("a", 1, 3), [_q("a"), _q("a")], _symbol).ok
         assert not match(_el("a", 1, 3), [], _symbol).ok
 
+    def test_wide_optional_sequence(self, match):
+        # Worst case for backtracking: every optional element taken twice.
+        for width in (8, 24):
+            model = SequenceGroup([_el(f"f{i}", 0, 2) for i in range(width)])
+            tokens = [_q(f"f{i}") for i in range(width) for _ in range(2)]
+            assert match(model, tokens, _symbol).ok
+
     def test_prohibited_particle(self, match):
         model = SequenceGroup([_el("a", 0, 0), _el("b")])
         assert match(model, [_q("b")], _symbol).ok

@@ -12,6 +12,8 @@ from repro.xsdgen import (
     library_dependencies,
 )
 
+from tests.conftest import best_of
+
 
 def _schema_texts(result):
     return {urn: generated.to_string() for urn, generated in result.schemas.items()}
@@ -114,6 +116,35 @@ class TestGenerationCache:
             easybiz.doc_library, root="HoardingPermit"
         )
         assert _schema_texts(warm) == _schema_texts(cold)
+
+    def test_warm_cache_regeneration(self, easybiz):
+        """Through a pre-warmed shared cache, fresh generators rebuild the
+        closure >=5x faster than cold ones (best of 5, taking turns), byte
+        for byte.
+
+        Both arms skip pre-generation validation so the comparison
+        isolates schema construction.
+        """
+        cache = GenerationCache()
+        cold_options = GenerationOptions(validate_first=False)
+        warm_options = GenerationOptions(validate_first=False, use_cache=True)
+
+        def cold():
+            return SchemaGenerator(easybiz.model, cold_options).generate(
+                easybiz.doc_library, root="HoardingPermit"
+            )
+
+        def warm():
+            return SchemaGenerator(easybiz.model, warm_options, cache=cache).generate(
+                easybiz.doc_library, root="HoardingPermit"
+            )
+
+        warm()  # a miss on every library fills the cache
+        (cold_s, cold_result), (warm_s, warm_result) = best_of([cold, warm], 5)
+        assert warm_s * 5 <= cold_s, (
+            f"warm cache not >=5x faster: cold={cold_s * 1e3:.2f}ms warm={warm_s * 1e3:.2f}ms"
+        )
+        assert _schema_texts(warm_result) == _schema_texts(cold_result)
 
     def test_mutation_misses_instead_of_staleness(self, easybiz):
         cache = GenerationCache()

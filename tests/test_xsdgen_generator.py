@@ -27,8 +27,24 @@ class TestOrchestration:
         generator = SchemaGenerator(easybiz.model)
         result = generator.generate(easybiz.doc_library, root="HoardingPermit")
         # Six schemas: DOC, 2 BIE, CDT, QDT, ENUM; CDT library referenced
-        # from three places but generated once.
+        # from DOC, QDT and both BIE schemas but built once.
         assert len(result.schemas) == 6
+        built = [m for m in generator.session.messages if m.startswith("Building CDTLibrary")]
+        assert len(built) == 1
+
+    def test_independent_library_runs_rebuild_shared_dependencies(self, easybiz, easybiz_result):
+        # The naive closure: each library generated on its own rebuilds its
+        # imports, and every schema it builds equals the memoized closure's.
+        expected = {urn: generated.to_string() for urn, generated in easybiz_result.schemas.items()}
+        built = 0
+        for library in (generated.library for generated in easybiz_result.schemas.values()):
+            root = "HoardingPermit" if library.name == easybiz.doc_library.name else None
+            generator = SchemaGenerator(easybiz.model, GenerationOptions(validate_first=False))
+            result = generator.generate(library.name, root=root)
+            built += len(result.schemas)
+            for urn, generated in result.schemas.items():
+                assert generated.to_string() == expected[urn]
+        assert built > 6
 
     def test_generate_by_library_name(self, easybiz):
         generator = SchemaGenerator(easybiz.model)
@@ -39,6 +55,7 @@ class TestOrchestration:
         generator = SchemaGenerator(easybiz.model)
         with pytest.raises(GenerationError, match="PRIMLibraries"):
             generator.generate(easybiz.prim_library)
+        assert any("no schema generation mechanism" in m for m in generator.session.messages)
 
     def test_erroneous_model_aborts(self):
         model = CctsModel("Bad")
@@ -48,7 +65,7 @@ class TestOrchestration:
         generator = SchemaGenerator(model)
         with pytest.raises(GenerationError, match="erroneous"):
             generator.generate(bies)
-        assert any("ERROR" in message for message in generator.session.messages)
+        assert any(message.startswith("ERROR:") for message in generator.session.messages)
 
     def test_validation_can_be_skipped(self):
         model = CctsModel("Bad")
@@ -76,6 +93,8 @@ class TestOrchestration:
         assert "data_draft_EB005-HoardingPermit_0.4.xsd" in files
         assert "types_draft_coredatatypes_1.0.xsd" in files
         assert len(files) == 6
+        assert len(list(tmp_path.rglob("*.xsd"))) == 6
+        assert any(m.startswith("Wrote 6 schema file(s)") for m in generator.session.messages)
 
     def test_cyclic_bie_libraries_generate(self):
         model = CctsModel("Cyclic")
