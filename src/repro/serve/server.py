@@ -257,7 +257,8 @@ class _Handler(BaseHTTPRequestHandler):
         is counted, logged and timed like every other response.
 
         A bad request line or an unsupported version is a 400, any method
-        but GET and POST a 405; the connection closes either way.
+        but GET and POST a 405 (without a body for HEAD, whose answers
+        carry none); the connection closes either way.
         """
         # Headers may not have been read, so _begin_request cannot run.
         self._started = time.perf_counter()
@@ -278,7 +279,8 @@ class _Handler(BaseHTTPRequestHandler):
         elif code == 505:
             code = 400
         error = message or self.responses.get(code, ("error",))[0]
-        self._reply("unknown", int(code), {"error": error}, headers=headers)
+        payload = "" if self.command == "HEAD" else {"error": error}
+        self._reply("unknown", int(code), payload, headers=headers)
 
     # -- plumbing --------------------------------------------------------------
 
