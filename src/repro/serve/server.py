@@ -143,7 +143,11 @@ class _Handler(BaseHTTPRequestHandler):
     # connection thread forever -- drain joins these threads.
     timeout = 5
     server_version = "upcc-serve"
-    sys_version = ""
+
+    def version_string(self) -> str:
+        """The ``Server`` header: the daemon's name alone (the stdlib
+        appends the Python version after a space)."""
+        return self.server_version
 
     @property
     def upcc(self) -> "UpccServer":

@@ -1272,6 +1272,22 @@ class TestTransport:
         # The delayed-ACK timer is ~40 ms; a stalled request cannot beat it.
         assert latencies[len(latencies) // 2] < 20.0, latencies
 
+    @pytest.mark.parametrize(
+        "request_bytes, status_line",
+        [
+            (b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+             b"HTTP/1.1 200 OK\r\n"),
+            (b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+             b"HTTP/1.1 405 Method Not Allowed\r\n"),
+        ],
+        ids=["get-200", "head-405"],
+    )
+    def test_server_header_is_the_daemon_name(self, server, request_bytes, status_line):
+        data, _elapsed = _exchange(server, request_bytes)
+        head = data.partition(b"\r\n\r\n")[0] + b"\r\n"
+        assert head.startswith(status_line), data
+        assert b"\r\nServer: upcc-serve\r\n" in head, head
+
 
 class TestStageTimings:
     def test_stage_times_fit_inside_the_request(self, server, easybiz_xmi):
