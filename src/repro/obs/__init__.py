@@ -1,6 +1,6 @@
 """Pipeline observability: tracing spans, metrics, profiling, logging interop.
 
-Zero-dependency, stdlib-only.  Six parts:
+Zero-dependency, stdlib-only.  Its parts:
 
 * :mod:`repro.obs.trace` -- hierarchical :class:`Span` context managers
   (wall + thread-CPU time) collected by a thread-safe :class:`Tracer`
@@ -24,12 +24,14 @@ Zero-dependency, stdlib-only.  Six parts:
 * :mod:`repro.obs.propagation` -- W3C trace-context (``traceparent`` /
   ``tracestate``) parsing, rendering, and an ambient
   :class:`TraceContext` carried across threads via :mod:`contextvars`,
+* :mod:`repro.obs.jsonl` -- :class:`JsonlRing`, the bounded JSON-lines
+  store behind the access log, the alert log and the slow-capture index,
 * :mod:`repro.obs.slo` -- declarative :class:`SloSpec` objectives
   evaluated by a multi-window burn-rate :class:`SloEngine`, with alert
-  transitions recorded to a bounded :class:`AlertLog` ring,
+  transitions recorded to an :class:`AlertLog` store,
 * :mod:`repro.obs.query` -- offline filters over the serve daemon's
-  JSONL artifacts (access logs, slow captures, alert rings) backing the
-  ``upcc obs query`` subcommand.
+  JSONL artifacts (access and alert logs with their rotated
+  generations, slow captures) backing the ``upcc obs query`` subcommand.
 
 Everything is off by default and costs one attribute check per
 instrumented site.  Turn it on with::
@@ -96,11 +98,8 @@ from repro.obs.propagation import (
     render_tracestate,
     use_trace_context,
 )
-from repro.obs.query import (
-    query_access_log,
-    query_alerts,
-    query_slow_captures,
-)
+from repro.obs.jsonl import JsonlRing
+from repro.obs.query import query_jsonl, query_slow_captures
 from repro.obs.runtime import RuntimeCollector, sample_runtime
 from repro.obs.slo import (
     DEFAULT_SLOS,
@@ -182,6 +181,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonLinesSink",
+    "JsonlRing",
     "LogfmtSink",
     "MetricsRegistry",
     "PIPELINE_LOGGERS",
@@ -220,8 +220,7 @@ __all__ = [
     "get_tracer",
     "histogram",
     "quantile_from_buckets",
-    "query_access_log",
-    "query_alerts",
+    "query_jsonl",
     "query_slow_captures",
     "render_prometheus",
     "render_traceparent",

@@ -3,16 +3,16 @@
 ``upcc serve`` leaves three JSON-lines trails behind: the access log
 (``--access-log``, plus rotated ``.1 .. .N`` generations), the
 slow-request capture directory (``--slow-dir``, one span-tree JSONL per
-capture), and the SLO alert ring (``--alert-log``).  This module is the
-read side: filter any of them by trace id, request id, status code (or a
-``4xx``/``5xx`` class), and time window -- the ``upcc obs query``
-subcommand, so chasing "what happened to trace X?" works after the
-daemon is gone, with nothing but the files.
+capture), and the SLO alert log (``--alert-log``, rotated like the
+access log).  This module is the read side: filter any of them by trace
+id, request id, status code (or a ``4xx``/``5xx`` class), and time
+window -- the ``upcc obs query`` subcommand, so chasing "what happened
+to trace X?" works after the daemon is gone, with nothing but the files.
 
-All readers are tolerant: malformed lines are skipped (and counted),
-missing files yield empty results rather than raising, and rotated
-access-log generations are read oldest-first so output stays in
-chronological order.
+All readers are tolerant: malformed lines are skipped, missing files
+yield empty results rather than raising, and the rotated generations of
+the access log and the alert log are read oldest-first so output stays
+in chronological order.
 """
 
 from __future__ import annotations
@@ -22,15 +22,19 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
+
+from repro.obs.jsonl import generation_paths, read_jsonl
+
+#: The access log's files, oldest first (see :func:`generation_paths`).
+access_log_paths = generation_paths
 
 __all__ = [
     "access_log_paths",
     "add_arguments",
     "capture_summary",
     "parse_when",
-    "query_access_log",
-    "query_alerts",
+    "query_jsonl",
     "query_slow_captures",
     "read_jsonl",
     "record_matches",
@@ -69,44 +73,6 @@ def status_matches(status: Any, pattern: str) -> bool:
     if pattern.endswith("xx") and len(pattern) == 3:
         return len(code) == 3 and code[0] == pattern[0]
     return code == pattern
-
-
-def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Parsed objects from a JSON-lines file; malformed lines are skipped."""
-    path = Path(path)
-    try:
-        handle = path.open("r", encoding="utf-8")
-    except OSError:
-        return
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                yield record
-
-
-def access_log_paths(path: str | Path) -> list[Path]:
-    """The live access log plus rotated generations, oldest first.
-
-    Rotation shifts ``name -> name.1 -> name.2``, so chronological order
-    is highest generation first, live file last.
-    """
-    path = Path(path)
-    generations = []
-    for candidate in path.parent.glob(f"{path.name}.*"):
-        suffix = candidate.name[len(path.name) + 1:]
-        if suffix.isdigit():
-            generations.append((int(suffix), candidate))
-    ordered = [p for _n, p in sorted(generations, reverse=True)]
-    if path.exists():
-        ordered.append(path)
-    return ordered
 
 
 def record_matches(
@@ -166,72 +132,41 @@ def capture_summary(path: str | Path) -> dict[str, Any] | None:
     }
 
 
-def query_access_log(
-    path: str | Path,
-    *,
-    trace_id: str | None = None,
-    request_id: str | None = None,
-    status: str | None = None,
-    since: float | None = None,
-    until: float | None = None,
-    limit: int | None = None,
+def query_jsonl(
+    path: str | Path, *, limit: int | None = None, **filters: Any
 ) -> list[dict[str, Any]]:
-    """Matching access-log records (rotated generations included), in order."""
-    matches: list[dict[str, Any]] = []
-    for file_path in access_log_paths(path):
-        for record in read_jsonl(file_path):
-            if record_matches(
-                record, trace_id=trace_id, request_id=request_id,
-                status=status, since=since, until=until,
-            ):
-                matches.append(record)
+    """Records of a :class:`~repro.obs.jsonl.JsonlRing` file (the access
+    log or the alert log, rotated generations included) that pass
+    :func:`record_matches` with ``filters``, oldest first; ``limit``
+    keeps the newest."""
+    matches = [
+        record
+        for file_path in generation_paths(path)
+        for record in read_jsonl(file_path)
+        if record_matches(record, **filters)
+    ]
     return matches[-limit:] if limit else matches
 
 
 def query_slow_captures(
-    directory: str | Path,
-    *,
-    trace_id: str | None = None,
-    request_id: str | None = None,
-    status: str | None = None,
-    since: float | None = None,
-    until: float | None = None,
-    limit: int | None = None,
+    directory: str | Path, *, limit: int | None = None, **filters: Any
 ) -> list[dict[str, Any]]:
-    """:func:`capture_summary` of each slow capture matching the filters."""
-    summaries: list[dict[str, Any]] = []
-    for file_path in sorted(Path(directory).glob("slow-*.jsonl")):
-        summary = capture_summary(file_path)
-        if summary is not None and record_matches(
-            summary, trace_id=trace_id or None, request_id=request_id,
-            status=status, since=since, until=until,
-        ):
-            summaries.append(summary)
-    return summaries[-limit:] if limit else summaries
-
-
-def query_alerts(
-    path: str | Path,
-    *,
-    slo: str | None = None,
-    state: str | None = None,
-    since: float | None = None,
-    until: float | None = None,
-    limit: int | None = None,
-) -> list[dict[str, Any]]:
-    """Matching alert-ring records (``--alert-log`` JSONL), in order."""
-    matches = [
-        record for record in read_jsonl(path)
-        if record_matches(record, slo=slo, state=state, since=since, until=until)
+    """:func:`capture_summary` of each slow capture that passes
+    :func:`record_matches` with ``filters``, oldest first; ``limit``
+    keeps the newest."""
+    summaries = [
+        summary
+        for summary in map(capture_summary, sorted(Path(directory).glob("slow-*.jsonl")))
+        if summary is not None and record_matches(summary, **filters)
     ]
-    return matches[-limit:] if limit else matches
+    return summaries[-limit:] if limit else summaries
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Define the ``upcc obs query`` options on ``parser``."""
     parser.add_argument("--access-log", metavar="FILE", help="access log JSONL (rotated generations are included)")
     parser.add_argument("--slow-dir", metavar="DIR", help="slow-request capture directory")
-    parser.add_argument("--alerts", metavar="FILE", help="SLO alert ring JSONL")
+    parser.add_argument("--alerts", metavar="FILE", help="SLO alert log JSONL (rotated generations are included)")
     parser.add_argument("--trace-id", help="exact 32-hex W3C trace id")
     parser.add_argument("--request-id", help="exact request id")
     parser.add_argument("--status", help="exact status code (e.g. 503) or class (4xx, 5xx)")
@@ -259,10 +194,14 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
+    if args.limit < 0:
+        print(f"error: --limit must be 0 or more, not {args.limit}", file=sys.stderr)
+        return 2
+
     limit = args.limit or None
     results: dict[str, list[dict[str, Any]]] = {}
     if args.access_log:
-        results["access"] = query_access_log(
+        results["access"] = query_jsonl(
             args.access_log, trace_id=args.trace_id, request_id=args.request_id,
             status=args.status, since=since, until=until, limit=limit,
         )
@@ -272,7 +211,7 @@ def run(args: argparse.Namespace) -> int:
             status=args.status, since=since, until=until, limit=limit,
         )
     if args.alerts:
-        results["alerts"] = query_alerts(
+        results["alerts"] = query_jsonl(
             args.alerts, slo=args.slo, state=args.state,
             since=since, until=until, limit=limit,
         )
@@ -295,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="upcc obs query",
         description="filter serve access logs, slow captures, and alert "
-        "rings by trace id, request id, status, or time window",
+        "logs by trace id, request id, status, or time window",
     )
     add_arguments(parser)
     return run(parser.parse_args(argv))

@@ -19,7 +19,7 @@ multi-burn-rate recipe from the Google SRE workbook:
   fast window makes alerts prompt, the slow window keeps a brief blip
   from paging -- and **resolves** once either window recovers;
 * transitions append :class:`Alert` records to an in-memory ring and an
-  optional size-bounded JSONL file (:class:`AlertLog`), served by
+  optional size-rotated JSONL file (:class:`AlertLog`), served by
   ``GET /alerts`` and queried by ``upcc obs query --alerts``.
 
 No traffic means no burn: windows with zero total are healthy, so an
@@ -30,7 +30,6 @@ for deterministic tests.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
@@ -39,7 +38,8 @@ from typing import Any, Callable, Iterable
 
 from repro.obs.logging_bridge import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.query import read_jsonl, status_matches
+from repro.obs.jsonl import JsonlRing
+from repro.obs.query import status_matches
 
 _log = get_logger("repro.obs.slo")
 
@@ -221,6 +221,7 @@ class Alert:
     message: str = ""
 
     def to_dict(self) -> dict[str, Any]:
+        """The alert as the JSON object the alert log holds."""
         return {
             "ts": round(self.ts, 3),
             "slo": self.slo,
@@ -235,6 +236,7 @@ class Alert:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "Alert":
+        """The alert a :meth:`to_dict` object stands for; raises on a foreign one."""
         return cls(
             ts=float(payload["ts"]),
             slo=str(payload["slo"]),
@@ -248,86 +250,27 @@ class Alert:
         )
 
 
-class AlertLog:
-    """A bounded alert ring: the last ``keep`` records, optionally on disk.
+#: Bytes allowed per alert in the alert file's bound.  A line is about
+#: 250 bytes plus twice the SLO name, so the rotated generation alone
+#: holds at least ``keep`` alerts for names up to ~380 characters.
+_ALERT_LINE_BYTES = 1024
 
-    Appends go to an in-memory deque and (when ``path`` is set) a JSONL
-    file.  The file is compacted back to the ring contents whenever the
-    appended lines exceed twice ``keep``, so a flapping SLO on a
-    long-running daemon cannot grow it without bound.  A log opened on
-    an existing file reads its newest ``keep`` alerts back into the ring
-    and counts its records toward compaction, so both hold across
-    restarts.
+
+class AlertLog(JsonlRing):
+    """The alert ring: the last ``keep`` :class:`Alert` records, optionally on disk.
+
+    A :class:`~repro.obs.jsonl.JsonlRing` whose file rotates past
+    ``keep * _ALERT_LINE_BYTES`` into one older generation, so a
+    flapping SLO on a long-running daemon cannot grow it without bound,
+    and a log reopened on it reads its newest ``keep`` alerts back.
     """
 
+    encode = staticmethod(Alert.to_dict)
+    decode = staticmethod(Alert.from_dict)
+
     def __init__(self, path: str | None = None, keep: int = 256) -> None:
-        self.path = path
-        self.keep = max(1, keep)
-        self._ring: deque[Alert] = deque(maxlen=self.keep)
-        self._appended = 0
-        self._lock = threading.Lock()
-        if path is not None:
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-            for record in read_jsonl(path):
-                self._appended += 1
-                try:
-                    self._ring.append(Alert.from_dict(record))
-                except (KeyError, TypeError, ValueError):
-                    _log.warning("alert log %s: skipped a malformed record", path)
-
-    def append(self, alert: Alert) -> None:
-        """Record one alert, compacting the backing file when oversized.
-
-        File I/O failures are logged and swallowed: the in-memory ring
-        (what ``GET /alerts`` serves) already has the alert, and a disk
-        blip must not propagate into the collector thread that calls
-        this from the SLO engine's tick.
-        """
-        with self._lock:
-            self._ring.append(alert)
-            if self.path is None:
-                return
-            line = json.dumps(alert.to_dict(), sort_keys=True)
-            self._appended += 1
-            try:
-                if self._appended > 2 * self.keep:
-                    self._compact_locked(self.path)
-                else:
-                    with open(self.path, "a", encoding="utf-8") as handle:
-                        handle.write(line + "\n")
-            except OSError as error:
-                _log.warning("alert log write failed: %s", error)
-
-    def _compact_locked(self, path: str) -> None:
-        """Rewrite the file as the ring's contents.
-
-        The ring goes to a sibling temp file, synced, that then replaces
-        the log, so a write that fails partway leaves the previous file
-        whole.
-        """
-        temp = path + ".tmp"
-        try:
-            with open(temp, "w", encoding="utf-8") as handle:
-                for kept in self._ring:
-                    handle.write(json.dumps(kept.to_dict(), sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp, path)
-        except OSError:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
-            raise
-        self._appended = len(self._ring)
-
-    def recent(self, limit: int | None = None) -> list[Alert]:
-        """The newest alerts, oldest first (bounded by ``limit``)."""
-        with self._lock:
-            alerts = list(self._ring)
-        if limit is not None and limit >= 0:
-            alerts = alerts[-limit:]
-        return alerts
+        keep = max(1, keep)
+        super().__init__(path, ring=keep, max_bytes=keep * _ALERT_LINE_BYTES, keep_rolled=1)
 
 
 #: Ring-capacity bounds for :class:`_Window`: never smaller than the

@@ -1,11 +1,12 @@
 """Structured request logging and slow-request capture for ``upcc serve``.
 
-Two small, thread-safe stores the HTTP layer writes into:
+Two thread-safe stores the HTTP layer writes into, both built on
+:class:`repro.obs.jsonl.JsonlRing`:
 
 * :class:`AccessLog` -- one JSON object per finished request (method,
   path, status, ``duration_ms``, ``queue_wait_ms``, request id, root
-  span id, trace id), appended to a JSON-lines file when a path is configured
-  and always kept in a bounded in-memory ring surfaced by ``GET /stats``.
+  span id, trace id), kept in the ring surfaced by ``GET /stats`` and
+  appended to a size-rotated JSON-lines file when a path is configured.
   Request ids come from :func:`new_request_id` (or the client's
   ``X-Request-Id``) and are echoed back on every response, so one id
   follows a request from client log to access log to span capture.
@@ -13,23 +14,23 @@ Two small, thread-safe stores the HTTP layer writes into:
 * :class:`SlowRequestStore` -- a bounded on-disk ring of full span trees
   for requests slower than ``--slow-ms``.  Each capture writes a JSONL
   file (one span per line, ids preserved -- the ``upcc trace`` shape) and
-  a Chrome trace-event JSON (:func:`repro.obs.prof.to_trace_events`) that
-  loads straight into Perfetto; the oldest captures are deleted once
+  a Chrome trace-event JSON (:func:`repro.obs.prof.render_trace_events`)
+  that loads straight into Perfetto; the oldest captures are deleted once
   ``keep`` is exceeded.  ``GET /slow`` lists the ring's index.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import threading
 import time
 import uuid
-from collections import deque
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any
 
+from repro.obs.jsonl import JsonlRing
 from repro.obs.logging_bridge import get_logger
-from repro.obs.prof import to_trace_events
+from repro.obs.prof import render_trace_events
 from repro.obs.query import capture_summary
 from repro.obs.trace import Span
 
@@ -49,90 +50,13 @@ def new_request_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
-class AccessLog:
-    """JSON-lines access log plus an in-memory ring of recent requests.
+class AccessLog(JsonlRing):
+    """The access log: a :class:`~repro.obs.jsonl.JsonlRing` of request records.
 
     ``path=None`` keeps only the ring (the daemon default until
-    ``--access-log`` is passed; no JSON is built then); the ring is always
-    on because ``/stats`` serves it.  The file stays open until
-    :meth:`close` (the daemon's drain), and a failed open is retried by
-    the next record; writes append-and-flush under a lock, so concurrent
-    connection threads never interleave partial lines.
-
-    ``max_bytes`` bounds the live file: once an append pushes it past the
-    limit, the file rotates to ``<name>.1`` (older generations shift to
-    ``.2`` .. ``.<keep_rolled>``, the oldest is deleted), so a
-    long-running daemon's disk use stays at roughly
-    ``max_bytes * (keep_rolled + 1)``.  The log owns rotation: a file
-    moved away from outside keeps receiving writes through the open handle.
+    ``--access-log`` is passed); the ring is always on because ``/stats``
+    serves it, and a log reopened on existing files refills it.
     """
-
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        ring: int = 256,
-        max_bytes: int | None = None,
-        keep_rolled: int = 3,
-    ) -> None:
-        self.path = Path(path) if path is not None else None
-        self.ring: deque[dict[str, Any]] = deque(maxlen=max(1, ring))
-        self.max_bytes = max_bytes if max_bytes and max_bytes > 0 else None
-        self.keep_rolled = max(1, keep_rolled)
-        self.lines_written = 0
-        self.rotations = 0
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self._file: TextIO | None = None
-        self._closed = False
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._open_locked()
-
-    def _open_locked(self) -> None:
-        """Open the live file for appending; counts what it already holds."""
-        assert self.path is not None
-        try:
-            self._file = self.path.open("a", encoding="utf-8")
-            self._bytes = self.path.stat().st_size
-        except OSError as error:
-            self._file = None
-            _log.warning("access log open failed: %s", error)
-
-    def close(self) -> None:
-        """Close the live file; later records go to the ring only."""
-        with self._lock:
-            self._closed = True
-            if self._file is not None:
-                self._file.close()
-                self._file = None
-
-    def _rotate_locked(self) -> None:
-        """Shift ``name`` -> ``name.1`` -> ... -> ``name.keep_rolled``."""
-        assert self.path is not None
-        oldest = self.path.with_name(f"{self.path.name}.{self.keep_rolled}")
-        try:
-            oldest.unlink()
-        except OSError:
-            pass
-        for index in range(self.keep_rolled - 1, 0, -1):
-            source = self.path.with_name(f"{self.path.name}.{index}")
-            if source.exists():
-                try:
-                    source.rename(self.path.with_name(f"{self.path.name}.{index + 1}"))
-                except OSError as error:
-                    _log.warning("access log rotation failed: %s", error)
-        if self._file is not None:
-            self._file.close()
-        try:
-            self.path.rename(self.path.with_name(f"{self.path.name}.1"))
-        except OSError as error:
-            # The live file is still in place: keep _bytes so the next
-            # append retries rotation instead of letting the file grow
-            # past max_bytes forever behind a reset counter.
-            _log.warning("access log rotation failed: %s", error)
-        else:
-            self.rotations += 1
-        self._open_locked()
 
     def log(
         self,
@@ -158,33 +82,8 @@ class AccessLog:
             "span_id": span_id,
             "trace_id": trace_id,
         }
-        with self._lock:
-            self.ring.append(record)
-            if self._file is None and self.path is not None and not self._closed:
-                # An earlier open failed (at construction or after a
-                # rotation); each record retries it.
-                self._open_locked()
-            if self._file is not None:
-                line = json.dumps(record, sort_keys=True) + "\n"
-                try:
-                    self._file.write(line)
-                    self._file.flush()
-                    self.lines_written += 1
-                    # Size accounting must match what stat() would say:
-                    # encoded bytes, not characters.
-                    self._bytes += len(line.encode("utf-8"))
-                    if self.max_bytes is not None and self._bytes > self.max_bytes:
-                        self._rotate_locked()
-                except OSError as error:
-                    _log.warning("access log write failed: %s", error)
-            elif self.path is None:
-                self.lines_written += 1
+        self.append(record)
         return record
-
-    def recent(self) -> list[dict[str, Any]]:
-        """The ring's records, oldest first (copies, JSON-ready)."""
-        with self._lock:
-            return [dict(record) for record in self.ring]
 
 
 class SlowRequestStore:
@@ -203,14 +102,14 @@ class SlowRequestStore:
     def __init__(self, directory: str | Path, keep: int = 32) -> None:
         self.directory = Path(directory)
         self.keep = max(1, keep)
-        self._lock = threading.Lock()
-        self._seq = 0
         #: Newest-last index of captures (what ``GET /slow`` serves).
-        self._index: deque[dict[str, Any]] = deque(maxlen=self.keep)
-        self._recover()
+        self._index = JsonlRing(ring=self.keep)
+        # next() on a count is atomic, so capture threads need no lock.
+        self._seq = itertools.count(self._recover() + 1)
 
-    def _recover(self) -> None:
-        """Index the ``slow-<seq>-<id>`` pairs already on disk, by ``seq``."""
+    def _recover(self) -> int:
+        """Index the ``slow-<seq>-<id>`` pairs already on disk, by ``seq``;
+        returns the highest ``seq`` (0 for none)."""
         bases: dict[int, str] = {}
         for path in self.directory.glob("slow-*"):
             base = path.name.removesuffix(".trace.json").removesuffix(".jsonl")
@@ -218,7 +117,6 @@ class SlowRequestStore:
             if len(parts) == 3 and parts[1].isdigit():
                 bases[int(parts[1])] = base
         for seq in sorted(bases):
-            self._seq = seq
             base = bases[seq]
             # A capture without a readable root span is indexed all the
             # same, so that eviction still deletes its files.
@@ -235,14 +133,11 @@ class SlowRequestStore:
                 "jsonl": f"{base}.jsonl",
                 "trace": f"{base}.trace.json",
             })
+        return max(bases, default=0)
 
     def _append(self, entry: dict[str, Any]) -> None:
         """Index ``entry``, deleting the files of the capture it evicts."""
-        with self._lock:
-            evicted = None
-            if len(self._index) == self._index.maxlen:
-                evicted = self._index[0]
-            self._index.append(entry)
+        evicted = self._index.append(entry)
         if evicted is not None:
             for name in (evicted["jsonl"], evicted["trace"]):
                 try:
@@ -260,19 +155,14 @@ class SlowRequestStore:
     ) -> dict[str, Any]:
         """Persist ``root``'s full span tree; returns the index entry."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            self._seq += 1
-            stamp = f"{self._seq:06d}"
-        base = f"slow-{stamp}-{request_id or root.span_id}"
+        base = f"slow-{next(self._seq):06d}-{request_id or root.span_id}"
         jsonl_path = self.directory / f"{base}.jsonl"
         trace_path = self.directory / f"{base}.trace.json"
         span_lines = [
             json.dumps(span_.to_record(), sort_keys=True) for span_, _ in root.walk()
         ]
         jsonl_path.write_text("\n".join(span_lines) + "\n", encoding="utf-8")
-        trace_path.write_text(
-            json.dumps(to_trace_events([root]), sort_keys=True), encoding="utf-8"
-        )
+        trace_path.write_text(render_trace_events([root]), encoding="utf-8")
         entry = {
             "request_id": request_id,
             "trace_id": trace_id,
@@ -293,9 +183,7 @@ class SlowRequestStore:
 
     def list(self) -> list[dict[str, Any]]:
         """Index entries, oldest first (what ``GET /slow`` returns)."""
-        with self._lock:
-            return [dict(entry) for entry in self._index]
+        return self._index.recent()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._index)
+        return len(self._index.ring)

@@ -81,6 +81,10 @@ __all__ = ["ServeConfig", "UpccServer"]
 
 _log = get_logger("repro.serve")
 
+#: A client ``X-Request-Id`` is used only when it has this form: the id
+#: names slow-capture files, so it must be a plain file-name part.
+_CLIENT_REQUEST_ID = re.compile(r"[A-Za-z0-9._-]{1,64}")
+
 describe("serve.requests_total", "Requests handled, by endpoint.")
 describe("serve.responses_total", "Responses sent, by HTTP status code.")
 describe("serve.rejected_total",
@@ -175,7 +179,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._started = time.perf_counter()
         self._stages = {}
         incoming = self.headers.get("X-Request-Id", "").strip()
-        self._request_id = incoming[:64] if incoming else new_request_id()
+        self._request_id = incoming if _CLIENT_REQUEST_ID.fullmatch(incoming) else new_request_id()
         context = parse_traceparent(self.headers.get(TRACEPARENT_HEADER))
         if context is not None:
             state = parse_tracestate(self.headers.get(TRACESTATE_HEADER))
@@ -667,6 +671,7 @@ class UpccServer:
             self._serve_thread.join(timeout=5.0)
         self._runtime.stop()
         self.access.close()
+        self.slo_engine.alert_log.close()
         if self._tracer_enabled_by_us:
             get_tracer().enabled = False
             self._tracer_enabled_by_us = False

@@ -16,8 +16,8 @@ from repro.obs.query import (
     access_log_paths,
     main,
     parse_when,
-    query_access_log,
-    query_alerts,
+    query_jsonl as query_access_log,
+    query_jsonl as query_alerts,
     query_slow_captures,
     read_jsonl,
     status_matches,
@@ -190,6 +190,12 @@ class TestAlertQuery:
         _write_jsonl(ring, ALERTS)
         assert [a["ts"] for a in query_alerts(ring, since=15.0, until=25.0)] == [20.0]
 
+    def test_rotated_generation_is_read_before_the_live_file(self, tmp_path):
+        ring = tmp_path / "alerts.jsonl"
+        _write_jsonl(tmp_path / "alerts.jsonl.1", ALERTS[:2])
+        _write_jsonl(ring, ALERTS[2:])
+        assert [a["ts"] for a in query_alerts(ring)] == [10.0, 20.0, 30.0]
+
 
 class TestCli:
     def test_requires_a_source(self, capsys):
@@ -201,6 +207,22 @@ class TestCli:
         _write_jsonl(log, ACCESS_RECORDS)
         assert main(["--access-log", str(log), "--since", "lately"]) == 2
         assert "ISO-8601" in capsys.readouterr().err
+
+    def test_negative_limit_is_rejected(self, tmp_path, capsys):
+        log = tmp_path / "access.jsonl"
+        _write_jsonl(log, ACCESS_RECORDS)
+        assert main(["--access-log", str(log), "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--limit" in captured.err
+        assert captured.out == ""
+
+    def test_alerts_query_reads_rotated_generations(self, tmp_path, capsys):
+        ring = tmp_path / "alerts.jsonl"
+        _write_jsonl(tmp_path / "alerts.jsonl.1", ALERTS[:1])
+        _write_jsonl(ring, ALERTS[1:])
+        assert main(["--alerts", str(ring), "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert [a["ts"] for a in document["alerts"]] == [10.0, 20.0, 30.0]
 
     def test_jsonl_output_tags_sources(self, tmp_path, capsys):
         log = tmp_path / "access.jsonl"

@@ -269,7 +269,6 @@ class TestAlertLog:
         for i in range(10):
             log.append(self._alert(float(i)))
         assert [a.ts for a in log.recent()] == [7.0, 8.0, 9.0]
-        assert [a.ts for a in log.recent(limit=2)] == [8.0, 9.0]
 
     def test_jsonl_file_round_trips(self, tmp_path):
         path = str(tmp_path / "alerts.jsonl")
@@ -279,80 +278,72 @@ class TestAlertLog:
         records = [json.loads(line) for line in open(path, encoding="utf-8")]
         assert [Alert.from_dict(r).state for r in records] == ["firing", "resolved"]
 
-    def test_file_is_compacted_past_twice_keep(self, tmp_path):
-        path = str(tmp_path / "alerts.jsonl")
-        log = AlertLog(path=path, keep=4)
-        for i in range(20):
+    def _assert_bounded(self, log):
+        files = {p.name: p.stat().st_size for p in log.path.parent.iterdir()}
+        assert set(files) <= {"alerts.jsonl", "alerts.jsonl.1"}
+        for size in files.values():
+            # One alert may push a file past the bound before it rotates.
+            assert size <= log.max_bytes + 512
+
+    def test_file_is_bounded_by_bytes_and_one_generation(self, tmp_path):
+        path = tmp_path / "alerts.jsonl"
+        log = AlertLog(path=str(path), keep=2)
+        for i in range(100):
             log.append(self._alert(float(i)))
-        lines = open(path, encoding="utf-8").read().splitlines()
-        assert len(lines) <= 2 * 4 + 1
-        # The newest alerts are always present:
-        assert json.loads(lines[-1])["ts"] == 19.0
+        assert log.rotations > 1
+        self._assert_bounded(log)
+        # The newest alert is always in the live file:
+        assert json.loads(path.read_text().splitlines()[-1])["ts"] == 99.0
 
     def test_history_and_bound_hold_across_restarts(self, tmp_path):
         path = tmp_path / "alerts.jsonl"
         first = AlertLog(path=str(path), keep=2)
         for i in range(3):
             first.append(self._alert(float(i)))
-        for run in range(1, 5):
+        for run in range(1, 10):
             log = AlertLog(path=str(path), keep=2)
             assert log.recent() == first.recent()
             for i in range(3):
                 log.append(self._alert(float(3 * run + i)))
-            assert len(path.read_text(encoding="utf-8").splitlines()) <= 2 * 2
+            self._assert_bounded(log)
             first = log
+        assert (tmp_path / "alerts.jsonl.1").exists()
 
-    def test_failed_compaction_keeps_the_previous_file(self, tmp_path, monkeypatch):
+    def test_rotated_log_gives_back_keep_alerts_after_restart(self, tmp_path):
         path = tmp_path / "alerts.jsonl"
-        log = AlertLog(path=str(path), keep=2)
-        for i in range(4):  # 2 * keep lines: the next append compacts
-            log.append(self._alert(float(i)))
-        before = path.read_text(encoding="utf-8")
-        real_open = open
-
-        class DiskFullHandle:
-            """Writes half of what it is given, then fails."""
-
-            def __init__(self, handle):
-                self.handle = handle
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.handle.close()
-
-            def write(self, text):
-                self.handle.write(text[: len(text) // 2])
-                raise OSError("disk full")
-
-        def failing_open(file, mode="r", *args, **kwargs):
-            handle = real_open(file, mode, *args, **kwargs)
-            return DiskFullHandle(handle) if "w" in mode else handle
-
-        monkeypatch.setattr("builtins.open", failing_open)
-        log.append(self._alert(4.0))
-        monkeypatch.undo()
-        assert path.read_text(encoding="utf-8") == before
-        assert [a.ts for a in log.recent()] == [3.0, 4.0]
-        assert [p.name for p in tmp_path.iterdir()] == ["alerts.jsonl"]
+        log = AlertLog(path=str(path), keep=3)
+        appended = 0
+        while log.rotations == 0:
+            log.append(self._alert(float(appended)))
+            appended += 1
+        # The append that rotated left the live file empty: the rotated
+        # generation alone must hold the newest keep alerts.
+        assert path.stat().st_size == 0
+        log.close()
+        restarted = AlertLog(path=str(path), keep=3)
+        assert [a.ts for a in restarted.recent()] == [
+            float(appended - 3), float(appended - 2), float(appended - 1)
+        ]
 
     def test_append_survives_file_write_failure(self, tmp_path, monkeypatch):
         # The engine tick runs on the runtime collector thread; a disk
         # blip on the JSONL write must neither raise (which would count
         # against the hook-failure limit) nor lose the in-memory alert.
-        log = AlertLog(path=str(tmp_path / "alerts.jsonl"), keep=4)
+        path = tmp_path / "alerts.jsonl"
+        log = AlertLog(path=str(path), keep=4)
 
-        def boom(*args, **kwargs):
-            raise OSError("disk full")
+        class FullDisk:
+            def write(self, text):
+                raise OSError("disk full")
 
-        monkeypatch.setattr("builtins.open", boom)
+        monkeypatch.setattr(log, "_file", FullDisk())
         log.append(self._alert(1.0))
         monkeypatch.undo()
         assert [a.ts for a in log.recent()] == [1.0]
         # Later appends with a healthy disk keep working:
         log.append(self._alert(2.0))
         assert [a.ts for a in log.recent()] == [1.0, 2.0]
+        assert [json.loads(line)["ts"] for line in path.read_text().splitlines()] == [2.0]
 
 
 class TestWindowCapacity:

@@ -28,6 +28,7 @@ import pytest
 from repro.instances import InstanceGenerator
 from repro.instances.pipeline import ValidationPipeline
 from repro.obs.metrics import get_registry
+from repro.obs.slo import Alert
 from repro.serve import ServeApp, ServeConfig, UpccServer
 from repro.serve.loadgen import LoadResult, request_json, run_load
 from repro.xmi import write_xmi
@@ -664,6 +665,22 @@ class TestRequestIds:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("incoming", ["a/b", "x" * 65, "two words", "caf\u00e9"])
+    def test_client_id_that_is_no_file_name_part_is_replaced(self, server, incoming):
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            connection.putrequest("GET", "/healthz")
+            connection.putheader("X-Request-Id", incoming.encode("utf-8"))
+            connection.endheaders()
+            response = connection.getresponse()
+            response.read()
+            echoed = response.headers["X-Request-Id"]
+        finally:
+            connection.close()
+        assert echoed != incoming
+        assert len(echoed) == 12
+        int(echoed, 16)
+
     def test_ids_differ_across_requests(self, server):
         _status, first, _ = _raw_request(server, "GET", "/healthz")
         _status, second, _ = _raw_request(server, "GET", "/healthz")
@@ -741,6 +758,25 @@ class TestSlowCapture:
         assert len(list((tmp_path / "slow").iterdir())) <= 4
         snapshot = get_registry().snapshot()
         assert snapshot["serve.slow_requests_total"] >= 1
+
+    def test_client_id_with_a_slash_still_gets_its_capture(self, tmp_path):
+        slow = tmp_path / "slow"
+        config = ServeConfig(workers=2, queue_size=16, slow_ms=0.0, slow_dir=str(slow))
+        with UpccServer(ServeApp(), config) as running:
+            connection = http.client.HTTPConnection(running.host, running.port, timeout=10)
+            try:
+                connection.request("GET", "/healthz", headers={"X-Request-Id": "a/b"})
+                response = connection.getresponse()
+                response.read()
+                request_id = response.headers["X-Request-Id"]
+            finally:
+                connection.close()
+            status, listing = request_json(running.url, f"/slow?request_id={request_id}")
+        assert request_id != "a/b"
+        assert status == 200
+        assert [capture["request_id"] for capture in listing["captures"]] == [request_id]
+        assert all(path.name.startswith("slow-") for path in slow.iterdir())
+        assert {path.parent for path in tmp_path.rglob("*")} <= {tmp_path, slow}
 
     def test_fast_requests_are_not_captured(self, tmp_path, easybiz_xmi):
         config = ServeConfig(
@@ -1042,6 +1078,17 @@ class TestAlertsEndpoint:
         # The alert ring survived on disk:
         lines = [json.loads(l) for l in alert_log.read_text().splitlines()]
         assert [l["state"] for l in lines][:2] == ["firing", "resolved"]
+
+    def test_drain_closes_the_alert_log(self, tmp_path):
+        alert_log = tmp_path / "alerts.jsonl"
+        with UpccServer(ServeApp(), ServeConfig(alert_log=str(alert_log))) as server:
+            request_json(server.url, "/healthz")
+        server.slo_engine.alert_log.append(Alert(
+            ts=1.0, slo="avail", state="firing", burn_fast=2.0, burn_slow=2.0,
+            budget_remaining=0.0, window_total=10, window_errors=5,
+        ))
+        assert alert_log.read_text() == ""
+        assert [a.ts for a in server.slo_engine.alert_log.recent()] == [1.0]
 
 
 class TestLoadGeneratorTracing:

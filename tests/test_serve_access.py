@@ -313,6 +313,34 @@ class TestAccessLogRotation:
         log.close()
         assert json.loads(path.read_text().splitlines()[-1])["path"] == "/after"
 
+    def test_reopened_log_refills_its_ring_oldest_first(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        for name, first, count in (
+            ("access.jsonl.2", 0, 3), ("access.jsonl.1", 3, 3), ("access.jsonl", 6, 2),
+        ):
+            self._fill(AccessLog(tmp_path / name), count)
+            # Rename the request ids so each record says where it sits.
+            records = [
+                {**json.loads(line), "request_id": f"r{first + index}"}
+                for index, line in enumerate((tmp_path / name).read_text().splitlines())
+            ]
+            (tmp_path / name).write_text(
+                "".join(json.dumps(record) + "\n" for record in records)
+            )
+        log = AccessLog(path, ring=5, max_bytes=10_000, keep_rolled=2)
+        assert [r["request_id"] for r in log.recent()] == ["r3", "r4", "r5", "r6", "r7"]
+        # New records follow the refilled ones in the ring.
+        self._fill(log, 1, path="/new")
+        assert [r["path"] for r in log.recent()][-2:] == ["/validate", "/new"]
+
+    def test_refill_skips_a_torn_line(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        self._fill(AccessLog(path), 2)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"ts": 1.0, "method": "GE')
+        log = AccessLog(path, ring=8)
+        assert [r["request_id"] for r in log.recent()] == ["req0000", "req0001"]
+
 
 class TestTraceIdField:
     def test_trace_id_recorded_and_in_schema(self, tmp_path):
