@@ -27,6 +27,15 @@ def _generation(path: Path, index: int) -> Path:
     return path.with_name(f"{path.name}.{index}")
 
 
+def _rotated(path: Path) -> list[tuple[int, Path]]:
+    """``(index, path)`` of every rotated generation on disk, newest first."""
+    return sorted(
+        (int(candidate.name[len(path.name) + 1:]), candidate)
+        for candidate in path.parent.glob(f"{path.name}.*")
+        if candidate.name[len(path.name) + 1:].isdigit()
+    )
+
+
 def generation_paths(path: str | Path) -> list[Path]:
     """The live file plus its rotated generations, oldest first.
 
@@ -34,12 +43,7 @@ def generation_paths(path: str | Path) -> list[Path]:
     is highest generation first, live file last.
     """
     path = Path(path)
-    rotated = sorted(
-        (int(candidate.name[len(path.name) + 1:]), candidate)
-        for candidate in path.parent.glob(f"{path.name}.*")
-        if candidate.name[len(path.name) + 1:].isdigit()
-    )
-    return [p for _n, p in reversed(rotated)] + ([path] if path.exists() else [])
+    return [p for _n, p in reversed(_rotated(path))] + ([path] if path.exists() else [])
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
@@ -66,7 +70,8 @@ class JsonlRing:
     ``max_bytes`` rotates it: ``name`` -> ``name.1`` -> ... ->
     ``name.<keep_rolled>``, the oldest deleted.  A file moved away from
     outside keeps receiving writes through the open handle.  A store
-    opened on existing files reads the newest ``ring`` records back.
+    opened on existing files deletes the generations past
+    ``keep_rolled`` and reads the newest ``ring`` records back.
     Subclasses that keep objects in the ring override :meth:`encode` and
     :meth:`decode`.
     """
@@ -90,6 +95,7 @@ class JsonlRing:
         self._closed = False
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._drop_stale_generations()
             self._read_back()
             self._open_locked()
 
@@ -104,6 +110,17 @@ class JsonlRing:
         if not isinstance(value, dict):
             raise TypeError(f"not a JSON object: {value!r}")
         return value
+
+    def _drop_stale_generations(self) -> None:
+        """Delete the generations past ``keep_rolled`` that a store with a
+        larger bound left on disk; rotation alone never reaches them."""
+        assert self.path is not None
+        for index, stale in _rotated(self.path):
+            if index > self.keep_rolled:
+                try:
+                    stale.unlink()
+                except OSError as error:
+                    _log.warning("%s: cannot delete %s: %s", self.path, stale, error)
 
     def _read_back(self) -> None:
         """Refill the ring with the newest records on disk, oldest first;

@@ -366,6 +366,11 @@ class SloEngine:
                 )
             self._windows[spec.name] = _Window(capacity)
         self._firing: dict[str, bool] = {spec.name: False for spec in self.specs}
+        # A log refilled from its file knows which SLOs were firing when
+        # the last run stopped: the newest alert of each SLO decides.
+        for alert in self.alert_log.recent():
+            if alert.slo in self._firing:
+                self._firing[alert.slo] = alert.state == "firing"
         self._statuses: dict[str, SloStatus] = {}
         self._lock = threading.Lock()
 

@@ -31,15 +31,22 @@ _ATTR_REPLACEMENTS = _TEXT_REPLACEMENTS + [('"', "&quot;"), ("\n", "&#10;"), ("\
 
 def escape_text(value: str) -> str:
     """Escape ``value`` for use as XML character data."""
-    for raw, repl in _TEXT_REPLACEMENTS:
-        value = value.replace(raw, repl)
+    # Most values hold no special character: a few ``in`` tests are
+    # cheaper than the replace chain, and return the value unchanged.
+    if "&" in value or "<" in value or ">" in value or "\r" in value:
+        for raw, repl in _TEXT_REPLACEMENTS:
+            value = value.replace(raw, repl)
     return value
 
 
 def escape_attribute(value: str) -> str:
     """Escape ``value`` for use inside a double-quoted XML attribute."""
-    for raw, repl in _ATTR_REPLACEMENTS:
-        value = value.replace(raw, repl)
+    if (
+        "&" in value or "<" in value or ">" in value or "\r" in value
+        or '"' in value or "\n" in value or "\t" in value
+    ):
+        for raw, repl in _ATTR_REPLACEMENTS:
+            value = value.replace(raw, repl)
     return value
 
 

@@ -63,9 +63,9 @@ from repro.xsdgen.cache import (
 from repro.xsdgen.provenance import (
     CoverageReport,
     ProvenanceIndex,
+    ProvenanceLog,
     ProvenanceRecord,
     coverage,
-    record_for,
 )
 from repro.xsdgen.session import GenerationOptions, GenerationSession
 
@@ -80,8 +80,10 @@ class GeneratedSchema:
     """One generated schema document plus its namespace facts.
 
     ``provenance`` holds one :class:`~repro.xsdgen.provenance.ProvenanceRecord`
-    per emitted construct, in emission order; cache hits replay the records
-    that were stored with the schema.  ``embed_provenance`` (mirroring
+    per emitted construct, in emission order, built from ``log`` on first
+    read (see :class:`~repro.xsdgen.provenance.ProvenanceLog`); cache hits
+    replay the records that were stored with the schema.
+    ``embed_provenance`` (mirroring
     ``GenerationOptions.embed_provenance``) renders them into an
     ``xs:annotation/xs:appinfo`` block -- off by default, keeping the
     serialized schema byte-identical to a provenance-unaware run.
@@ -90,8 +92,13 @@ class GeneratedSchema:
     library: Library
     namespace: LibraryNamespace
     schema: Schema
-    provenance: list[ProvenanceRecord] = field(default_factory=list)
+    log: ProvenanceLog = field(default_factory=ProvenanceLog)
     embed_provenance: bool = False
+
+    @property
+    def provenance(self) -> list[ProvenanceRecord]:
+        """The records of this schema (raises once the model has changed)."""
+        return self.log.records()
 
     def to_string(self) -> str:
         """Render the schema document."""
@@ -152,7 +159,21 @@ class GenerationResult:
     session: GenerationSession = field(default_factory=GenerationSession)
     root_namespace: str | None = None
     errors: list[LibraryFailure] = field(default_factory=list)
-    provenance: ProvenanceIndex = field(default_factory=ProvenanceIndex)
+    _provenance: ProvenanceIndex | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def provenance(self) -> ProvenanceIndex:
+        """Every schema's records, indexed in sorted-URN order on first read.
+
+        The order makes on-demand, prebuilt and warm-cache runs index
+        identically.  Raises :class:`GenerationError` when the model
+        changed after generation and a schema's records are not built yet.
+        """
+        if self._provenance is None:
+            self._provenance = ProvenanceIndex(
+                record for urn in sorted(self.schemas) for record in self.schemas[urn].provenance
+            )
+        return self._provenance
 
     @property
     def ok(self) -> bool:
@@ -240,9 +261,9 @@ class SchemaBuilder:
         #: Libraries whose schemas this document imports, in import order --
         #: recorded so the generator can scope results and cache dependencies.
         self.imported_libraries: list[Library] = []
-        #: Provenance records of every construct this document emits.
-        self.provenance: list[ProvenanceRecord] = []
         self.schema_file = f"{self.namespace.folder}/{self.namespace.file_name}"
+        #: Provenance facts of every construct this document emits.
+        self.provenance = ProvenanceLog(generator.model.model, self.namespace.urn, self.schema_file)
         # Figure 6 line 1 declares xmlns:ccts even with annotations omitted:
         # the add-in always binds the CCTS documentation namespace.
         self._bind_ccts_prefix()
@@ -276,18 +297,8 @@ class SchemaBuilder:
                 f"Imported {generated.namespace.urn} as prefix "
                 f"{self.schema.prefix_for(generated.namespace.urn)!r}"
             )
-            self.provenance.append(
-                record_for(
-                    namespace_urn=self.namespace.urn,
-                    schema_file=self.schema_file,
-                    kind="import",
-                    name=generated.namespace.urn,
-                    path=f"import[{generated.namespace.urn}]",
-                    source=library,
-                    rule="NDR-IMPORT",
-                    imported_namespace=generated.namespace.urn,
-                )
-            )
+            urn = generated.namespace.urn
+            self.provenance.add("import", urn, f"import[{urn}]", library, "NDR-IMPORT", urn)
         return QName(generated.namespace.urn, local_name)
 
     def own_qname(self, local_name: str) -> QName:
@@ -308,8 +319,8 @@ class SchemaBuilder:
 
         The only sanctioned way for library builders to add top-level
         items (enforced by ``tools/check_provenance_recording.py``):
-        every emitted component gets a :class:`ProvenanceRecord` naming
-        its UML source and NDR rule.
+        every emitted component gets a provenance record naming its UML
+        source and NDR rule.
         """
         if isinstance(item, ComplexType):
             kind = "complexType"
@@ -340,18 +351,7 @@ class SchemaBuilder:
         imported: str | None = None
         if type_ref is not None and type_ref.namespace not in (self.namespace.urn, XSD_NS):
             imported = type_ref.namespace
-        self.provenance.append(
-            record_for(
-                namespace_urn=self.namespace.urn,
-                schema_file=self.schema_file,
-                kind=kind,
-                name=name,
-                path=path,
-                source=source,
-                rule=rule,
-                imported_namespace=imported,
-            )
-        )
+        self.provenance.add(kind, name, path, source, rule, imported)
 
     # -- annotations -----------------------------------------------------------------
 
@@ -454,17 +454,11 @@ class SchemaGenerator:
                     schemas = self._run_schemas()
                 else:
                     schemas = self._reachable_schemas(library, root)
-            # Assemble the run's provenance index in sorted-URN order so
-            # on-demand, prebuilt and warm-cache runs index identically.
-            provenance = ProvenanceIndex()
-            for urn in sorted(schemas):
-                provenance.extend(schemas[urn].provenance)
             result = GenerationResult(
                 schemas=schemas,
                 session=self.session,
                 root_namespace=root_namespace,
                 errors=list(self._failed.values()),
-                provenance=provenance,
             )
             generate_span.set(schemas=len(result.schemas))
             if result.errors:
@@ -583,7 +577,7 @@ class SchemaGenerator:
         placeholder = self._generated.get(key)
         if placeholder is not None:
             placeholder.schema = generated.schema
-            placeholder.provenance = generated.provenance
+            placeholder.log = generated.log
             placeholder.embed_provenance = generated.embed_provenance
             generated = placeholder
         else:
@@ -654,7 +648,7 @@ class SchemaGenerator:
             library,
             entry.namespace,
             entry.schema,
-            provenance=list(entry.provenance),
+            log=ProvenanceLog.of(entry.provenance),
             embed_provenance=self.options.embed_provenance,
         )
         dep_keys: list[_MemoKey] = []
@@ -847,7 +841,7 @@ class SchemaGenerator:
                 library,
                 builder.namespace,
                 builder.schema,
-                provenance=builder.provenance,
+                log=builder.provenance,
                 embed_provenance=self.options.embed_provenance,
             ),
             builder.imported_libraries,

@@ -65,24 +65,10 @@ def record_primitive_mapping(
 
     PRIMLibraries generate no schema of their own, so the only observable
     artifact of a primitive type is the XSD built-in standing in for it at
-    a CON/SUP use site.  The classifier is a raw UML element (not a CCTS
-    wrapper), so the record is built directly rather than via
-    :func:`~repro.xsdgen.provenance.record_for`.
+    a CON/SUP use site.  The source is the raw UML classifier (not a CCTS
+    wrapper); :class:`~repro.xsdgen.provenance.ProvenanceLog` names it as
+    a ``PRIM`` when the record is read.
     """
-    from repro.xsdgen.provenance import ProvenanceRecord
-
-    qname = builtin_or_string(classifier.name)
-    builder.provenance.append(
-        ProvenanceRecord(
-            target_namespace=builder.namespace.urn,
-            schema_file=builder.schema_file,
-            target_kind="builtin",
-            target_name=qname.local,
-            target_path=path,
-            source_stereotype="PRIM",
-            source_name=classifier.name,
-            source_path=builder.generator.model.model.qualified_name_of(classifier),
-            source_id=getattr(classifier, "xmi_id", None),
-            rule="NDR-PRIM-BUILTIN",
-        )
+    builder.provenance.add(
+        "builtin", PRIMITIVE_BUILTINS.get(classifier.name, "string"), path, classifier, "NDR-PRIM-BUILTIN"
     )

@@ -15,9 +15,12 @@ emits carries a :class:`ProvenanceRecord` naming
 * the **import edge** -- the foreign namespace URN when the construct's
   type lives in another library's schema.
 
-Records are collected per generated library (so the generator's memo and
-the fingerprint-keyed cache replay them together with the schema bytes)
-and queried through a thread-safe :class:`ProvenanceIndex` in both
+Records are collected per generated library in a :class:`ProvenanceLog`
+(so the generator's memo and the fingerprint-keyed cache replay them
+together with the schema bytes).  A builder notes only the raw facts of
+each construct; the records are built when someone first reads them, so
+a run whose provenance nobody reads never pays for it.  They are
+queried through a thread-safe :class:`ProvenanceIndex` in both
 directions: ``by_target`` answers "which model element produced this
 complexType", ``by_source`` answers "what did this UML element turn
 into".  :func:`coverage` inverts the index into a dead-model report: the
@@ -36,11 +39,13 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.errors import CctsError
+from repro.errors import CctsError, GenerationError
 from repro.obs.metrics import gauge
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ccts.base import ElementWrapper
+    from repro.uml.classifier import Classifier
+    from repro.uml.model import Model
 
 #: NDR rule catalog: rule id -> the paper's transformation rule it encodes.
 #: Ids are stable API -- `upcc explain` prints them and tests assert them.
@@ -181,39 +186,90 @@ class ProvenanceRecord:
         return " ".join(parts)
 
 
-def record_for(
-    *,
-    namespace_urn: str,
-    schema_file: str,
-    kind: str,
-    name: str,
-    path: str,
-    source: "ElementWrapper",
-    rule: str,
-    imported_namespace: str | None = None,
-) -> ProvenanceRecord:
-    """Build a record from a CCTS wrapper, deriving the ``basedOn`` link."""
-    if rule not in NDR_RULES:
-        raise ValueError(f"unknown NDR rule id {rule!r}")
-    try:
-        base = getattr(source, "based_on", None)
-    except CctsError:
-        base = None
-    based_on = f"{base.stereotype} {base.qualified_name}" if base is not None else None
-    return ProvenanceRecord(
-        target_namespace=namespace_urn,
-        schema_file=schema_file,
-        target_kind=kind,
-        target_name=name,
-        target_path=path,
-        source_stereotype=source.stereotype,
-        source_name=source.name,
-        source_path=source.qualified_name,
-        source_id=source.element.xmi_id,
-        rule=rule,
-        based_on=based_on,
-        imported_namespace=imported_namespace,
-    )
+class ProvenanceLog:
+    """One schema document's provenance: raw facts now, records on first read.
+
+    Builders :meth:`add` one plain tuple per emitted construct -- kind,
+    name, path, source, rule and imported namespace -- and nothing else;
+    :meth:`records` builds one :class:`ProvenanceRecord` per fact (source
+    names, ``xmi:id`` and ``basedOn`` link) on first read and keeps them.
+    The source names are read from the model as it is then, so the
+    model's :attr:`~repro.uml.model.Model.version` must not have moved
+    since the log was opened: a later read raises instead of returning
+    new names.
+    A log made with :meth:`of` holds records that are already built (a
+    cache hit) and never checks the model.
+    """
+
+    __slots__ = ("model", "version", "namespace_urn", "schema_file", "facts", "_records")
+
+    def __init__(self, model: "Model | None" = None, namespace_urn: str = "", schema_file: str = "") -> None:
+        self.model = model
+        self.version = model.version if model is not None else None
+        self.namespace_urn = namespace_urn
+        self.schema_file = schema_file
+        self.facts: list[tuple] = []
+        # None until built; a log without a model has nothing to build.
+        self._records: list[ProvenanceRecord] | None = None if model is not None else []
+
+    @classmethod
+    def of(cls, records: Iterable[ProvenanceRecord]) -> "ProvenanceLog":
+        """A log of records that are already built."""
+        log = cls()
+        log._records = list(records)
+        return log
+
+    def add(
+        self,
+        kind: str,
+        name: str,
+        path: str,
+        source: "ElementWrapper | Classifier",
+        rule: str,
+        imported_namespace: str | None = None,
+    ) -> None:
+        """Note one emitted construct; ``source`` is a CCTS wrapper, or the
+        raw classifier of an ``NDR-PRIM-BUILTIN`` mapping."""
+        if rule not in NDR_RULES:
+            raise ValueError(f"unknown NDR rule id {rule!r}")
+        self.facts.append((kind, name, path, source, rule, imported_namespace))
+
+    def __len__(self) -> int:
+        return len(self._records) if self._records is not None else len(self.facts)
+
+    def records(self) -> list[ProvenanceRecord]:
+        """The records, in emission order (built on the first call)."""
+        if self._records is None:
+            model = self.model
+            if model.version != self.version:
+                raise GenerationError(
+                    f"the model changed after generation of {self.schema_file}; "
+                    f"generate again to read its provenance"
+                )
+            with model.indexed():
+                self._records = [self._record(*fact) for fact in self.facts]
+        return self._records
+
+    def _record(self, kind, name, path, source, rule, imported_namespace) -> ProvenanceRecord:
+        if rule == "NDR-PRIM-BUILTIN":
+            # PRIMLibraries generate no schema: the source is the raw UML
+            # classifier standing behind the built-in, not a CCTS wrapper.
+            return ProvenanceRecord(
+                self.namespace_urn, self.schema_file, kind, name, path,
+                "PRIM", source.name, self.model.qualified_name_of(source),
+                getattr(source, "xmi_id", None), rule,
+            )
+        try:
+            base = getattr(source, "based_on", None)
+        except CctsError:
+            base = None
+        return ProvenanceRecord(
+            self.namespace_urn, self.schema_file, kind, name, path,
+            source.stereotype, source.name, source.qualified_name,
+            source.element.xmi_id, rule,
+            f"{base.stereotype} {base.qualified_name}" if base is not None else None,
+            imported_namespace,
+        )
 
 
 #: `--target` spec: an XPath-ish ``//xsd:complexType[@name='X']`` form.

@@ -163,6 +163,27 @@ class TestTransitions:
         states = [alert.state for alert in engine.alert_log.recent()]
         assert states == ["firing", "resolved"]
 
+    def test_restarted_engine_resolves_a_burn_the_last_run_saw_fire(self, registry, clock, tmp_path):
+        path = str(tmp_path / "alerts.jsonl")
+        first = SloEngine([AVAILABILITY], registry=registry, clock=clock,
+                          alert_log=AlertLog(path=path))
+        first.tick()
+        responses(registry, 500, 100)
+        clock.advance(1.0)
+        first.tick()  # t=1001: firing
+        first.alert_log.close()
+        second = SloEngine([AVAILABILITY], registry=registry, clock=clock,
+                           alert_log=AlertLog(path=path))
+        clock.advance(999.0)
+        [status] = second.tick()  # t=2000: a fresh window, the burst is over
+        assert status.state == "ok"
+        responses(registry, 200, 100)
+        clock.advance(1.0)
+        second.tick()
+        assert [(a.ts, a.state) for a in second.alert_log.recent()] == [
+            (1001.0, "firing"), (2000.0, "resolved")
+        ]
+
     def test_no_duplicate_alerts_while_state_is_stable(self, engine, registry, clock):
         engine.tick()
         responses(registry, 500, 100)

@@ -5,17 +5,29 @@ XSD target, the UML source and the NDR rule that mapped one onto the
 other.  These tests pin the acceptance properties of that layer: the
 index answers both directions on the EasyBiz catalog, it is identical
 under serial, parallel and cache-replay generation, embedding is off by
-default (byte-identical schemas), and the `explain` CLI resolves targets
-and sources end to end.
+default (byte-identical schemas), records are built only when someone
+reads them (and never from a model changed since), and the `explain`
+CLI resolves targets and sources end to end.
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.catalog.easybiz import build_easybiz_model
+from repro.ccts.derivation import derive_abie
+from repro.ccts.model import CctsModel
 from repro.cli import main
+from repro.errors import GenerationError
+from repro.obs.metrics import get_registry
+from repro.xmi import read_xmi
 from repro.xsdgen import (
     NDR_RULES,
     GenerationCache,
@@ -143,6 +155,104 @@ class TestEmbedding:
         for generated in result.schemas.values():
             embedded = records_from_schema_text(generated.to_string())
             assert embedded == list(generated.provenance)
+
+
+def _live_records() -> int:
+    """How many ProvenanceRecord objects the process holds."""
+    return sum(1 for obj in gc.get_objects() if type(obj) is ProvenanceRecord)
+
+
+def _bench_catalog(seed: int):
+    """The benchmark catalog of ``seed`` (seed-1 runs use 16..19)."""
+    module = sys.modules.get("bench_catalog")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            "bench_catalog", Path(__file__).resolve().parent.parent / "perfbench" / "catalog.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses resolve annotations there
+        spec.loader.exec_module(module)
+    return module.build_catalog(seed)
+
+
+def _cyclic_model():
+    """Two BIE libraries whose ABIEs reference each other, plus a CDT library."""
+    model = CctsModel("Cyclic")
+    business = model.add_business_library("B", "urn:cyc")
+    string = business.add_prim_library("P").add_primitive("String")
+    text = business.add_cdt_library("D").add_cdt("Text")
+    text.set_content(string.element)
+    ccs = business.add_cc_library("C")
+    a_acc = ccs.add_acc("A")
+    a_acc.add_bcc("Name", text, "0..1")
+    b_acc = ccs.add_acc("B")
+    b_acc.add_bcc("Name", text, "0..1")
+    a_acc.add_ascc("Linked", b_acc, "0..1")
+    b_acc.add_ascc("Back", a_acc, "0..1")
+    lib1 = business.add_bie_library("L1")
+    a = derive_abie(lib1, a_acc)
+    a.include("Name", "0..1")
+    b = derive_abie(business.add_bie_library("L2"), b_acc)
+    b.include("Name", "0..1")
+    a.connect("Linked", b.abie, "0..1", based_on="Linked")
+    b.connect("Back", a.abie, "0..1", based_on="Back")
+    return model, lib1
+
+
+class TestDeferredRecords:
+    def test_cold_generate_builds_no_record_until_read(self):
+        easybiz = build_easybiz_model()
+        gc.collect()
+        before = _live_records()
+        result = _generate(easybiz, embed_provenance=False)
+        for generated in result.schemas.values():
+            generated.to_string()
+        assert _live_records() == before
+        assert len(result.provenance) == 104
+        assert _live_records() == before + 104
+
+    def test_read_after_a_rename_raises(self):
+        easybiz = build_easybiz_model()
+        result = _generate(easybiz)
+        [abie] = [a for a in easybiz.doc_library.abies if a.name == ROOT_NAME]
+        abie.element.name = "RenamedPermit"
+        with pytest.raises(GenerationError, match="model changed after generation") as raised:
+            result.provenance
+        assert "RenamedPermit" not in str(raised.value)
+        for generated in result.schemas.values():
+            with pytest.raises(GenerationError, match="model changed after generation"):
+                generated.provenance
+
+    def test_records_read_before_a_rename_keep_the_old_names(self):
+        easybiz = build_easybiz_model()
+        result = _generate(easybiz)
+        before = result.provenance.to_jsonl()
+        [abie] = [a for a in easybiz.doc_library.abies if a.name == ROOT_NAME]
+        abie.element.name = "RenamedPermit"
+        assert result.provenance.to_jsonl() == before
+        assert "RenamedPermit" not in before
+
+    @pytest.mark.parametrize("catalog_seed", [16, 17, 18, 19])
+    def test_counter_counts_104_per_seed_1_catalog(self, catalog_seed):
+        catalog = _bench_catalog(catalog_seed)
+        model = CctsModel(model=read_xmi(catalog.xmi))
+        counter = get_registry().counter("xsdgen.provenance_records")
+        before = counter.value
+        result = SchemaGenerator(model, GenerationOptions(validate_first=False)).generate(
+            catalog.doc_library, root=catalog.root
+        )
+        assert counter.value - before == 104
+        assert len(result.provenance) == 104
+
+    def test_cycle_placeholder_keeps_the_records(self):
+        # The digest was taken before records were deferred: the library
+        # whose build a cycle re-entered hands its log to the placeholder.
+        for options in (GenerationOptions(), GenerationOptions(on_error="collect")):
+            model, lib1 = _cyclic_model()
+            result = SchemaGenerator(model, options).generate(lib1)
+            text = result.provenance.to_jsonl()
+            assert len(text.splitlines()) == 13
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "160a3272569e91d7"
 
 
 class TestCoverage:

@@ -333,6 +333,24 @@ class TestAccessLogRotation:
         self._fill(log, 1, path="/new")
         assert [r["path"] for r in log.recent()][-2:] == ["/validate", "/new"]
 
+    def test_smaller_keep_deletes_the_higher_generations(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        log = AccessLog(path, max_bytes=200, keep_rolled=3)
+        self._fill(log, 40)
+        log.close()
+        assert path.with_name("access.jsonl.3").exists()
+        restarted = AccessLog(path, ring=100, max_bytes=200, keep_rolled=1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "access.jsonl", "access.jsonl.1"
+        ]
+        # The restart read saw only the generations it keeps.
+        kept = [
+            json.loads(line)["request_id"]
+            for name in ("access.jsonl.1", "access.jsonl")
+            for line in (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        ]
+        assert [r["request_id"] for r in restarted.recent()] == kept
+
     def test_refill_skips_a_torn_line(self, tmp_path):
         path = tmp_path / "access.jsonl"
         self._fill(AccessLog(path), 2)
