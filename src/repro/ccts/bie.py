@@ -118,6 +118,15 @@ class Asbie(ElementWrapper):
         return self.role
 
     @property
+    def qualified_name(self) -> str:
+        """The owning ABIE's qualified name plus the role.
+
+        The association itself is unnamed, so the inherited path would
+        name only its package.
+        """
+        return f"{self.model.qualified_name_of(self.element.source.type)}.{self.role}"
+
+    @property
     def based_on(self) -> Ascc | None:
         """The ASCC this ASBIE restricts (None when missing or mismatched)."""
         return self.snapshot_memo(Asbie._find_based_on)

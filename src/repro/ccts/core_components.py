@@ -85,6 +85,15 @@ class Ascc(ElementWrapper):
     def name(self) -> str:  # type: ignore[override]
         return self.role
 
+    @property
+    def qualified_name(self) -> str:
+        """The owning ACC's qualified name plus the role.
+
+        The association itself is unnamed, so the inherited path would
+        name only its package.
+        """
+        return f"{self.model.qualified_name_of(self.element.source.type)}.{self.role}"
+
     def den(self) -> str:
         """The full CCTS dictionary entry name of this ASCC."""
         return ccts_den_for_ascc(self.source.name, self.role, self.target.name)

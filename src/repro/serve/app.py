@@ -3,8 +3,8 @@
 :class:`ServeApp` owns the long-lived state a serving process accumulates:
 
 * the process-wide warm :class:`~repro.xsdgen.cache.GenerationCache`
-  (repeat ``/generate`` requests for an unchanged model hit the ~12x
-  warm path PR 2 built),
+  (repeat ``/generate`` requests for an unchanged model hit every
+  library and answer with the schema texts its entries keep),
 * the process-wide :class:`~repro.xsd.compiled.CompilationCache`
   (``/validate`` requests against a known schema set reuse its compiled
   plans instead of re-resolving the schema graph),
@@ -13,7 +13,9 @@
 * a registry of generated schema sets keyed by
   :func:`~repro.xsd.compiled.fingerprint_schema_set`, so ``/validate``
   and ``/explain`` can reference a prior ``/generate`` by id instead of
-  re-shipping schema documents on every request.
+  re-shipping schema documents on every request.  A warm ``/generate``
+  of a registered set reuses its entry (fingerprint, compiled plans,
+  provenance index) instead of registering it again.
 
 Every handler takes plain dicts and returns ``(http status, payload)``;
 the HTTP layer (:mod:`repro.serve.server`) does framing, admission and
@@ -171,24 +173,37 @@ class ServeApp:
             return 400, {"error": str(error), **located}
         except ReproError as error:
             return 400, {"error": str(error)}
-        # Serialize once: the registry id hashes the same texts the
-        # response carries (equal to fingerprint_schema_set of the set).
+        # The registry id hashes the same texts the response carries
+        # (equal to fingerprint_schema_set of the set); a warm hit's texts
+        # come from its cache entries without running the writer.
         texts = {urn: generated.to_string() for urn, generated in result.schemas.items()}
         set_id = fingerprint_schema_texts(texts.items())
         schemas = {
             f"{generated.namespace.folder}/{generated.namespace.file_name}": texts[urn]
             for urn, generated in result.schemas.items()
         }
-        self.register_schema_set(
-            SchemaSetEntry(
+        entry = self.schema_set_entry(set_id)
+        if (
+            entry is None
+            or entry.provenance is None
+            or (entry.library, entry.root) != (library, root)
+            or entry.schemas != schemas
+        ):
+            # New, or registered by an inline /validate without provenance:
+            # register with the fingerprint already in hand, so the first
+            # /validate of the set never serializes it again.
+            entry = SchemaSetEntry(
                 id=set_id,
-                schema_set=result.schema_set(),
+                schema_set=SchemaSet(
+                    [generated.schema for generated in result.schemas.values()],
+                    fingerprint=set_id,
+                ),
                 schemas=schemas,
                 provenance=result.provenance,
                 library=library,
                 root=root,
             )
-        )
+            self.register_schema_set(entry)
         _log.info(
             "generated %d schema(s) for %r (schema set %s)",
             len(schemas), library, set_id[:12],
@@ -197,7 +212,7 @@ class ServeApp:
             "schema_set": set_id,
             "library": library,
             "root": root,
-            "schemas": schemas,
+            "schemas": entry.schemas,
         }
 
     def validate(self, payload: Any) -> tuple[int, dict]:

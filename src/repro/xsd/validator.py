@@ -44,13 +44,20 @@ class ValidationProblem:
 
 
 class SchemaSet:
-    """A namespace-indexed collection of schema documents."""
+    """A namespace-indexed collection of schema documents.
 
-    def __init__(self, schemas: list[Schema] | None = None) -> None:
+    ``fingerprint`` seeds :attr:`fingerprint` for a caller that already
+    computed :func:`fingerprint_schema_texts` over these schemas' texts
+    (a ``/generate`` registering the set it just answered with).
+    """
+
+    def __init__(
+        self, schemas: list[Schema] | None = None, *, fingerprint: str | None = None
+    ) -> None:
         self._by_namespace: dict[str, Schema] = {}
-        self._fingerprint: str | None = None
         for schema in schemas or []:
             self.add(schema)
+        self._fingerprint = fingerprint
 
     def add(self, schema: Schema) -> None:
         """Register a schema; later additions win on namespace collision."""

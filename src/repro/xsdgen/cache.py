@@ -36,9 +36,9 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.ndr.namespaces import LibraryNamespace
 from repro.obs.logging_bridge import get_logger
@@ -69,7 +69,8 @@ _log = get_logger("repro.xsdgen")
 
 #: Bump when the fingerprint recipe or the disk format changes.
 #: v2: entries carry the schema's provenance records.
-CACHE_FORMAT_VERSION = 2
+#: v3: ASBIE/ASCC provenance sources name the owning ABIE/ACC plus the role.
+CACHE_FORMAT_VERSION = 3
 
 #: Library stereotypes that generate a schema document of their own.
 _SCHEMA_STEREOTYPES = frozenset(
@@ -337,7 +338,10 @@ class CachedGeneration:
 
     ``provenance`` replays the schema's provenance records on a cache
     hit, so a warm-cache run's :class:`~repro.xsdgen.provenance.ProvenanceIndex`
-    is identical to a cold run's.
+    is identical to a cold run's.  ``texts`` holds the serialized schema
+    per ``embed_provenance`` setting, filled on first render (see
+    :meth:`~repro.xsdgen.generator.GeneratedSchema.to_string`) or from the
+    disk form, so a hit never runs the XSD writer again.
     """
 
     key: str
@@ -348,9 +352,20 @@ class CachedGeneration:
     schema: Schema
     dependencies: tuple[str, ...]
     provenance: "tuple[ProvenanceRecord, ...]" = ()
+    texts: dict[bool, str] = field(default_factory=dict, repr=False, compare=False)
+
+    def text(self, embed_provenance: bool, render: Callable[[], str]) -> str:
+        """The kept text for one ``embed_provenance`` setting; ``render``
+        produces it on first use.  Threads racing on a first render store
+        equal texts."""
+        text = self.texts.get(embed_provenance)
+        if text is None:
+            text = self.texts[embed_provenance] = render()
+        return text
 
     def to_payload(self) -> dict:
         """The JSON-ready disk representation (schema serialized to text)."""
+        text = self.text(False, lambda: schema_to_string(self.schema))
         return {
             "format": CACHE_FORMAT_VERSION,
             "key": self.key,
@@ -365,7 +380,7 @@ class CachedGeneration:
                 "stereotype": self.namespace.stereotype,
             },
             "dependencies": list(self.dependencies),
-            "schema": schema_to_string(self.schema),
+            "schema": text,
             "provenance": [record.to_dict() for record in self.provenance],
         }
 
@@ -377,18 +392,20 @@ class CachedGeneration:
         from repro.xsdgen.provenance import ProvenanceRecord
 
         namespace = LibraryNamespace(**payload["namespace"])
+        text = payload["schema"]
         return cls(
             key=payload["key"],
             library_name=payload["library"],
             stereotype=payload["stereotype"],
             root_name=payload.get("root"),
             namespace=namespace,
-            schema=parse_schema(payload["schema"]),
+            schema=parse_schema(text),
             dependencies=tuple(payload.get("dependencies", ())),
             provenance=tuple(
                 ProvenanceRecord.from_dict(record)
                 for record in payload.get("provenance", ())
             ),
+            texts={False: text},
         )
 
 

@@ -87,6 +87,9 @@ class GeneratedSchema:
     ``GenerationOptions.embed_provenance``) renders them into an
     ``xs:annotation/xs:appinfo`` block -- off by default, keeping the
     serialized schema byte-identical to a provenance-unaware run.
+    ``cached`` is the generation-cache entry holding ``schema`` (a hit,
+    or the entry a cold build was stored under): the entry keeps the
+    rendered text, so the writer runs once per entry and setting.
     """
 
     library: Library
@@ -94,6 +97,7 @@ class GeneratedSchema:
     schema: Schema
     log: ProvenanceLog = field(default_factory=ProvenanceLog)
     embed_provenance: bool = False
+    cached: CachedGeneration | None = None
 
     @property
     def provenance(self) -> list[ProvenanceRecord]:
@@ -101,7 +105,13 @@ class GeneratedSchema:
         return self.log.records()
 
     def to_string(self) -> str:
-        """Render the schema document."""
+        """Render the schema document (a cache entry's text when it has one)."""
+        cached = self.cached
+        if cached is None or cached.schema is not self.schema:
+            return self._render()
+        return cached.text(self.embed_provenance, self._render)
+
+    def _render(self) -> str:
         if self.embed_provenance and self.provenance:
             return schema_to_string(
                 self.schema, [record.to_dict() for record in self.provenance]
@@ -579,6 +589,7 @@ class SchemaGenerator:
             placeholder.schema = generated.schema
             placeholder.log = generated.log
             placeholder.embed_provenance = generated.embed_provenance
+            placeholder.cached = generated.cached
             generated = placeholder
         else:
             self._generated[key] = generated
@@ -599,18 +610,17 @@ class SchemaGenerator:
         generated, dep_libraries = self._build(library, root)
         dep_keys = [self._memo_key(dep) for dep in dep_libraries]
         if self.cache is not None and fingerprint is not None:
-            self.cache.put(
-                CachedGeneration(
-                    key=fingerprint,
-                    library_name=library.name,
-                    stereotype=library.stereotype,
-                    root_name=key[1],
-                    namespace=generated.namespace,
-                    schema=generated.schema,
-                    dependencies=tuple(dep.name for dep in dep_libraries),
-                    provenance=tuple(generated.provenance),
-                )
+            generated.cached = CachedGeneration(
+                key=fingerprint,
+                library_name=library.name,
+                stereotype=library.stereotype,
+                root_name=key[1],
+                namespace=generated.namespace,
+                schema=generated.schema,
+                dependencies=tuple(dep.name for dep in dep_libraries),
+                provenance=tuple(generated.provenance),
             )
+            self.cache.put(generated.cached)
         return generated, dep_keys
 
     def _fingerprint_for(self, library: Library, key: _MemoKey) -> str:
@@ -650,6 +660,7 @@ class SchemaGenerator:
             entry.schema,
             log=ProvenanceLog.of(entry.provenance),
             embed_provenance=self.options.embed_provenance,
+            cached=entry,
         )
         dep_keys: list[_MemoKey] = []
         for name in entry.dependencies:

@@ -41,6 +41,26 @@ def easybiz_result(easybiz):
 
 
 @pytest.fixture
+def writer_calls(monkeypatch):
+    """The target namespace of every ``schema_to_string`` call made by
+    generation, the generation cache and schema-set fingerprinting."""
+    import repro.xsd.validator as validator_module
+    import repro.xsdgen.cache as cache_module
+    import repro.xsdgen.generator as generator_module
+    from repro.xsd.writer import schema_to_string
+
+    calls = []
+
+    def counting(schema, *args):
+        calls.append(schema.target_namespace)
+        return schema_to_string(schema, *args)
+
+    for module in (generator_module, cache_module, validator_module):
+        monkeypatch.setattr(module, "schema_to_string", counting)
+    return calls
+
+
+@pytest.fixture
 def easybiz_schema_set(easybiz_result):
     """The EasyBiz schemas as a validator-ready SchemaSet."""
     return easybiz_result.schema_set()

@@ -245,14 +245,15 @@ class TestDeferredRecords:
         assert len(result.provenance) == 104
 
     def test_cycle_placeholder_keeps_the_records(self):
-        # The digest was taken before records were deferred: the library
-        # whose build a cycle re-entered hands its log to the placeholder.
+        # The library whose build a cycle re-entered hands its log to the
+        # placeholder.  The digest was taken before records were deferred
+        # and re-pinned once when ASBIE sources gained their ABIE and role.
         for options in (GenerationOptions(), GenerationOptions(on_error="collect")):
             model, lib1 = _cyclic_model()
             result = SchemaGenerator(model, options).generate(lib1)
             text = result.provenance.to_jsonl()
             assert len(text.splitlines()) == 13
-            assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "160a3272569e91d7"
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "7d86c97f5c11e523"
 
 
 class TestCoverage:
@@ -264,6 +265,38 @@ class TestCoverage:
         assert all("HoardingDetails" in path for path in unmapped_paths)
         assert report.mapped == report.total_elements - 2
         assert "unmapped: " in report.render_text()
+
+    def test_an_asbie_without_records_is_unmapped_on_its_own(self, easybiz_result):
+        from repro.xsdgen.provenance import coverage
+
+        libraries = [generated.library for generated in easybiz_result.schemas.values()]
+        kept = ProvenanceIndex(
+            record
+            for record in easybiz_result.provenance
+            if not record.source_path.endswith("HoardingPermit.Billing")
+        )
+        report = coverage(libraries, kept)
+        asbies = [path for stereotype, path in report.unmapped if stereotype == "ASBIE"]
+        assert asbies == ["EasyBiz.EasyBiz.EB005-HoardingPermit.HoardingPermit.Billing"]
+
+
+class TestAsbieSources:
+    def test_asbie_records_name_their_abie_and_role(self, easybiz_result):
+        hits = easybiz_result.provenance.by_source("HoardingPermit.Included")
+        assert sorted(record.target_path for record in hits) == [
+            "HoardingPermitType/IncludedAttachment",
+            "HoardingPermitType/IncludedRegistration",
+        ]
+        for record in hits:
+            assert record.source_stereotype == "ASBIE"
+            assert record.source_path == "EasyBiz.EasyBiz.EB005-HoardingPermit.HoardingPermit.Included"
+            assert record.based_on == "ASCC EasyBiz.EasyBiz.CandidateCoreComponents.HoardingPermit.Included"
+
+    def test_no_source_path_ends_in_a_dot(self, easybiz_result):
+        asbie_records = [r for r in easybiz_result.provenance if r.rule.startswith("NDR-ASBIE")]
+        assert len(asbie_records) == 7
+        assert not [r for r in easybiz_result.provenance if r.source_path.endswith(".")]
+        assert not [r for r in asbie_records if r.based_on and r.based_on.endswith(".")]
 
 
 @pytest.fixture

@@ -1382,7 +1382,26 @@ class TestStageTimings:
         )
 
 
+@pytest.fixture
+def fresh_generation_cache():
+    """An empty process-wide generation cache for one test."""
+    from repro.xsdgen.cache import GenerationCache, set_generation_cache
+
+    previous = set_generation_cache(GenerationCache())
+    try:
+        yield
+    finally:
+        set_generation_cache(previous)
+
+
+def _generate_payload(easybiz_xmi):
+    xmi_text, library = easybiz_xmi
+    return {"xmi": xmi_text, "library": library, "root": "HoardingPermit"}
+
+
 class TestGenerateWarmPath:
+    """A warm /generate answers from cached texts and its registered entry."""
+
     def test_generate_bodies_identical_across_validation_memo_hits(
         self, server, easybiz_xmi
     ):
@@ -1420,10 +1439,120 @@ class TestGenerateWarmPath:
         expected = fingerprint_schema_set(result.schema_set())
         texts = [(urn, schema.to_string()) for urn, schema in result.schemas.items()]
         assert fingerprint_schema_texts(texts) == expected
-        status, payload = ServeApp().generate({
+        app = ServeApp()
+        status, payload = app.generate({
             "xmi": write_xmi(built.model.model, None),
             "library": built.doc_library.name,
             "root": root,
         })
         assert status == 200, payload
         assert payload["schema_set"] == expected
+        # The registered set carries that id as its seeded fingerprint.
+        registered = app.schema_set_entry(expected).schema_set
+        assert registered.fingerprint == expected
+        assert sorted(registered.namespaces) == sorted(result.schemas)
+
+    def test_each_schema_is_serialized_once_across_generate_and_validate(
+        self, easybiz_xmi, fresh_generation_cache, writer_calls
+    ):
+        app = ServeApp()
+        status, generated = app.generate(_generate_payload(easybiz_xmi))
+        assert status == 200
+        assert sorted(writer_calls) == sorted(
+            parse_schema(text).target_namespace for text in generated["schemas"].values()
+        )
+        instance = TestEndpointContracts._instance(generated)
+        for _ in range(2):
+            status, report = app.validate(
+                {"schema_set": generated["schema_set"], "documents": [instance]}
+            )
+            assert status == 200 and report["docs_invalid"] == 0
+            status, again = app.generate(_generate_payload(easybiz_xmi))
+            assert status == 200 and again == generated
+        assert len(writer_calls) == len(generated["schemas"])
+
+    def test_warm_generate_reuses_the_registered_entry(self, easybiz_xmi):
+        app = ServeApp()
+        _, first = app.generate(_generate_payload(easybiz_xmi))
+        entry = app.schema_set_entry(first["schema_set"])
+        _, second = app.generate(_generate_payload(easybiz_xmi))
+        assert second == first
+        assert app.schema_set_entry(first["schema_set"]) is entry
+        assert second["schemas"] is entry.schemas
+
+    def test_an_entry_of_another_root_is_replaced(self, easybiz_xmi):
+        app = ServeApp()
+        _, first = app.generate(_generate_payload(easybiz_xmi))
+        entry = app.schema_set_entry(first["schema_set"])
+        entry.root = "SomeOtherRoot"  # as if another root had produced these texts
+        _, second = app.generate(_generate_payload(easybiz_xmi))
+        assert second == first
+        replaced = app.schema_set_entry(first["schema_set"])
+        assert replaced is not entry
+        assert replaced.root == "HoardingPermit"
+
+    def test_inline_registered_set_then_generate_answers_explain(self, easybiz_xmi, easybiz_result):
+        app = ServeApp()
+        texts = [generated.to_string() for generated in easybiz_result.schemas.values()]
+        instance = InstanceGenerator(easybiz_result.schema_set()).generate_string("HoardingPermit")
+        status, report = app.validate({"schemas": texts, "documents": [instance]})
+        assert status == 200
+        set_id = report["schema_set"]
+        status, _ = app.explain({"schema_set": set_id, "target": "HoardingPermitType"})
+        assert status == 404  # inline schemas carry no provenance
+        status, generated = app.generate(_generate_payload(easybiz_xmi))
+        assert status == 200 and generated["schema_set"] == set_id
+        status, answer = app.explain({"schema_set": set_id, "target": "HoardingPermitType"})
+        assert status == 200 and answer["matched"] >= 1
+
+    def test_concurrent_warm_generates_agree(self, easybiz_xmi):
+        body = json.dumps(_generate_payload(easybiz_xmi)).encode("utf-8")
+
+        def post():
+            connection = http.client.HTTPConnection(server.host, server.port, timeout=60)
+            try:
+                connection.request("POST", "/generate", body=body,
+                                   headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                return response.status, response.read()
+            finally:
+                connection.close()
+
+        with UpccServer(ServeApp(), ServeConfig(workers=4, queue_size=32, timeout_s=60)) as server:
+            status, cold = post()
+            assert status == 200
+            answers = []
+            barrier = threading.Barrier(8)
+
+            def client():
+                barrier.wait()
+                for _ in range(3):
+                    answers.append(post())
+
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len(answers) == 24
+            assert all(answer == (200, cold) for answer in answers)
+            status, stats = request_json(server.url, "/stats")
+            assert status == 200
+            assert stats["schema_sets"] == [json.loads(cold)["schema_set"]]
+            assert stats["server"]["inflight"] == 0
+
+    def test_restarted_daemon_answers_from_disk_without_the_writer(
+        self, easybiz_xmi, tmp_path, monkeypatch, writer_calls
+    ):
+        import repro.xsdgen.cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_directory_caches", {})
+        status, cold = ServeApp(cache_dir=str(tmp_path)).generate(_generate_payload(easybiz_xmi))
+        assert status == 200 and list(tmp_path.glob("*.json"))
+        # A restart: a new process has no in-memory cache for the directory.
+        monkeypatch.setattr(cache_module, "_directory_caches", {})
+        writer_calls.clear()
+        status, warm = ServeApp(cache_dir=str(tmp_path)).generate(_generate_payload(easybiz_xmi))
+        assert status == 200
+        assert writer_calls == []
+        assert json.dumps(warm) == json.dumps(cold)

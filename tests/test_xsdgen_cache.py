@@ -300,3 +300,137 @@ class TestParallelGeneration:
             lib1_again
         )
         assert _schema_texts(parallel) == _schema_texts(serial)
+
+
+def _entry_texts_match_their_schema(cache):
+    """Each entry's kept text equals a fresh render of its schema."""
+    from repro.xsd.writer import schema_to_string
+
+    for key in cache.keys():
+        entry = cache.get(key)
+        assert entry.texts, f"entry {entry.library_name} was never rendered"
+        for embed, text in entry.texts.items():
+            records = [record.to_dict() for record in entry.provenance]
+            expected = (
+                schema_to_string(entry.schema, records)
+                if embed and records
+                else schema_to_string(entry.schema)
+            )
+            assert text == expected, (entry.library_name, embed)
+
+
+class TestCachedText:
+    """A cache entry keeps its rendered text; hits never re-run the writer."""
+
+    def _run(self, model, library, options, cache, root):
+        result = SchemaGenerator(model, options, cache=cache).generate(library, root=root)
+        return _schema_texts(result)
+
+    def test_warm_hit_never_runs_the_writer(self, easybiz, writer_calls):
+        cache = GenerationCache()
+        options = GenerationOptions(validate_first=False, use_cache=True)
+        cold = self._run(easybiz.model, easybiz.doc_library, options, cache, "HoardingPermit")
+        assert len(writer_calls) == len(cold)
+        writer_calls.clear()
+        warm = self._run(easybiz.model, easybiz.doc_library, options, cache, "HoardingPermit")
+        assert writer_calls == []
+        assert warm == cold
+
+    def test_first_hit_renders_once_then_keeps_the_text(self, easybiz, writer_calls):
+        cache = GenerationCache()
+        options = GenerationOptions(validate_first=False, use_cache=True)
+        SchemaGenerator(easybiz.model, options, cache=cache).generate(
+            easybiz.doc_library, root="HoardingPermit"
+        )  # nobody reads the cold texts
+        assert writer_calls == []
+        first = self._run(easybiz.model, easybiz.doc_library, options, cache, "HoardingPermit")
+        assert len(writer_calls) == len(first)
+        writer_calls.clear()
+        assert self._run(easybiz.model, easybiz.doc_library, options, cache, "HoardingPermit") == first
+        assert writer_calls == []
+
+    @pytest.mark.parametrize("model_name", ["easybiz", "cyclic"])
+    @pytest.mark.parametrize(
+        "option_kwargs",
+        [
+            {},
+            {"annotated": True},
+            {"embed_provenance": True},
+            {"on_error": "collect"},
+            {"annotated": True, "embed_provenance": True, "on_error": "collect"},
+        ],
+    )
+    def test_cached_schemas_are_never_mutated(self, model_name, option_kwargs):
+        if model_name == "easybiz":
+            model, library, root = build_easybiz_model().model, "EB005-HoardingPermit", "HoardingPermit"
+        else:
+            from tests.test_provenance import _cyclic_model
+
+            model, library, root = (*_cyclic_model(), None)
+        uncached = self._run(model, library, GenerationOptions(**option_kwargs), None, root)
+        cache = GenerationCache()
+        options = GenerationOptions(use_cache=True, **option_kwargs)
+        for _ in range(3):  # cold, then two warm runs
+            assert self._run(model, library, options, cache, root) == uncached
+        assert len(cache) == len(uncached)
+        _entry_texts_match_their_schema(cache)
+
+    def test_each_embed_setting_answers_its_cold_text(self, easybiz):
+        cache = GenerationCache()
+        texts = {}
+        for embed in (False, True, False, True):
+            warm = self._run(
+                easybiz.model,
+                easybiz.doc_library,
+                GenerationOptions(use_cache=True, embed_provenance=embed),
+                cache,
+                "HoardingPermit",
+            )
+            cold = self._run(
+                easybiz.model,
+                easybiz.doc_library,
+                GenerationOptions(embed_provenance=embed),
+                None,
+                "HoardingPermit",
+            )
+            assert warm == cold
+            texts[embed] = warm
+        assert texts[True] != texts[False]  # both settings share the entries
+        assert len(cache) == len(texts[False])
+        _entry_texts_match_their_schema(cache)
+
+    def test_a_swapped_schema_falls_back_to_the_writer(self, easybiz, writer_calls):
+        from repro.xsd.parser import parse_schema
+
+        cache = GenerationCache()
+        options = GenerationOptions(validate_first=False, use_cache=True)
+        self._run(easybiz.model, easybiz.doc_library, options, cache, "HoardingPermit")
+        result = SchemaGenerator(easybiz.model, options, cache=cache).generate(
+            easybiz.doc_library, root="HoardingPermit"
+        )
+        generated = result.root
+        text = generated.to_string()
+        writer_calls.clear()
+        generated.schema = parse_schema(text)
+        assert generated.to_string() == text
+        assert len(writer_calls) == 1
+
+    def test_disk_entry_answers_without_the_writer(self, easybiz, tmp_path, writer_calls):
+        options = GenerationOptions(validate_first=False, use_cache=True)
+        cold = self._run(
+            easybiz.model, easybiz.doc_library, options,
+            GenerationCache(cache_dir=tmp_path), "HoardingPermit",
+        )
+        # A new cache instance (a restarted process, in effect) reads
+        # every entry from disk, keeping the stored text.
+        writer_calls.clear()
+        reader = GenerationCache(cache_dir=tmp_path)
+        warm = self._run(easybiz.model, easybiz.doc_library, options, reader, "HoardingPermit")
+        assert writer_calls == []
+        assert warm == cold
+        uncached = self._run(
+            easybiz.model, easybiz.doc_library, GenerationOptions(validate_first=False),
+            None, "HoardingPermit",
+        )
+        assert warm == uncached
+        _entry_texts_match_their_schema(reader)
