@@ -32,6 +32,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from repro.errors import InstanceValidationError, ReproError
 from repro.obs.metrics import counter, histogram
@@ -192,41 +193,28 @@ class ValidationPipeline:
 
     def validate_path(self, path: str | Path, label: str | None = None) -> DocumentReport:
         """Validate one document file; faults become the report, not raises."""
-        name = label if label is not None else str(path)
-        started = time.perf_counter()
-        with span("instances.validate", document=name):
-            try:
-                if not isinstance(path, Path):
-                    path = Path(path)
-                text = path.read_bytes().decode("utf-8")
-                problems = self.validate_text(text)
-            except (InstanceValidationError, OSError, UnicodeDecodeError) as error:
-                report = DocumentReport(path=name, ok=False, error=str(error))
-            except ReproError as error:
-                # Schema-side defects (e.g. a cyclic reference) are still
-                # isolated per document so the rest of the batch completes.
-                report = DocumentReport(path=name, ok=False, error=str(error))
-            else:
-                report = DocumentReport(path=name, ok=not problems, problems=problems)
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        self._validate_ms.observe(elapsed_ms)
-        self._docs_total.inc()
-        if not report.ok:
-            self._docs_invalid.inc()
-        return report
+        return self._validate(label if label is not None else str(path), Path(path))
 
     def validate_string(self, text: str, label: str) -> DocumentReport:
         """Validate one in-memory document; the fault-isolated twin of
         :meth:`validate_path` for callers (e.g. ``upcc serve``) whose
         documents arrive over the wire instead of from disk."""
+        return self._validate(label, text)
+
+    def _validate(self, name: str, document: str | Path) -> DocumentReport:
+        """Validate one document: a :class:`Path` is read first, a str is the text."""
         started = time.perf_counter()
-        with span("instances.validate", document=label):
+        with span("instances.validate", document=name):
             try:
-                problems = self.validate_text(text)
-            except ReproError as error:
-                report = DocumentReport(path=label, ok=False, error=str(error))
+                if isinstance(document, Path):
+                    document = document.read_bytes().decode("utf-8")
+                problems = self.validate_text(document)
+            except (ReproError, OSError, UnicodeDecodeError) as error:
+                # Schema-side defects (e.g. a cyclic reference) are isolated
+                # per document too, so the rest of the batch completes.
+                report = DocumentReport(path=name, ok=False, error=str(error))
             else:
-                report = DocumentReport(path=label, ok=not problems, problems=problems)
+                report = DocumentReport(path=name, ok=not problems, problems=problems)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._validate_ms.observe(elapsed_ms)
         self._docs_total.inc()
@@ -239,24 +227,19 @@ class ValidationPipeline:
     def run(self, corpus: str | Path) -> BatchReport:
         """Validate every document of ``corpus``; never raises per-document."""
         paths = discover_corpus(corpus)
-        started = time.perf_counter()
-        with span("instances.batch", corpus=str(corpus), documents=len(paths)):
-            reports: list[DocumentReport] = []
-            for path in paths:
-                report = self.validate_path(path)
-                reports.append(report)
-                if self.fail_fast and not report.ok:
-                    break
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        return BatchReport(documents=reports, elapsed_ms=elapsed_ms)
+        return self._batch(str(corpus), [(str(path), path) for path in paths])
 
     def run_strings(self, documents: list[tuple[str, str]]) -> BatchReport:
         """Validate ``(name, xml text)`` pairs; the in-memory twin of :meth:`run`."""
+        return self._batch("<memory>", documents)
+
+    def _batch(self, corpus: str, documents: Sequence[tuple[str, str | Path]]) -> BatchReport:
+        """Validate ``(name, document)`` pairs in order, honouring ``fail_fast``."""
         started = time.perf_counter()
-        with span("instances.batch", corpus="<memory>", documents=len(documents)):
+        with span("instances.batch", corpus=corpus, documents=len(documents)):
             reports: list[DocumentReport] = []
-            for name, text in documents:
-                report = self.validate_string(text, name)
+            for name, document in documents:
+                report = self._validate(name, document)
                 reports.append(report)
                 if self.fail_fast and not report.ok:
                     break

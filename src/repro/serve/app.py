@@ -2,15 +2,15 @@
 
 :class:`ServeApp` owns the long-lived state a serving process accumulates:
 
-* the process-wide warm :class:`~repro.xsdgen.cache.GenerationCache`
-  (repeat ``/generate`` requests for an unchanged model hit every
-  library and answer with the schema texts its entries keep),
+* the warm :class:`~repro.xsdgen.cache.GenerationCache` (process-wide or
+  ``cache_dir``'s; repeat ``/generate`` requests for an unchanged model
+  hit every library and answer with the schema texts its entries keep),
 * the process-wide :class:`~repro.xsd.compiled.CompilationCache`
   (``/validate`` requests against a known schema set reuse its compiled
   plans instead of re-resolving the schema graph),
 * an LRU of parsed models keyed by the XMI text's content hash (repeat
   requests skip the XMI parse entirely), and
-* a registry of generated schema sets keyed by
+* an LRU registry of generated schema sets keyed by
   :func:`~repro.xsd.compiled.fingerprint_schema_set`, so ``/validate``
   and ``/explain`` can reference a prior ``/generate`` by id instead of
   re-shipping schema documents on every request.  A warm ``/generate``
@@ -31,16 +31,14 @@ json`` (asserted in ``tests/test_serve.py``).
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
-from collections import OrderedDict
-from pathlib import Path
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.ccts.model import CctsModel
 from repro.errors import ReproError, XmiError
 from repro.instances.pipeline import ValidationPipeline
+from repro.lru import Lru
 from repro.obs.logging_bridge import get_logger
 from repro.obs.metrics import counter, get_registry
 from repro.xmi import read_xmi
@@ -48,9 +46,14 @@ from repro.xsd.compiled import fingerprint_schema_set, fingerprint_schema_texts
 from repro.xsd.parser import parse_schema
 from repro.xsd.validator import SchemaSet
 from repro.xsdgen import GenerationOptions, SchemaGenerator
+from repro.xsdgen.cache import GenerationCache, cache_for_directory, get_generation_cache
 from repro.xsdgen.provenance import ProvenanceIndex
 
 _log = get_logger("repro.serve")
+
+#: Bounds of the parsed-model LRU and of the schema-set registry.
+MAX_MODELS = 32
+MAX_SCHEMA_SETS = 256
 
 
 @dataclass
@@ -76,20 +79,11 @@ class ServeApp:
     ``ServeApp``, shares the same warm paths.
     """
 
-    def __init__(
-        self,
-        *,
-        max_models: int = 32,
-        max_schema_sets: int = 256,
-        cache_dir: str | None = None,
-    ) -> None:
+    def __init__(self, *, cache_dir: str | None = None) -> None:
         self.started_at = time.time()
         self.cache_dir = cache_dir
-        self._lock = threading.Lock()
-        self._models: OrderedDict[str, CctsModel] = OrderedDict()
-        self._max_models = max_models
-        self._schema_sets: OrderedDict[str, SchemaSetEntry] = OrderedDict()
-        self._max_schema_sets = max_schema_sets
+        self._models: Lru[str, CctsModel] = Lru(MAX_MODELS)
+        self._schema_sets: Lru[str, SchemaSetEntry] = Lru(MAX_SCHEMA_SETS)
         self._model_hits = counter("serve.model_cache_hits")
         self._model_misses = counter("serve.model_cache_misses")
         #: Filled in by the HTTP layer so /stats can report queue facts.
@@ -100,43 +94,34 @@ class ServeApp:
 
     # -- shared state ----------------------------------------------------------
 
+    def _generation_cache(self) -> GenerationCache:
+        """The generation cache ``/generate`` fills and ``/stats`` counts."""
+        if self.cache_dir:
+            return cache_for_directory(self.cache_dir)
+        return get_generation_cache()
+
     def model_for(self, xmi_text: str) -> CctsModel:
         """The parsed model for ``xmi_text``, via the content-keyed LRU."""
         key = hashlib.sha256(xmi_text.encode("utf-8")).hexdigest()
-        with self._lock:
-            model = self._models.get(key)
-            if model is not None:
-                self._models.move_to_end(key)
-                self._model_hits.inc()
-                return model
+        model = self._models.get(key)
+        if model is not None:
+            self._model_hits.inc()
+            return model
         self._model_misses.inc()
         model = CctsModel(model=read_xmi(xmi_text))
-        with self._lock:
-            self._models[key] = model
-            self._models.move_to_end(key)
-            while len(self._models) > self._max_models:
-                self._models.popitem(last=False)
+        self._models.put(key, model)
         return model
 
     def register_schema_set(self, entry: SchemaSetEntry) -> None:
         """Insert (or refresh) a schema-set registry entry."""
-        with self._lock:
-            self._schema_sets[entry.id] = entry
-            self._schema_sets.move_to_end(entry.id)
-            while len(self._schema_sets) > self._max_schema_sets:
-                self._schema_sets.popitem(last=False)
+        self._schema_sets.put(entry.id, entry)
 
     def schema_set_entry(self, set_id: str) -> SchemaSetEntry | None:
         """The registered entry for ``set_id``, or None."""
-        with self._lock:
-            entry = self._schema_sets.get(set_id)
-            if entry is not None:
-                self._schema_sets.move_to_end(set_id)
-            return entry
+        return self._schema_sets.get(set_id)
 
     def schema_set_ids(self) -> list[str]:
-        with self._lock:
-            return list(self._schema_sets)
+        return self._schema_sets.keys()
 
     # -- endpoints -------------------------------------------------------------
 
@@ -162,12 +147,11 @@ class ServeApp:
                 raw_options.get("shared_aggregation_as_ref", True)
             ),
             validate_first=bool(raw_options.get("validate", True)),
-            use_cache=True,
-            cache_dir=Path(self.cache_dir) if self.cache_dir else None,
         )
         try:
             model = self.model_for(xmi_text)
-            result = SchemaGenerator(model, options).generate(library, root=root)
+            generator = SchemaGenerator(model, options, cache=self._generation_cache())
+            result = generator.generate(library, root=root)
         except XmiError as error:
             located = {"line": error.line, "column": error.column} if error.line is not None else {}
             return 400, {"error": str(error), **located}
@@ -323,13 +307,12 @@ class ServeApp:
     def stats(self) -> tuple[int, dict]:
         """``GET /stats``: server, cache and metrics snapshot."""
         from repro.xsd.compiled import get_compilation_cache
-        from repro.xsdgen.cache import get_generation_cache
 
         payload: dict[str, Any] = {
             "uptime_s": round(time.time() - self.started_at, 3),
             "schema_sets": self.schema_set_ids(),
             "caches": {
-                "generation_entries": len(get_generation_cache()),
+                "generation_entries": len(self._generation_cache()),
                 "compilation_entries": len(get_compilation_cache()),
                 "models": len(self._models),
             },

@@ -29,10 +29,10 @@ oracle (``tests/reference_validator.py``); the compiled walk produces the
 same :class:`ValidationProblem` list, in the same order -- asserted
 property-based in ``tests/test_instance_pipeline.py``.
 
-Compiled sets are cached in a :class:`CompilationCache` (the LRU pattern
-of :class:`~repro.xsdgen.cache.GenerationCache`) keyed by the schema
-set's memoized :attr:`~repro.xsd.validator.SchemaSet.fingerprint`, so
-repeated validation over one schema set compiles once.  Observability:
+Compiled sets are cached in a :class:`CompilationCache` (a bounded
+:class:`~repro.lru.Lru`) keyed by the schema set's memoized
+:attr:`~repro.xsd.validator.SchemaSet.fingerprint`, so repeated
+validation over one schema set compiles once.  Observability:
 the ``instances.compile`` span,
 ``instances.compile_hits``/``compile_misses``/``compile_evictions``
 counters and the ``instances.compile_cache_size`` gauge (see
@@ -42,12 +42,11 @@ docs/observability.md).
 from __future__ import annotations
 
 import functools
-import threading
 import xml.etree.ElementTree as ET
-from collections import OrderedDict
 from typing import Callable, Iterable
 
 from repro.errors import InstanceValidationError, SchemaError
+from repro.lru import Lru
 from repro.obs.metrics import counter, gauge
 from repro.obs.trace import span
 from repro.xmlutil.qname import XML_NAMESPACE, QName, split_qname
@@ -901,57 +900,27 @@ def _particle_decls(particle: object) -> list[ElementDecl]:
 # -- compilation cache ---------------------------------------------------------
 
 
-class CompilationCache:
+class CompilationCache(Lru[str, CompiledSchemaSet]):
     """Thread-safe LRU of compiled schema sets, keyed by fingerprint.
 
-    The validate-side sibling of :class:`~repro.xsdgen.cache.GenerationCache`:
-    one instance is safely shared across pipelines and threads, and a
+    One instance is safely shared across pipelines and threads, and a
     schema change misses (new fingerprint) instead of returning a stale
-    compilation.  Counters: ``instances.compile_hits`` / ``compile_misses``
-    / ``compile_evictions``; gauge: ``instances.compile_cache_size``.
+    compilation.  :func:`compile_schema_set` counts its traffic:
+    ``instances.compile_hits`` / ``compile_misses`` / ``compile_evictions``
+    and the ``instances.compile_cache_size`` gauge.
     """
 
     def __init__(self, max_entries: int = 32) -> None:
-        if max_entries < 1:
-            raise ValueError("CompilationCache needs max_entries >= 1")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[str, CompiledSchemaSet] = OrderedDict()
-        self._lock = threading.Lock()
+        super().__init__(max_entries)
         self._hits = counter("instances.compile_hits")
         self._misses = counter("instances.compile_misses")
         self._evictions = counter("instances.compile_evictions")
         self._size = gauge("instances.compile_cache_size")
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: str) -> CompiledSchemaSet | None:
-        """The compiled set for ``key``; None (and a miss) when absent."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits.inc()
-                return entry
-        self._misses.inc()
-        return None
-
-    def put(self, compiled: CompiledSchemaSet) -> None:
-        """Insert (or refresh) a compiled set under its fingerprint."""
-        with self._lock:
-            self._entries[compiled.fingerprint] = compiled
-            self._entries.move_to_end(compiled.fingerprint)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._evictions.inc()
-            self._size.set(len(self._entries))
-
     def clear(self) -> None:
         """Drop every entry."""
-        with self._lock:
-            self._entries.clear()
-            self._size.set(0)
+        super().clear()
+        self._size.set(0)
 
 
 _default_cache = CompilationCache()
@@ -983,7 +952,10 @@ def compile_schema_set(
     key = fingerprint_schema_set(schema_set)
     hit = cache.get(key)
     if hit is not None:
+        cache._hits.inc()
         return hit
+    cache._misses.inc()
     compiled = CompiledSchemaSet(schema_set, fingerprint=key)
-    cache.put(compiled)
+    cache._evictions.inc(len(cache.put(key, compiled)))
+    cache._size.set(len(cache))
     return compiled

@@ -35,11 +35,11 @@ import hashlib
 import json
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from repro.lru import Lru
 from repro.ndr.namespaces import LibraryNamespace
 from repro.obs.logging_bridge import get_logger
 from repro.obs.metrics import counter, gauge
@@ -82,6 +82,9 @@ _RECORD_SEP = "\x1e"
 
 #: First field of this module's keys in ``Model.derived()``.
 _FINGERPRINT = "xsdgen.fingerprint"
+
+#: The disk layer's file names (a SHA-256 fingerprint), and no other file.
+_CACHE_FILES = "[0-9a-f]" * 64 + ".json"
 
 
 class _Hasher:
@@ -417,42 +420,33 @@ class GenerationCache:
     mutation -- or an options/root change -- misses instead of returning a
     stale schema.  When ``cache_dir`` is set, entries are also persisted
     as ``{fingerprint}.json`` files and survive the process; a fingerprint
-    change simply keys a new file, leaving the stale one unread.
+    change keys a new file, and each write prunes the oldest past ``max_entries``.
     """
 
     def __init__(self, max_entries: int = 256, cache_dir: str | Path | None = None) -> None:
-        if max_entries < 1:
-            raise ValueError("GenerationCache needs max_entries >= 1")
-        self.max_entries = max_entries
+        self._entries: Lru[str, CachedGeneration] = Lru(max_entries)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._entries: OrderedDict[str, CachedGeneration] = OrderedDict()
-        self._lock = threading.Lock()
         self._hits = counter("xsdgen.cache_hits")
         self._misses = counter("xsdgen.cache_misses")
         self._evictions = counter("xsdgen.cache_evictions")
         self._size = gauge("xsdgen.cache_size")
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     # -- lookup ---------------------------------------------------------------
 
     def get(self, key: str) -> CachedGeneration | None:
         """The entry for ``key``, from memory or disk; None on miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits.inc()
-                return entry
-        entry = self._load_from_disk(key)
-        if entry is not None:
-            self._hits.inc()
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._load_from_disk(key)
+            if entry is None:
+                self._misses.inc()
+                return None
             self._insert(entry)
-            return entry
-        self._misses.inc()
-        return None
+        self._hits.inc()
+        return entry
 
     def put(self, entry: CachedGeneration) -> None:
         """Insert (or refresh) an entry; persists when disk is enabled."""
@@ -462,25 +456,18 @@ class GenerationCache:
 
     def clear(self) -> None:
         """Drop every in-memory entry (disk files are left alone)."""
-        with self._lock:
-            self._entries.clear()
-            self._size.set(0)
+        self._entries.clear()
+        self._size.set(0)
 
     def keys(self) -> list[str]:
         """The in-memory keys, least- to most-recently used."""
-        with self._lock:
-            return list(self._entries)
+        return self._entries.keys()
 
     # -- internals --------------------------------------------------------------
 
     def _insert(self, entry: CachedGeneration) -> None:
-        with self._lock:
-            self._entries[entry.key] = entry
-            self._entries.move_to_end(entry.key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._evictions.inc()
-            self._size.set(len(self._entries))
+        self._evictions.inc(len(self._entries.put(entry.key, entry)))
+        self._size.set(len(self._entries))
 
     def _disk_path(self, key: str) -> Path:
         assert self.cache_dir is not None
@@ -511,8 +498,22 @@ class GenerationCache:
                 encoding="utf-8",
             )
             tmp.replace(path)
+            self._prune_disk(path)
         except OSError as error:
             _log.warning("cannot persist cache entry to %s: %s", self.cache_dir, error)
+
+    def _prune_disk(self, written: Path) -> None:
+        """Delete the oldest files (by mtime) past ``max_entries``; ``written``
+        counts as the newest, since file times are coarse enough to tie."""
+        aged: list[tuple[bool, int, Path]] = []
+        for path in written.parent.glob(_CACHE_FILES):
+            try:
+                aged.append((path == written, path.stat().st_mtime_ns, path))
+            except FileNotFoundError:
+                continue
+        aged.sort(reverse=True)
+        for _written, _mtime, path in aged[self._entries.max_entries:]:
+            path.unlink(missing_ok=True)
 
 
 #: The process-wide cache shared by generators that enable caching.
@@ -534,12 +535,12 @@ def set_generation_cache(cache: GenerationCache) -> GenerationCache:
     return previous
 
 
-def cache_for_directory(cache_dir: str | Path, max_entries: int = 256) -> GenerationCache:
+def cache_for_directory(cache_dir: str | Path) -> GenerationCache:
     """The shared cache backed by ``cache_dir`` (one instance per path)."""
     key = str(Path(cache_dir).resolve())
     with _registry_lock:
         cache = _directory_caches.get(key)
         if cache is None:
-            cache = GenerationCache(max_entries=max_entries, cache_dir=cache_dir)
+            cache = GenerationCache(cache_dir=cache_dir)
             _directory_caches[key] = cache
         return cache

@@ -309,6 +309,39 @@ class TestWarmPaths:
             assert report["docs_invalid"] == 0
 
 
+class TestBoundedState:
+    """The model LRU and schema-set registry evict at their module bounds."""
+
+    def test_model_cache_evicts_the_least_recently_used(self, easybiz_xmi, monkeypatch):
+        import repro.serve.app as app_module
+
+        monkeypatch.setattr(app_module, "MAX_MODELS", 2)
+        app = ServeApp()
+        # Three texts of one model: the content hash keys each apart.
+        a, b, c = (easybiz_xmi[0] + " " * n for n in range(3))
+        model_a = app.model_for(a)
+        model_b = app.model_for(b)
+        assert app.model_for(a) is model_a
+        app.model_for(c)
+        assert app.model_for(a) is model_a
+        assert app.model_for(b) is not model_b
+
+    def test_schema_set_registry_evicts_the_least_recently_used(self, monkeypatch):
+        import repro.serve.app as app_module
+        from repro.serve.app import SchemaSetEntry
+
+        monkeypatch.setattr(app_module, "MAX_SCHEMA_SETS", 2)
+        app = ServeApp()
+        for set_id in ("a", "b"):
+            app.register_schema_set(SchemaSetEntry(id=set_id, schema_set=SchemaSet([])))
+        assert app.schema_set_entry("a") is not None
+        app.register_schema_set(SchemaSetEntry(id="c", schema_set=SchemaSet([])))
+        assert app.schema_set_ids() == ["a", "c"]
+        assert app.schema_set_entry("b") is None
+        status, _ = app.validate({"schema_set": "b", "documents": ["<x/>"]})
+        assert status == 404
+
+
 class _SlowApp(ServeApp):
     """Every /validate blocks until released -- for queue/timeout tests."""
 
@@ -1540,6 +1573,20 @@ class TestGenerateWarmPath:
             assert status == 200
             assert stats["schema_sets"] == [json.loads(cold)["schema_set"]]
             assert stats["server"]["inflight"] == 0
+
+    def test_stats_counts_the_cache_dir_generation_cache(
+        self, easybiz_xmi, tmp_path, monkeypatch, fresh_generation_cache
+    ):
+        import repro.xsdgen.cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_directory_caches", {})
+        app = ServeApp(cache_dir=str(tmp_path))
+        status, generated = app.generate(_generate_payload(easybiz_xmi))
+        assert status == 200
+        _, stats = app.stats()
+        stored = len(list(tmp_path.glob("*.json")))
+        assert stored == len(generated["schemas"])
+        assert stats["caches"]["generation_entries"] == stored
 
     def test_restarted_daemon_answers_from_disk_without_the_writer(
         self, easybiz_xmi, tmp_path, monkeypatch, writer_calls

@@ -196,6 +196,27 @@ class TestDiskCache:
         assert _schema_texts(second) == _schema_texts(first)
         assert any("Reusing cached schema" in line for line in second.session.messages)
 
+    def test_directory_is_bounded_to_max_entries(self, easybiz, tmp_path):
+        options = GenerationOptions(use_cache=True)
+        foreign = tmp_path / "settings.json"
+        foreign.write_text("{}", encoding="utf-8")
+        cache_files = lambda: [p for p in tmp_path.glob("*.json") if p != foreign]  # noqa: E731
+        writer = GenerationCache(max_entries=2, cache_dir=tmp_path)
+        first = SchemaGenerator(easybiz.model, options, cache=writer).generate(
+            easybiz.doc_library, root="HoardingPermit"
+        )
+        assert len(first.schemas) > 2
+        assert len(cache_files()) == 2
+        assert foreign.exists()  # only cache files are pruned
+        # The files left are still read, and the files pruned are misses.
+        reader = GenerationCache(max_entries=2, cache_dir=tmp_path)
+        second = SchemaGenerator(easybiz.model, options, cache=reader).generate(
+            easybiz.doc_library, root="HoardingPermit"
+        )
+        assert _schema_texts(second) == _schema_texts(first)
+        assert any("Reusing cached schema" in line for line in second.session.messages)
+        assert len(cache_files()) == 2
+
     def test_corrupt_disk_entry_is_a_miss(self, easybiz, tmp_path):
         options = GenerationOptions(use_cache=True)
         writer = GenerationCache(cache_dir=tmp_path)
