@@ -12,7 +12,9 @@ pre-register anything::
 
 Every instrument carries its *own* lock, so two counters incremented from
 different serve connection threads never contend with each other; the
-registry lock is only taken on first-creation and while snapshotting.
+registry lock is only taken on the first lookup of a call shape and while
+snapshotting.  A repeat lookup is answered from a dict keyed on the
+call's arguments, so the rendered key is built once per shape.
 Histograms additionally bucket every observation into a fixed log-scale
 latency ladder (:data:`DEFAULT_BUCKETS`, milliseconds), from which
 ``to_dict()`` derives p50/p90/p99 estimates and
@@ -111,6 +113,15 @@ def _metric_key(name: str, labels: dict[str, Any]) -> str:
         f"{key}={escape_label_value(labels[key])}" for key in sorted(labels)
     )
     return f"{name}{{{rendered}}}"
+
+
+def _call_key(name: str, labels: dict[str, Any]) -> tuple:
+    """What a lookup's arguments are keyed on before any rendering.
+
+    The label types are part of it: ``code=1`` and ``code=True`` are equal
+    and hash alike but render different keys, so they must not share.
+    """
+    return (name, *labels.items(), *map(type, labels.values()))
 
 
 class Counter:
@@ -340,6 +351,12 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: Per kind, the instrument each call shape (name, labels in call
+        #: order, label types) resolved to: a repeat call is one tuple
+        #: build and one dict lookup, and renders no key.
+        self._counter_calls: dict[tuple, Counter] = {}
+        self._gauge_calls: dict[tuple, Gauge] = {}
+        self._histogram_calls: dict[tuple, Histogram] = {}
         #: Bumped by :meth:`reset`; code that binds instruments once keeps
         #: the generation it bound them under and rebinds when it moves.
         self.generation = 0
@@ -348,36 +365,42 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels: Any) -> Counter:
         """The counter for ``name`` + labels, created on first use."""
-        key = _metric_key(name, labels)
-        instrument = self._counters.get(key)
+        instrument = self._counter_calls.get(_call_key(name, labels))
         if instrument is None:
-            with self._lock:
-                self._check_kind(key, "counter", self._counters)
-                instrument = self._counters.setdefault(
-                    key, Counter(key, name, labels)
-                )
+            instrument = self._resolve(
+                Counter, self._counters, self._counter_calls, name, labels
+            )
         return instrument
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         """The gauge for ``name`` + labels, created on first use."""
-        key = _metric_key(name, labels)
-        instrument = self._gauges.get(key)
+        instrument = self._gauge_calls.get(_call_key(name, labels))
         if instrument is None:
-            with self._lock:
-                self._check_kind(key, "gauge", self._gauges)
-                instrument = self._gauges.setdefault(key, Gauge(key, name, labels))
+            instrument = self._resolve(
+                Gauge, self._gauges, self._gauge_calls, name, labels
+            )
         return instrument
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
         """The histogram for ``name`` + labels, created on first use."""
-        key = _metric_key(name, labels)
-        instrument = self._histograms.get(key)
+        instrument = self._histogram_calls.get(_call_key(name, labels))
         if instrument is None:
-            with self._lock:
-                self._check_kind(key, "histogram", self._histograms)
-                instrument = self._histograms.setdefault(
-                    key, Histogram(key, name, labels)
-                )
+            instrument = self._resolve(
+                Histogram, self._histograms, self._histogram_calls, name, labels
+            )
+        return instrument
+
+    def _resolve(self, kind: type, own: dict[str, Any], calls: dict[tuple, Any],
+                 name: str, labels: dict[str, Any]) -> Any:
+        """A call shape's first lookup: the instrument under the rendered
+        key (created if new), remembered for the shape."""
+        key = _metric_key(name, labels)
+        with self._lock:
+            instrument = own.get(key)
+            if instrument is None:
+                self._check_kind(key, kind.__name__.lower(), own)
+                instrument = own[key] = kind(key, name, labels)
+            calls[_call_key(name, labels)] = instrument
         return instrument
 
     def _check_kind(self, key: str, kind: str, own: dict[str, Any]) -> None:
@@ -481,6 +504,9 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._counter_calls.clear()
+            self._gauge_calls.clear()
+            self._histogram_calls.clear()
             self.generation += 1
 
 

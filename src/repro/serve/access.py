@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
-import uuid
 from pathlib import Path
 from typing import Any
 
@@ -47,7 +47,7 @@ ACCESS_LOG_FIELDS = (
 
 def new_request_id() -> str:
     """A fresh request id: 12 hex chars, unique for practical purposes."""
-    return uuid.uuid4().hex[:12]
+    return os.urandom(6).hex()
 
 
 class AccessLog(JsonlRing):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -264,7 +265,9 @@ class ServeApp:
             ), None
         try:
             schema_set = SchemaSet([parse_schema(text) for text in inline])
-        except (ReproError, ValueError) as error:
+        except (ReproError, ValueError, ET.ParseError) as error:
+            # ParseError (malformed XML) is a SyntaxError; its text
+            # carries the line and column.
             return (400, {"error": f"unparsable schema document: {error}"}), None
         fingerprint = fingerprint_schema_set(schema_set)
         entry = self.schema_set_entry(fingerprint)

@@ -212,6 +212,20 @@ class TestEndpointContracts:
         # the compiled plans are shared, and the id is advertised back.
         assert report["schema_set"] == generated["schema_set"]
 
+    @pytest.mark.parametrize("text, position", [
+        ("<x", "line 1, column 0"),
+        ("", "line 1, column 0"),
+        ('<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">\n<xsd:element',
+         "line 2, column 0"),
+    ])
+    def test_malformed_inline_schema_is_400(self, text, position):
+        # Malformed XML raises ParseError, a SyntaxError: it used to
+        # escape the handler and reach the client as a 500.
+        status, payload = ServeApp().validate({"documents": ["<a/>"], "schemas": [text]})
+        assert status == 400, payload
+        assert payload["error"].startswith("unparsable schema document: ")
+        assert position in payload["error"]
+
     def test_explain_finds_provenance(self, server, easybiz_xmi):
         generated = _generate(server, easybiz_xmi)
         status, payload = request_json(
@@ -1291,6 +1305,152 @@ class TestHostileContentLength:
         assert data.count(b"HTTP/1.1 ") == 1, data
         assert data.startswith(b"HTTP/1.1 411 "), data
         assert elapsed < 2.0
+
+
+def _exchange_until_closed(server, raw: bytes) -> bytes:
+    """Send ``raw`` and read until the server closes the connection; a
+    reset after the response (the server left request bytes unread)
+    ends the read like a close."""
+    import socket
+
+    with socket.create_connection((server.host, server.port), timeout=3.0) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestHeadFraming:
+    """Faults in the request head (RFC 9112 framing, the stdlib's size
+    bounds) each get one JSON 4xx that is counted, logged and timed, and
+    the connection closes."""
+
+    @staticmethod
+    def _post(*fields: str, body: bytes = b"{}") -> bytes:
+        head = "\r\n".join(("POST /validate HTTP/1.1", "Host: x", *fields))
+        return (head + "\r\n\r\n").encode("latin-1") + body
+
+    CASES = {
+        "field-without-colon": (
+            ("Content-Type: application/json", "NoColonHere", "Content-Length: 2"),
+            400, "malformed header field",
+        ),
+        "whitespace-before-colon": (
+            ("Content-Type : application/json", "Content-Length: 2"),
+            400, "malformed header field",
+        ),
+        "obs-fold": (
+            ("X-Note: first", " folded", "Content-Length: 2"),
+            400, "obsolete line folding",
+        ),
+        "conflicting-content-length": (
+            ("Content-Length: 2", "Content-Length: 3"),
+            400, "conflicting Content-Length",
+        ),
+        "transfer-encoding-and-content-length": (
+            ("Transfer-Encoding: chunked", "Content-Length: 2"),
+            400, "Transfer-Encoding together with Content-Length",
+        ),
+        "transfer-encoding-alone": (
+            ("Transfer-Encoding: chunked",), 411, "Content-Length required",
+        ),
+        "101-fields": (
+            tuple(f"X-Field-{index}: {index}" for index in range(100)),
+            431, "Too many headers",
+        ),
+        "70000-byte-line": (("X-Long: " + "a" * 70_000,), 431, "Line too long"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fault_is_one_counted_json_4xx_and_closes(self, server, case):
+        from repro.obs.metrics import MetricsRegistry, set_registry
+
+        fields, status, message = self.CASES[case]
+        body = b"" if status in (411, 431) else b"{}"
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            data = _exchange_until_closed(server, self._post(*fields, body=body))
+            # Request timings are observed just after the socket write.
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and not any(
+                key.startswith("serve.request_ms") for key in registry.snapshot()
+            ):
+                time.sleep(0.01)
+        finally:
+            set_registry(previous)
+        assert data.count(b"HTTP/1.1 ") == 1, data[:300]
+        head, _, payload = data.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode()), head
+        assert b"\r\nContent-Type: application/json\r\n" in head, head
+        assert head.endswith(b"\r\nConnection: close"), head
+        assert json.loads(payload)["error"].startswith(message), payload
+        snapshot = registry.snapshot()
+        endpoint = "validate" if status == 411 else "unknown"
+        assert snapshot[f"serve.requests_total{{endpoint={endpoint}}}"] == 1, snapshot
+        assert snapshot[f"serve.responses_total{{code={status}}}"] == 1, snapshot
+        assert snapshot[f"serve.request_ms{{endpoint={endpoint}}}"]["count"] == 1
+        record = server.access.recent()[-1]
+        assert (record["method"], record["path"], record["status"]) == (
+            "POST", "/validate", status,
+        )
+
+    def test_repeated_equal_content_length_is_one_field(self, server):
+        data = _exchange_until_closed(server, self._post(
+            "Content-Type: application/json", "Content-Length: 2",
+            "Content-Length: 2", "Connection: close",
+        ))
+        assert data.startswith(b"HTTP/1.1 400 "), data[:300]  # {} lacks documents
+        assert b"missing required non-empty list field 'documents'" in data
+
+    def test_field_values_lose_surrounding_whitespace(self, server):
+        data = _exchange_until_closed(
+            server,
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Request-Id: \t probe-1 \t\r\n"
+            b"Connection:close\r\n\r\n",
+        )
+        assert data.startswith(b"HTTP/1.1 200 OK\r\n"), data[:300]
+        assert b"\r\nX-Request-Id: probe-1\r\n" in data
+
+    def test_field_names_are_case_insensitive(self, server):
+        data = _exchange_until_closed(server, (
+            b"POST /validate HTTP/1.1\r\nhOsT: x\r\nCONTENT-LENGTH: 2\r\n"
+            b"connection: CLOSE\r\n\r\n{}"
+        ))
+        assert data.startswith(b"HTTP/1.1 400 "), data[:300]
+        assert b"missing required non-empty list field 'documents'" in data
+
+    def test_http10_closes_unless_keep_alive(self, server):
+        data = _exchange_until_closed(server, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert data.startswith(b"HTTP/1.1 200 OK\r\n"), data[:300]
+        assert b"\r\nConnection: close\r\n" in data
+
+    def test_request_line_over_the_bound_is_414(self, server):
+        data = _exchange_until_closed(
+            server, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert data.startswith(b"HTTP/1.1 414 "), data[:300]
+        assert json.loads(data.partition(b"\r\n\r\n")[2]) == {"error": "Request-URI Too Long"}
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        import socket
+
+        with socket.create_connection((server.host, server.port), timeout=3.0) as sock:
+            sock.sendall(self._post("Content-Length: 2", "Expect: 100-continue",
+                                    "Connection: close", body=b""))
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(b"{}")
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        assert data.startswith(b"HTTP/1.1 400 "), data[:300]
 
 
 class TestTransport:

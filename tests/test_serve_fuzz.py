@@ -5,10 +5,14 @@ A hypothesis :class:`RuleBasedStateMachine` drives a live
 through interleaved steps: register a schema set (``/generate``),
 validate, explain, health checks, unknown paths, broken request lines
 (a path with a space, an unsupported HTTP version, a method other than
-GET and POST), broken body framing (missing, negative or non-decimal
-``Content-Length``, a short body, a non-JSON body, an oversized body), a
-truncated XMI, concurrent bursts that overflow admission, and a final
-drain with requests in flight.
+GET and POST), broken header framing (a field line without a colon or
+with whitespace before it, an obs-fold line, conflicting
+``Content-Length`` fields, ``Transfer-Encoding`` with or without
+``Content-Length``, too many fields, an overlong field line), broken body
+framing (missing, negative or non-decimal ``Content-Length``, a short
+body, a non-JSON body, an oversized body), a truncated XMI, inline schema
+documents (valid, and truncated), concurrent bursts that overflow
+admission, and a final drain with requests in flight.
 After every step it checks:
 
 * every request got exactly one response, and a client fault got a 4xx;
@@ -53,6 +57,30 @@ from repro.xsdgen import SchemaGenerator
 
 MAX_BODY = 512 * 1024
 ROOT = "HoardingPermit"
+#: An inline schema document /validate accepts, with a document it passes.
+INLINE_SCHEMA = (
+    '<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">'
+    '<xsd:element name="note" type="xsd:string"/></xsd:schema>'
+)
+INLINE_DOCUMENT = "<note>fuzz</note>"
+#: Header faults: (extra field lines, expected status, error prefix).
+HEADER_FAULTS = {
+    "field-without-colon": (("NoColonHere", "Content-Length: 2"), 400, "malformed header field"),
+    "whitespace-before-colon": (("Content-Length : 2",), 400, "malformed header field"),
+    "obs-fold": (("X-Note: first", "\tfolded", "Content-Length: 2"), 400,
+                 "obsolete line folding"),
+    "conflicting-content-length": (("Content-Length: 2", "Content-Length: 20"), 400,
+                                   "conflicting Content-Length"),
+    "transfer-encoding-and-content-length": (
+        ("Transfer-Encoding: chunked", "Content-Length: 2"), 400,
+        "Transfer-Encoding together with Content-Length",
+    ),
+    "transfer-encoding-alone": (("Transfer-Encoding: chunked",), 411,
+                                "Content-Length required"),
+    "101-fields": (tuple(f"X-F{index}: {index}" for index in range(99)), 431,
+                   "Too many headers"),
+    "70000-byte-line": (("X-Long: " + "a" * 70_000,), 431, "Line too long"),
+}
 TRUNCATED_XMI = Path(__file__).parent / "corpus" / "malformed" / "truncated.xmi"
 #: Every path a method is routed on; any other answers 404.
 ROUTED = {
@@ -295,6 +323,31 @@ class ServeBoundary(RuleBasedStateMachine):
             _json_post("/generate", {"xmi": xmi, "library": library}), 400
         )
         assert json.loads(body)["error"].startswith("not well-formed XML")
+
+    @precondition(lambda self: not self.drained)
+    @rule(fault=st.sampled_from(sorted(HEADER_FAULTS)))
+    def header_fault(self, fault: str) -> None:
+        # _request adds two fields (Host, Connection), so "101-fields"
+        # sends 101.  Only the 2-byte body's framing is in doubt.
+        fields, status, message = HEADER_FAULTS[fault]
+        body = self._client_fault(_request("POST", "/validate", b"{}", fields), status)
+        assert json.loads(body)["error"].startswith(message), body[:300]
+
+    @precondition(lambda self: not self.drained)
+    @rule(cut=st.one_of(st.none(), st.integers(min_value=0, max_value=len(INLINE_SCHEMA) - 1)))
+    def inline_schemas(self, cut: int | None) -> None:
+        """Inline schema documents: whole ones validate, truncated ones
+        (malformed XML) are a client fault."""
+        schema = INLINE_SCHEMA if cut is None else INLINE_SCHEMA[:cut]
+        status, _, body = self._exchange(_json_post("/validate", {
+            "schemas": [schema], "documents": [INLINE_DOCUMENT],
+        }))
+        if cut is None:
+            assert status == 200, body[:300]
+            assert json.loads(body)["docs_invalid"] == 0, body[:300]
+        else:
+            assert status == 400, body[:300]
+            assert json.loads(body)["error"].startswith("unparsable schema document"), body[:300]
 
     @precondition(lambda self: not self.drained)
     @rule(excess=st.integers(min_value=1, max_value=10**12))
