@@ -24,7 +24,7 @@ from pathlib import Path
 from repro import SchemaGenerator, validate_model
 from repro.catalog import build_easybiz_model
 from repro.ccts.model import CctsModel
-from repro.instances import InstanceGenerator, drop_required_child
+from repro.instances import InstanceGenerator
 from repro.uml.visitor import census, render_tree
 from repro.xmi import read_xmi, write_xmi
 from repro.xsd.validator import validate_instance
@@ -80,7 +80,8 @@ def main() -> int:
     problems = validate_instance(schema_set, message)
     print(f"  valid message: {len(problems)} problem(s)")
     broken = instances.generate("HoardingPermit")
-    drop_required_child(broken, "IncludedRegistration")
+    broken.children = [child for child in broken.element_children
+                       if child.tag.rpartition(":")[2] != "IncludedRegistration"]
     problems = validate_instance(schema_set, broken)
     print(f"  message without IncludedRegistration: {len(problems)} problem(s)")
     for problem in problems:

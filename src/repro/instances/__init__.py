@@ -7,26 +7,11 @@ package produces such messages:
   global element of a :class:`repro.xsd.SchemaSet`,
 * :mod:`repro.instances.values` -- deterministic sample values per built-in
   type and facet set,
-* :mod:`repro.instances.mutate` -- controlled corruptions used by negative
-  tests and the end-to-end benchmark (a validator that accepts everything
-  proves nothing),
 * :mod:`repro.instances.pipeline` -- batch validation of whole corpora
   (compiled schema sets, per-document fault isolation).
 """
 
 from repro.instances.generator import InstanceGenerator
-from repro.instances.mutate import (
-    add_many_attributes,
-    add_undeclared_prefix_attribute,
-    add_unknown_attribute,
-    add_unknown_child,
-    corrupt_enumeration_value,
-    drop_required_attribute,
-    drop_required_child,
-    inflate_text,
-    rebind_target_namespace,
-    widen,
-)
 from repro.instances.pipeline import (
     BatchReport,
     DocumentReport,
@@ -41,15 +26,5 @@ __all__ = [
     "InstanceGenerator",
     "ValidationPipeline",
     "discover_corpus",
-    "add_many_attributes",
-    "add_undeclared_prefix_attribute",
-    "add_unknown_attribute",
-    "add_unknown_child",
-    "corrupt_enumeration_value",
-    "drop_required_attribute",
-    "drop_required_child",
-    "inflate_text",
-    "rebind_target_namespace",
     "sample_value",
-    "widen",
 ]

@@ -10,22 +10,18 @@ schemas [15] as well."  This package implements both extensions:
   no RNG counterpart and are documented in the module),
 * :mod:`repro.rngen.rdf` -- project the core-components *model* onto RDF
   Schema: classes for aggregates, properties for basic/association
-  entities, with domains, ranges and basedOn traces,
-* :mod:`repro.rngen.validator` -- an independent derivative-based RELAX NG
-  validator (Clark's algorithm) proving the translated grammar accepts the
-  same messages as the XSD path.
+  entities, with domains, ranges and basedOn traces.
+
+The tests check the translated grammar with an independent RELAX NG
+validator of their own (``tests/rng_validator.py``).
 """
 
 from repro.rngen.rdf import model_to_rdfs, rdfs_to_string
 from repro.rngen.relaxng import result_to_rng, rng_to_string
-from repro.rngen.validator import RngValidator, compile_grammar, validate_with_rng
 
 __all__ = [
-    "RngValidator",
-    "compile_grammar",
     "model_to_rdfs",
     "rdfs_to_string",
     "result_to_rng",
     "rng_to_string",
-    "validate_with_rng",
 ]

@@ -186,7 +186,8 @@ class _Handler(StreamRequestHandler):
     def handle(self) -> None:
         """Serve requests until a response closes the connection, the
         client hangs up or sends an empty request line, or a read or
-        write times out."""
+        write times out or finds the connection reset.  A client that
+        has gone gets no answer, and nothing is printed."""
         self.close_connection = False
         try:
             while not self.close_connection:
@@ -194,7 +195,7 @@ class _Handler(StreamRequestHandler):
                 if not line or line.isspace():
                     return
                 self._serve(line)
-        except TimeoutError:
+        except (TimeoutError, ConnectionError):
             return
 
     def _serve(self, line: bytes) -> None:
@@ -236,7 +237,8 @@ class _Handler(StreamRequestHandler):
         400 for a field line without a colon or with whitespace before
         it (5.1), for obs-fold continuation lines (5.2), for
         ``Content-Length`` fields that disagree (6.3) and for
-        ``Transfer-Encoding`` together with ``Content-Length`` (6.1).
+        ``Transfer-Encoding`` together with ``Content-Length`` (6.1), and
+        for a GET that frames a body.
         """
         if len(line) > _MAX_LINE:
             raise _BadRequest(414, "Request-URI Too Long")
@@ -284,6 +286,10 @@ class _Handler(StreamRequestHandler):
         if method not in ("GET", "POST"):
             raise _BadRequest(405, f"method {method!r} not allowed",
                               headers={"Allow": "GET, POST"})
+        if method == "GET" and ("transfer-encoding" in headers
+                                or headers.get("content-length", "0").lstrip("0")):
+            # An unread body would be parsed as the next request.
+            raise _BadRequest(400, "a GET request carries no body")
         if http11 and headers.get("expect", "").lower() == "100-continue":
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
 

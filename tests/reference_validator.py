@@ -13,7 +13,7 @@ direct implementations it is checked against:
   the oracle for :class:`~repro.xsd.content_model.CompiledModel` and its
   determinized form.
 
-The RELAX NG validator (:mod:`repro.rngen.validator`) is a second,
+The RELAX NG validator (``tests/rng_validator.py``) is a second,
 independent oracle for verdicts.
 """
 

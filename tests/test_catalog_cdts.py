@@ -85,8 +85,10 @@ class TestEcommerceModel:
         assert validate_instance(schema_set, document) == []
 
     def test_currency_enum_enforced(self, ecommerce):
-        from repro.instances import InstanceGenerator, corrupt_enumeration_value
+        from repro.instances import InstanceGenerator
         from repro.xsd.validator import validate_instance
+
+        from tests.mutate import corrupt_enumeration_value
 
         result = SchemaGenerator(ecommerce.model).generate(
             ecommerce.doc_library, root="PurchaseOrder"

@@ -3,7 +3,7 @@
 Three contracts under test:
 
 * differential -- on every structural mutation of
-  :mod:`repro.instances.mutate` (wide, huge text, many attributes,
+  ``tests/mutate.py`` (wide, huge text, many attributes,
   hostile namespaces) the pipeline's batch report equals the reference
   oracle's (``tests/reference_validator.py::reference_report``);
 * entity expansion -- a billion-laughs document ends as a per-document
@@ -27,16 +27,7 @@ from repro.catalog.easybiz import build_easybiz_model
 from repro.catalog.ecommerce import build_ecommerce_model
 from repro.cli import main
 from repro.errors import InstanceValidationError
-from repro.instances import (
-    InstanceGenerator,
-    ValidationPipeline,
-    add_many_attributes,
-    add_undeclared_prefix_attribute,
-    inflate_text,
-    rebind_target_namespace,
-    widen,
-)
-from repro.rngen.validator import RngValidator, compile_grammar
+from repro.instances import InstanceGenerator, ValidationPipeline
 from repro.serve import ServeApp, ServeConfig, UpccServer
 from repro.serve.loadgen import request_json
 from repro.xmi import write_xmi
@@ -47,7 +38,15 @@ from repro.xsd.components import ComplexType, ElementDecl, Schema, SequenceGroup
 from repro.xsd.validator import SchemaSet, validate_instance
 from repro.xsdgen import GenerationOptions, SchemaGenerator
 
+from tests.mutate import (
+    add_many_attributes,
+    add_undeclared_prefix_attribute,
+    inflate_text,
+    rebind_target_namespace,
+    widen,
+)
 from tests.reference_validator import reference_report
+from tests.rng_validator import RngValidator, compile_grammar
 from tests.xml_oracle import parse_xml
 
 ROOTS = {

@@ -24,18 +24,8 @@ from hypothesis import strategies as st
 
 from repro.catalog.easybiz import build_easybiz_model
 from repro.catalog.ecommerce import build_ecommerce_model
-from repro.instances import (
-    InstanceGenerator,
-    ValidationPipeline,
-    add_unknown_attribute,
-    add_unknown_child,
-    corrupt_enumeration_value,
-    discover_corpus,
-    drop_required_attribute,
-    drop_required_child,
-)
+from repro.instances import InstanceGenerator, ValidationPipeline, discover_corpus
 from repro.errors import InstanceValidationError
-from repro.instances.mutate import _walk
 from repro.instances.pipeline import BatchReport, DocumentReport
 from repro.xmlutil.writer import XmlWriter
 from repro.xsd import (
@@ -49,6 +39,14 @@ from repro.xsd import (
 from repro.xsdgen import GenerationOptions, SchemaGenerator
 
 from tests.conftest import best_of
+from tests.mutate import (
+    _walk,
+    add_unknown_attribute,
+    add_unknown_child,
+    corrupt_enumeration_value,
+    drop_required_attribute,
+    drop_required_child,
+)
 from tests.reference_validator import reference_report, reference_validate
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -3,18 +3,18 @@
 import pytest
 
 from repro.errors import SchemaError
-from repro.instances import (
-    InstanceGenerator,
+from repro.instances import InstanceGenerator, sample_value
+from repro.xmlutil.qname import QName
+from repro.xsd.components import XSD_NS, Facet
+from repro.xsd.validator import validate_instance
+
+from tests.mutate import (
     add_unknown_attribute,
     add_unknown_child,
     corrupt_enumeration_value,
     drop_required_attribute,
     drop_required_child,
-    sample_value,
 )
-from repro.xmlutil.qname import QName
-from repro.xsd.components import XSD_NS, Facet
-from repro.xsd.validator import validate_instance
 
 
 def _q(local):

@@ -12,8 +12,10 @@ class TestRelaxNgBoundedOccurs:
         from repro.ccts.derivation import derive_abie
         from repro.ccts.model import CctsModel
         from repro.instances import InstanceGenerator
-        from repro.rngen import RngValidator, compile_grammar, result_to_rng
+        from repro.rngen import result_to_rng
         from repro.xsdgen import SchemaGenerator
+
+        from tests.rng_validator import RngValidator, compile_grammar
 
         model = CctsModel("Bounded")
         business = model.add_business_library("B", "urn:bounded")

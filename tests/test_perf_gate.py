@@ -1,10 +1,8 @@
-"""Tier-1 wiring for tools/perf_gate.py on synthetic perfbench results
-(no test here starts a perfbench process)."""
+"""Tier-1 wiring for tools/perf_gate.py on synthetic pair results
+(no test here starts a perfbench process or extracts a tree)."""
 
 from __future__ import annotations
 
-import copy
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -18,130 +16,155 @@ try:
 finally:
     sys.path.pop(0)
 
-BASELINE = {workload: {"latency_p50_ms": 10.0, "latency_p95_ms": 12.0,
-                       "layers": {"xmi.read_ms": 1.0, "xsd.write_ms": 0.2}}
-            for workload in GATE.WORKLOADS}
+PARENT, REFERENCE = "p" * 40, "r" * 40
+BASELINES = {"parent": PARENT, "reference": REFERENCE}
+SOFT = (GATE.WARN_RATIO + GATE.FAIL_RATIO) / 2
 
 
-def _results(p50_factor: float = 1.0, slow_layer: str | None = None, **status) -> dict:
-    """``BASELINE`` with p50 scaled; ``generate_catalog`` gets 3x ``slow_layer`` and ``status``."""
-    results = {}
-    for workload, base in BASELINE.items():
-        results[workload] = dict(copy.deepcopy(base), correct=True, failed=0)
-        results[workload]["latency_p50_ms"] *= p50_factor
-    catalog = results["generate_catalog"]
-    if slow_layer:
-        catalog["layers"][slow_layer] *= 3.0
-    catalog.update(status)
-    return results
+def _result(p50: float = 10.0, layers: dict | None = None, **status) -> dict:
+    """A perfbench result line (p95 is 1.2x p50); ``layers`` are traced ms metrics."""
+    values = {"latency_p50_ms": p50, "latency_p95_ms": 1.2 * p50, "runtime.gc_ms": 9.0,
+              "xmi.read_ms": 1.0, "xsd.write_ms": 0.2, **(layers or {})}
+    return {"correct": True, "failed": 0, **status,
+            "metrics": {name: {"value": value, "unit": "ms"} for name, value in values.items()}}
+
+
+def _runs(factor: float | list[float] = 1.0, slow_layer: str | None = None, **status) -> dict:
+    """Equal runs of every tree, but the checkout's p50 is ``factor`` times
+    theirs in each pair; on ``generate_catalog`` it also has ``status`` and
+    a 3x ``slow_layer``."""
+    factors = factor if isinstance(factor, list) else [factor] * GATE.ROUNDS
+    runs = {}
+    for workload in GATE.WORKLOADS:
+        theirs = {"plain": [_result() for _ in factors], "traced": _result()}
+        extra = status if workload == "generate_catalog" else {}
+        layers = {slow_layer: 3.0 * _result()["metrics"][slow_layer]["value"]} if slow_layer else None
+        mine = {"plain": [_result(10.0 * each, **extra) for each in factors],
+                "traced": _result(layers=layers if workload == "generate_catalog" else None)}
+        runs[workload] = {GATE.CANDIDATE: mine, PARENT: theirs, REFERENCE: theirs}
+    return runs
 
 
 @pytest.fixture
-def gate(tmp_path, monkeypatch):
-    """Runs ``main()`` on the given results against ``BASELINE``; returns the exit code."""
-    baseline = tmp_path / "BENCH_baseline.json"
-    baseline.write_text(json.dumps(BASELINE), encoding="utf-8")
-    monkeypatch.setattr(GATE, "BASELINE", baseline)
+def gate(monkeypatch):
+    """Runs ``main()`` on synthetic runs; ``gate.calls`` lists each perfbench
+    run as (workload, tree, trace)."""
+    calls = []
 
-    def run(results) -> int:
-        monkeypatch.setattr(GATE, "measure", lambda: results)
-        return GATE.main([])
+    def run(runs: dict, parent: str = PARENT) -> int:
+        monkeypatch.setattr(GATE, "commit", {"HEAD^": parent, GATE.REFERENCE: REFERENCE}.__getitem__)
+        monkeypatch.setattr(GATE, "extract", lambda commit_id, into: into)
+        plain = {(workload, name): iter(tree["plain"])
+                 for workload, trees in runs.items() for name, tree in trees.items()}
 
+        def perfbench(tree: Path, workload: str, trace: int) -> dict:
+            name = GATE.CANDIDATE if tree == GATE.ROOT else tree.name
+            calls.append((workload, name, trace))
+            if name not in runs[workload]:
+                raise RuntimeError(f"{workload} --trace {trace} in {tree} exited 2 without a result")
+            return runs[workload][name]["traced"] if trace else next(plain[workload, name])
+
+        monkeypatch.setattr(GATE, "run_perfbench", perfbench)
+        return GATE.main()
+
+    run.calls = calls
     return run
 
 
 class TestCompareReports:
     def test_unchanged_report_is_all_ok_or_info(self):
-        lines, failed = GATE.compare(BASELINE, _results())
-        assert not failed
+        lines, failed = GATE.compare(_runs(), BASELINES)
+        assert not failed and len(lines) == 2 * len(GATE.WORKLOADS)
         assert not any(line.startswith("::") for line in lines)
 
     def test_hard_regression_fails(self):
-        lines, failed = GATE.compare(BASELINE, _results(3.0, slow_layer="xsd.write_ms"))
+        lines, failed = GATE.compare(_runs(3.0, slow_layer="xsd.write_ms"), BASELINES)
         assert failed
-        [line] = [line for line in lines if "generate_catalog" in line]
-        assert "+200%" in line and "layer that rose most: xsd.write_ms" in line
+        [line] = [line for line in lines if line.startswith("::error title=perf regression::generate_catalog vs parent")]
+        assert f"latency_p50_ms x3.000 (0/{GATE.ROUNDS} wins)" in line
+        assert "layer that rose most: xsd.write_ms (+200% in one traced run)" in line
 
     def test_soft_regression_warns(self):
-        lines, failed = GATE.compare(BASELINE, _results(1.4))
+        lines, failed = GATE.compare(_runs(SOFT), BASELINES)
         assert not failed
-        assert sum("+40%" in line for line in lines) == len(GATE.WORKLOADS)
+        assert sum(f"latency_p50_ms x{SOFT:.3f}" in line for line in lines) == len(lines)
 
-    def test_new_and_missing_arms(self):
-        # A measured workload missing from the baseline fails, never passes.
-        baseline = {k: v for k, v in BASELINE.items() if k != "serve_mixed"}
-        lines, failed = GATE.compare(baseline, _results())
-        assert failed and "::error title=perf gate::serve_mixed: not in" in "\n".join(lines)
+    def test_slower_candidate_fails_only_on_ratio_and_wins(self):
+        slow = GATE.ROUNDS - GATE.FAIL_WINS - 1
+        # The median pair is 3x slower, but the checkout won one pair too many.
+        assert not GATE.compare(_runs([0.9] * (GATE.FAIL_WINS + 1) + [3.0] * slow), BASELINES)[1]
+        # The checkout lost every pair, but by no more than FAIL_RATIO.
+        assert not GATE.compare(_runs(GATE.FAIL_RATIO), BASELINES)[1]
+        lines, failed = GATE.compare(_runs([0.9] * GATE.FAIL_WINS + [3.0] * (slow + 1)), BASELINES)
+        assert failed and f"({GATE.FAIL_WINS}/{GATE.ROUNDS} wins)" in lines[0]
+
+    def test_new_and_missing_arms(self, gate, capsys):
+        # A workload one compared tree cannot run fails the gate, never passes.
+        runs = _runs()
+        del runs["serve_mixed"][REFERENCE]
+        assert gate(runs) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: serve_mixed --trace 0 in ") and f"{REFERENCE} exited 2" in error
 
     def test_github_annotations(self):
-        lines, _ = GATE.compare(BASELINE, _results(3.0))
+        lines, _ = GATE.compare(_runs(3.0), BASELINES)
         assert all(line.startswith("::error title=perf regression::") for line in lines)
-        lines, _ = GATE.compare(BASELINE, _results(1.4))
+        lines, _ = GATE.compare(_runs(SOFT), BASELINES)
         assert all(line.startswith("::warning title=perf soft-fail::") for line in lines)
-
-
-class TestSummarize:
-    def test_latencies_and_layers_are_normalized(self):
-        def result(**metrics):
-            return {"correct": True, "failed": 0, "metrics": {
-                name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}}
-
-        plain = result(latency_p50_ms=(4.0, "ms"), latency_p95_ms=(8.0, "ms"))
-        traced = result(**{"runtime.calibration_ms": (2.0, "ms"), "runtime.gc_ms": (9.0, "ms"),
-                           "xmi.read_ms": (3.0, "ms"), "xsd.write_ms": (0.0, "ms"),
-                           "xmi.elements": (183.0, "count")})
-        half_speed = [GATE.calibration_ref_ms() * 2] * 10
-        figures = GATE.summarize(plain, traced, half_speed)
-        assert (figures["latency_p50_ms"], figures["latency_p95_ms"]) == (2.0, 4.0)
-        assert figures["layers"] == {"xmi.read_ms": 1.5}
-        assert GATE.summarize(plain, traced)["latency_p50_ms"] == 4.0
 
 
 class TestGateExitCodes:
     def test_passes_on_identical_report(self, gate, capsys):
-        assert gate(_results()) == 0
+        assert gate(_runs()) == 0
         output = capsys.readouterr().out
         for workload in GATE.WORKLOADS:
-            assert f"{workload}: latency_p50_ms 10.000 -> 10.000 (+0%), latency_p95_ms" in output
+            for label, commit_id in BASELINES.items():
+                assert (f"{workload} vs {label} {commit_id[:7]}: latency_p50_ms x1.000 "
+                        f"(0/{GATE.ROUNDS} wins), latency_p95_ms x1.000") in output
+        assert "perf gate passed in " in output
 
     def test_fails_on_injected_slowdown(self, gate, capsys):
-        assert gate(_results(3.0, slow_layer="xmi.read_ms")) == 1
-        assert "layer that rose most: xmi.read_ms" in capsys.readouterr().out
+        assert gate(_runs(3.0, slow_layer="xmi.read_ms")) == 1
+        output = capsys.readouterr().out
+        assert "layer that rose most: xmi.read_ms" in output and "perf gate FAILED" in output
 
     def test_soft_fail_keeps_exit_zero(self, gate, capsys):
-        assert gate(_results(1.4)) == 0
+        assert gate(_runs(SOFT)) == 0
         assert "::warning" in capsys.readouterr().out
 
     @pytest.mark.parametrize("status", [{"correct": False}, {"failed": 2}])
     def test_incorrect_or_failed_run_fails(self, gate, capsys, status):
-        assert gate(_results(**status)) == 1
+        assert gate(_runs(**status)) == 1
         assert "generate_catalog: incorrect output" in capsys.readouterr().out
 
-    def test_missing_baseline_errors(self, gate, monkeypatch, tmp_path):
-        monkeypatch.setattr(GATE, "BASELINE", tmp_path / "absent.json")
-        assert gate(_results()) == 1
+    def test_missing_baseline_errors(self, monkeypatch, capsys):
+        # A compared commit the clone lacks (a shallow checkout) is an error.
+        monkeypatch.setattr(GATE, "REFERENCE", "0" * 40)
+        monkeypatch.setattr(GATE, "run_perfbench", lambda *args: pytest.fail("a run started"))
+        assert GATE.main() == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_report_errors(self, monkeypatch, capsys):
         def crashed_run(command, **kwargs):
             return subprocess.CompletedProcess(command, returncode=2, stdout="")
 
         # A perfbench run that exits without a result line is an error.
+        monkeypatch.setattr(GATE, "commit", lambda rev: REFERENCE)
+        monkeypatch.setattr(GATE, "extract", lambda commit_id, into: into)
         monkeypatch.setattr(GATE.subprocess, "run", crashed_run)
-        assert GATE.main([]) == 1
+        assert GATE.main() == 1
         assert "exited 2 without a result" in capsys.readouterr().err
 
-    def test_write_baseline_takes_medians_of_correct_runs(self, gate, monkeypatch):
-        runs = iter([_results(1.0), _results(3.0), _results(2.0)])
-        monkeypatch.setattr(GATE, "measure", lambda: next(runs))
-        assert GATE.main(["--write-baseline"]) == 0
-        written = json.loads(GATE.BASELINE.read_text(encoding="utf-8"))
-        assert written["generate_catalog"]["latency_p50_ms"] == 20.0
-        monkeypatch.setattr(GATE, "measure", lambda: _results(failed=1))
-        assert GATE.main(["--write-baseline"]) == 1
+    def test_trees_take_turns_in_alternating_order(self, gate):
+        assert gate(_runs()) == 0
+        catalog = [(name, trace) for workload, name, trace in gate.calls if workload == "generate_catalog"]
+        turn = [GATE.CANDIDATE, PARENT, REFERENCE]
+        expected = [name for number in range(GATE.ROUNDS) for name in (turn if number % 2 == 0 else turn[::-1])]
+        assert catalog == [(name, 0) for name in expected] + [(name, 1) for name in turn]
 
-    def test_committed_baseline_passes_against_itself(self, monkeypatch):
-        baseline = json.loads(GATE.BASELINE.read_text(encoding="utf-8"))
-        assert set(baseline) == set(GATE.WORKLOADS)
-        results = {name: dict(figures, correct=True, failed=0) for name, figures in baseline.items()}
-        monkeypatch.setattr(GATE, "measure", lambda: results)
-        assert GATE.main([]) == 0
+    def test_parent_equal_to_reference_runs_once_per_round(self, gate, capsys):
+        assert gate(_runs(), parent=REFERENCE) == 0
+        trees = [name for workload, name, trace in gate.calls if workload == "validate_corpus" and not trace]
+        assert trees.count(REFERENCE) == trees.count(GATE.CANDIDATE) == GATE.ROUNDS
+        assert len(trees) == 2 * GATE.ROUNDS
+        assert f"validate_corpus vs parent {REFERENCE[:7]}" in capsys.readouterr().out

@@ -191,8 +191,10 @@ class TestRandomModelExtensions:
     @_pipeline_settings
     @given(_models())
     def test_rng_engine_agrees_on_random_models(self, built):
-        from repro.instances import drop_required_child
-        from repro.rngen import RngValidator, compile_grammar, result_to_rng
+        from repro.rngen import result_to_rng
+
+        from tests.mutate import drop_required_child
+        from tests.rng_validator import RngValidator, compile_grammar
 
         model, doc, root = built
         result = SchemaGenerator(model).generate(doc, root=root)

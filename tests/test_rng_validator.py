@@ -8,16 +8,19 @@ document language.
 
 import pytest
 
-from repro.instances import (
-    InstanceGenerator,
+from repro.instances import InstanceGenerator
+from repro.rngen import result_to_rng
+from repro.xmlutil.qname import QName
+from repro.xsd.validator import validate_instance
+
+from tests.mutate import (
     add_unknown_attribute,
     add_unknown_child,
     corrupt_enumeration_value,
     drop_required_attribute,
     drop_required_child,
 )
-from repro.rngen import result_to_rng
-from repro.rngen.validator import (
+from tests.rng_validator import (
     AttributeP,
     Choice,
     DataP,
@@ -33,9 +36,6 @@ from repro.rngen.validator import (
     compile_grammar,
     group,
 )
-from repro.xmlutil.qname import QName
-from repro.xsd.validator import validate_instance
-
 from tests.xml_oracle import parse_xml
 
 

@@ -1452,6 +1452,33 @@ class TestHeadFraming:
                 data += chunk
         assert data.startswith(b"HTTP/1.1 400 "), data[:300]
 
+    @pytest.mark.parametrize("framing", ["Content-Length: {length}", "Transfer-Encoding: chunked"])
+    def test_get_with_a_body_is_one_400_and_closes(self, server, framing):
+        # Read as the next request on this keep-alive connection, the body
+        # would be a second, smuggled request.
+        smuggled = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+        field = framing.format(length=len(smuggled))
+        data = _exchange_until_closed(
+            server, f"GET /healthz HTTP/1.1\r\nHost: x\r\n{field}\r\n\r\n".encode() + smuggled
+        )
+        assert data.count(b"HTTP/1.1 ") == 1, data[:300]
+        head, _, payload = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ") and head.endswith(b"\r\nConnection: close"), head
+        assert json.loads(payload) == {"error": "a GET request carries no body"}
+        assert [(r["path"], r["status"]) for r in server.access.recent()] == [("/healthz", 400)]
+
+    def test_client_reset_mid_body_ends_the_connection_quietly(self, capfd):
+        import socket
+        import struct
+
+        with UpccServer(ServeApp(), ServeConfig(workers=1, timeout_s=20)) as running:
+            sock = socket.create_connection((running.host, running.port), timeout=3.0)
+            sock.sendall(b"POST /validate HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()  # linger 0: the close sends a reset
+        # Leaving the block drained the daemon, which joins the connection thread.
+        assert capfd.readouterr().err == ""
+
 
 class TestTransport:
     """Keep-alive requests must not wait out the client's delayed-ACK timer."""

@@ -10,9 +10,10 @@ with whitespace before it, an obs-fold line, conflicting
 ``Content-Length`` fields, ``Transfer-Encoding`` with or without
 ``Content-Length``, too many fields, an overlong field line), broken body
 framing (missing, negative or non-decimal ``Content-Length``, a short
-body, a non-JSON body, an oversized body), a truncated XMI, inline schema
-documents (valid, and truncated), concurrent bursts that overflow
-admission, and a final drain with requests in flight.
+body, a non-JSON body, an oversized body, a GET with a body), a
+truncated XMI, inline schema documents (valid, and truncated),
+concurrent bursts that overflow admission, and a final drain with
+requests in flight.
 After every step it checks:
 
 * every request got exactly one response, and a client fault got a 4xx;
@@ -332,6 +333,17 @@ class ServeBoundary(RuleBasedStateMachine):
         fields, status, message = HEADER_FAULTS[fault]
         body = self._client_fault(_request("POST", "/validate", b"{}", fields), status)
         assert json.loads(body)["error"].startswith(message), body[:300]
+
+    @precondition(lambda self: not self.drained)
+    @rule(path=st.sampled_from(sorted(ROUTED["GET"])), framing=st.one_of(
+        st.integers(min_value=1, max_value=64).map(lambda length: f"Content-Length: {length}"),
+        st.sampled_from(["Transfer-Encoding: chunked", "Transfer-Encoding: gzip"]),
+    ))
+    def get_with_body(self, path: str, framing: str) -> None:
+        # The body is never read, so the connection closes after the 400.
+        status, headers, body = self._exchange(_request("GET", path, b"x" * 64, (framing,)))
+        assert (status, headers.get("connection")) == (400, "close"), (status, headers)
+        assert json.loads(body) == {"error": "a GET request carries no body"}
 
     @precondition(lambda self: not self.drained)
     @rule(cut=st.one_of(st.none(), st.integers(min_value=0, max_value=len(INLINE_SCHEMA) - 1)))

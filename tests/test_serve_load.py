@@ -22,12 +22,14 @@ import time
 import pytest
 
 from repro.catalog.easybiz import build_easybiz_model
-from repro.instances import InstanceGenerator, ValidationPipeline, add_unknown_child
+from repro.instances import InstanceGenerator, ValidationPipeline
 from repro.obs.metrics import get_registry
 from repro.serve import ServeApp, ServeConfig, UpccServer
 from repro.serve.loadgen import request_json, run_load
 from repro.xmlutil.writer import XmlWriter
 from repro.xsdgen import GenerationOptions, SchemaGenerator
+
+from tests.mutate import add_unknown_child
 
 CORPUS_SIZE = 200
 ROOT_NAME = "HoardingPermit"
