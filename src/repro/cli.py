@@ -11,6 +11,8 @@
     upcc generate model.xmi --library ... --root ... --out schemas/ \
         --emit-provenance                       # + schemas/provenance.jsonl
     upcc generate model.xmi --library ... --root ... --syntax rng   # RELAX NG
+    upcc generate model.xmi --library ... --root ... --out schemas/ \
+        --cache-dir ~/.cache/upcc               # reuse schemas across runs
     upcc explain model.xmi --library ... --root ... \
         --target "//xsd:complexType[@name='HoardingPermitType']"
     upcc explain --schema schemas/urn_au_gov_vic_easybiz_/data_draft_EB005-HoardingPermit_0.4.xsd \
@@ -146,7 +148,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         shared_aggregation_as_ref=not args.inline_aggregations,
         validate_first=not args.no_validate,
         target_directory=Path(args.out) if args.out and syntax == "xsd" else None,
-        use_cache=args.use_cache or bool(args.cache_dir),
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         on_error="collect" if args.keep_going else "raise",
         embed_provenance=args.embed_provenance,
@@ -445,9 +446,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(coverage.render_text())
     print()
     print("== span tree ==")
-    ring = tracer.ring_buffer()
-    if ring is not None:
-        print(ring.render_tree())
+    print(tracer.render_tree())
     print()
     print("== metrics ==")
     print(obs.get_metrics().render_text())
@@ -642,16 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument("--no-validate", action="store_true", help="skip pre-generation validation")
     generate.add_argument(
-        "--use-cache",
-        action="store_true",
-        help="reuse schemas from the in-process generation cache (keyed by a "
-        "structural fingerprint of each library)",
-    )
-    generate.add_argument(
         "--cache-dir",
         metavar="DIR",
         help="persist the generation cache to DIR so later runs can reuse "
-        "schemas across processes (implies --use-cache)",
+        "schemas across processes (keyed by a structural fingerprint of "
+        "each library)",
     )
     generate.add_argument(
         "--keep-going",
@@ -954,7 +948,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     observed = args.trace or args.metrics_out
     # stats and profile configure tracing themselves; reconfiguring here
-    # would detach their sinks.
+    # would replace their ring.
     if observed and args.command not in ("stats", "profile"):
         import repro.obs as obs
 
@@ -985,10 +979,8 @@ def _report_observability(args: argparse.Namespace) -> None:
     import repro.obs as obs
 
     if args.trace and args.command not in ("stats", "profile"):
-        ring = obs.get_tracer().ring_buffer()
-        if ring is not None:
-            print("== span tree ==", file=sys.stderr)
-            print(ring.render_tree(), file=sys.stderr)
+        print("== span tree ==", file=sys.stderr)
+        print(obs.get_tracer().render_tree(), file=sys.stderr)
     if args.metrics_out:
         Path(args.metrics_out).write_text(
             obs.get_metrics().render_json() + "\n", encoding="utf-8"

@@ -179,8 +179,8 @@ class ValidationPipeline:
         self.schema_set = schema_set
         self.fail_fast = fail_fast
         self._compiled = compile_schema_set(schema_set)
-        # Resolve the instruments once: the registry lookup takes a lock
-        # and renders labels, which is measurable at per-document rates.
+        # Resolve the per-document instruments once; a repeat registry
+        # lookup is a dict hit, but these run once per document.
         self._docs_total = counter("instances.docs_total")
         self._docs_invalid = counter("instances.docs_invalid")
         self._validate_ms = histogram("instances.validate_ms")

@@ -1,11 +1,10 @@
-"""Pipeline observability: tracing spans, metrics, profiling, logging interop.
+"""Pipeline observability: tracing spans, metrics, profiling, loggers.
 
 Zero-dependency, stdlib-only.  Its parts:
 
 * :mod:`repro.obs.trace` -- hierarchical :class:`Span` context managers
-  (wall + thread-CPU time) collected by a thread-safe :class:`Tracer`
-  with pluggable sinks (in-memory ring buffer, logfmt-to-stderr,
-  JSON-lines file),
+  (wall + thread-CPU time) collected by a :class:`Tracer` that keeps the
+  last finished root spans in a bounded ring,
 * :mod:`repro.obs.metrics` -- named counters, gauges and histogram timers
   with a deterministic ``snapshot()`` / ``render_text()`` /
   ``render_json()`` reporting API,
@@ -20,7 +19,7 @@ Zero-dependency, stdlib-only.  Its parts:
   publishing process gauges (RSS, GC, threads, fds, uptime) and running
   registered hooks on its cadence,
 * :mod:`repro.obs.logging_bridge` -- standard :mod:`logging` loggers for
-  the pipeline plus a handler that forwards records into the trace sinks,
+  the pipeline, quiet by default,
 * :mod:`repro.obs.propagation` -- W3C trace-context (``traceparent`` /
   ``tracestate``) parsing, rendering, and an ambient
   :class:`TraceContext` carried across threads via :mod:`contextvars`,
@@ -40,26 +39,19 @@ instrumented site.  Turn it on with::
 
     tracer = repro.obs.configure(trace=True)
     ... run the pipeline ...
-    print(tracer.ring_buffer().render_tree())
+    print(tracer.render_tree())
     print(repro.obs.get_metrics().render_text())
 
 or from the CLI with ``upcc --trace --metrics-out metrics.json ...`` and
-``upcc stats``.  The metric name catalog and sink formats are documented
+``upcc stats``.  The metric name catalog and the span record are documented
 in ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TextIO
+from collections import deque
 
-from repro.obs.logging_bridge import (
-    PIPELINE_LOGGERS,
-    TraceSinkHandler,
-    get_logger,
-    unwire_logging,
-    wire_logging,
-)
+from repro.obs.logging_bridge import PIPELINE_LOGGERS, get_logger
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -110,17 +102,7 @@ from repro.obs.slo import (
     SloStatus,
     load_slo_specs,
 )
-from repro.obs.trace import (
-    JsonLinesSink,
-    LogfmtSink,
-    RingBufferSink,
-    Span,
-    SpanSink,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    span,
-)
+from repro.obs.trace import Span, Tracer, get_tracer, set_tracer, span
 
 
 def get_metrics() -> MetricsRegistry:
@@ -129,47 +111,25 @@ def get_metrics() -> MetricsRegistry:
 
 
 def configure(
-    *,
-    trace: bool = True,
-    ring_capacity: int = 1024,
-    logfmt_stream: TextIO | None = None,
-    jsonl_path: str | Path | TextIO | None = None,
-    sinks: list[SpanSink] | None = None,
-    reset_metrics: bool = False,
-    logging_interop: bool = True,
+    *, trace: bool = True, ring_capacity: int = 1024, reset_metrics: bool = False
 ) -> Tracer:
     """Set up the process-global observability state; returns the tracer.
 
-    ``trace`` toggles span collection (a ring-buffer sink is always
-    attached when on, so :meth:`Tracer.ring_buffer` works); pass
-    ``logfmt_stream`` (e.g. ``sys.stderr``) for live logfmt lines and/or
-    ``jsonl_path`` for a JSON-lines file.  Extra ``sinks`` are attached
-    as given.  ``reset_metrics`` clears the registry first, giving a run
-    a clean snapshot.  ``logging_interop`` routes ``repro.*`` log records
-    through the same sinks; it is skipped when tracing is off.
+    ``trace`` toggles span collection; when on, the tracer keeps the last
+    ``ring_capacity`` finished root spans in a fresh :attr:`Tracer.roots`
+    ring.  ``reset_metrics`` clears the registry first, giving a run a
+    clean snapshot.
     """
     tracer = get_tracer()
-    tracer.clear_sinks()
     tracer.enabled = trace
-    if trace:
-        tracer.add_sink(RingBufferSink(ring_capacity))
-        if logfmt_stream is not None:
-            tracer.add_sink(LogfmtSink(logfmt_stream))
-        if jsonl_path is not None:
-            tracer.add_sink(JsonLinesSink(jsonl_path))
-        for sink in sinks or []:
-            tracer.add_sink(sink)
-        if logging_interop:
-            wire_logging(tracer)
-    else:
-        unwire_logging()
+    tracer.roots = deque(maxlen=ring_capacity) if trace else None
     if reset_metrics:
         get_registry().reset()
     return tracer
 
 
 def disable() -> None:
-    """Turn tracing off and detach all sinks (metrics keep counting)."""
+    """Turn tracing off and drop the ring (metrics keep counting)."""
     configure(trace=False)
 
 
@@ -180,26 +140,21 @@ __all__ = [
     "DEFAULT_SLOS",
     "Gauge",
     "Histogram",
-    "JsonLinesSink",
     "JsonlRing",
-    "LogfmtSink",
     "MetricsRegistry",
     "PIPELINE_LOGGERS",
     "OPENMETRICS_CONTENT_TYPE",
     "PROMETHEUS_CONTENT_TYPE",
     "Profile",
     "ProfileNode",
-    "RingBufferSink",
     "RuntimeCollector",
     "SloEngine",
     "SloSpec",
     "SloStatus",
     "Span",
-    "SpanSink",
     "TRACEPARENT_HEADER",
     "TRACESTATE_HEADER",
     "TraceContext",
-    "TraceSinkHandler",
     "Tracer",
     "build_profile",
     "configure",
@@ -230,7 +185,5 @@ __all__ = [
     "set_tracer",
     "span",
     "to_trace_events",
-    "unwire_logging",
     "use_trace_context",
-    "wire_logging",
 ]

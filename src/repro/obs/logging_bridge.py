@@ -2,17 +2,14 @@
 
 The pipeline modules log through ordinary :mod:`logging` loggers
 (``repro.xsdgen``, ``repro.validation``, ``repro.xmi``), so library users
-can attach their own handlers with zero repro-specific code.  By default
-the ``repro`` logger carries a :class:`logging.NullHandler` and stays
-silent; :func:`wire_logging` additionally forwards records into the
-tracer's sinks so ``--trace`` style runs interleave log lines with spans.
+can attach their own handlers with zero repro-specific code.  The
+``repro`` logger carries a :class:`logging.NullHandler` and stays silent
+until they do; tracing leaves its level alone.
 """
 
 from __future__ import annotations
 
 import logging
-
-from repro.obs.trace import Tracer, get_tracer
 
 #: The loggers the pipeline writes to.
 PIPELINE_LOGGERS = (
@@ -35,48 +32,3 @@ def get_logger(name: str) -> logging.Logger:
     if not any(isinstance(handler, logging.NullHandler) for handler in root.handlers):
         root.addHandler(logging.NullHandler())
     return logging.getLogger(name)
-
-
-class TraceSinkHandler(logging.Handler):
-    """Forwards log records to the sinks of a :class:`Tracer`."""
-
-    def __init__(self, tracer: Tracer | None = None, level: int = logging.INFO) -> None:
-        super().__init__(level)
-        self._tracer = tracer
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
-
-    def emit(self, record: logging.LogRecord) -> None:
-        try:
-            self.tracer.emit_log(record.name, record.levelname, record.getMessage())
-        except Exception:  # pragma: no cover - logging must never raise
-            self.handleError(record)
-
-
-def wire_logging(
-    tracer: Tracer | None = None,
-    level: int = logging.INFO,
-) -> TraceSinkHandler:
-    """Route ``repro.*`` log records into the tracer's sinks.
-
-    Attaches one :class:`TraceSinkHandler` to the package root logger
-    (replacing any previously wired one) and lowers the logger level so
-    records at ``level`` and above flow.  Returns the handler.
-    """
-    unwire_logging()
-    handler = TraceSinkHandler(tracer, level)
-    root = get_logger(_ROOT_LOGGER)
-    root.addHandler(handler)
-    if root.level == logging.NOTSET or root.level > level:
-        root.setLevel(level)
-    return handler
-
-
-def unwire_logging() -> None:
-    """Detach every :class:`TraceSinkHandler` from the package root logger."""
-    root = logging.getLogger(_ROOT_LOGGER)
-    for handler in list(root.handlers):
-        if isinstance(handler, TraceSinkHandler):
-            root.removeHandler(handler)

@@ -196,7 +196,7 @@ class Profile:
 
 
 def build_profile(roots: Iterable[Span]) -> Profile:
-    """Fold finished span trees (e.g. ``RingBufferSink.roots``) into a profile."""
+    """Fold finished span trees (e.g. ``Tracer.roots``) into a profile."""
     profile = Profile()
     for root in roots:
         profile.add_span_tree(root)
@@ -204,9 +204,8 @@ def build_profile(roots: Iterable[Span]) -> Profile:
 
 
 def profile_from_tracer(tracer: Tracer) -> Profile:
-    """The profile of everything in the tracer's ring buffer (empty if none)."""
-    ring = tracer.ring_buffer()
-    return build_profile(ring.roots if ring is not None else ())
+    """The profile of everything in the tracer's ring (empty if none)."""
+    return build_profile(tracer.roots or ())
 
 
 # -- Chrome trace-event export ----------------------------------------------------

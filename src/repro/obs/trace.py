@@ -3,15 +3,11 @@
 A :class:`Span` records one timed region of pipeline work -- wall time,
 outcome (ok/error) and free-form key/value attributes -- and nests under
 whatever span was active when it started, so one generation run yields a
-tree mirroring the library dependency graph the generator walked.  Spans
-are collected by a thread-safe :class:`Tracer` with pluggable sinks:
-
-* :class:`RingBufferSink` -- bounded in-memory store of finished root
-  spans, renderable as an indented tree,
-* :class:`LogfmtSink` -- one logfmt line per finished span on a stream
-  (stderr by default),
-* :class:`JsonLinesSink` -- one JSON object per finished span appended to
-  a file or stream.
+tree mirroring the library dependency graph the generator walked.  The
+:class:`Tracer` keeps the last finished root spans in a bounded ring
+(:attr:`Tracer.roots`), renders them as an indented tree
+(:meth:`Tracer.render_tree`), and :meth:`Span.to_record` is the one
+flat JSON record of a span.
 
 The module-level :func:`span` helper reads the process-global tracer and
 costs a single attribute check when tracing is disabled, keeping the
@@ -21,15 +17,11 @@ instrumented hot paths effectively free by default.
 from __future__ import annotations
 
 import contextvars
-import json
-import sys
-import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterator
 
 from repro.obs.propagation import new_span_id
 
@@ -44,9 +36,8 @@ class Span:
 
     ``span_id`` is a random W3C Trace Context span id (16 lowercase hex
     chars) -- span *names* repeat freely (every library build is an
-    ``xsdgen.library`` span), so sinks that flatten the tree emit
-    ``id``/``parent_id`` (:meth:`to_record`) to keep the tree losslessly
-    reconstructable.
+    ``xsdgen.library`` span), so flat records carry ``id``/``parent_id``
+    (:meth:`to_record`) to keep the tree losslessly reconstructable.
     """
 
     name: str
@@ -107,17 +98,19 @@ class Span:
         """All descendant spans (self included) with the given name."""
         return [s for s, _ in self.walk() if s.name == name]
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (children inlined, parent omitted)."""
-        data = self._fields()
-        if self.children:
-            data["children"] = [child.to_dict() for child in self.children]
-        return data
-
     def to_record(self) -> dict[str, Any]:
-        """The one-span-per-line JSONL record: :meth:`to_dict` without
-        ``children``, plus ``id``, ``parent_id`` and the ``parent`` name."""
-        record = self._fields()
+        """The one-span JSON record: name, timings, status, attributes and
+        error, plus ``id``, ``parent_id`` and the ``parent`` name."""
+        record: dict[str, Any] = {
+            "name": self.name,
+            "duration_ms": round(self.duration_ms, 3),
+            "cpu_ms": round(self.cpu_ms, 3),
+            "status": self.status,
+        }
+        if self.attributes:
+            record["attributes"] = dict(self.attributes)
+        if self.error is not None:
+            record["error"] = self.error
         parent = self.parent
         record["id"] = self.span_id
         record["parent_id"] = parent.span_id if parent is not None else None
@@ -125,19 +118,6 @@ class Span:
         # (many spans share one), so tree reconstruction uses the ids.
         record["parent"] = parent.name if parent is not None else None
         return record
-
-    def _fields(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
-            "name": self.name,
-            "duration_ms": round(self.duration_ms, 3),
-            "cpu_ms": round(self.cpu_ms, 3),
-            "status": self.status,
-        }
-        if self.attributes:
-            data["attributes"] = dict(self.attributes)
-        if self.error is not None:
-            data["error"] = self.error
-        return data
 
 
 class _NoopSpan:
@@ -165,54 +145,6 @@ _NOOP_SPAN = _NoopSpan()
 _NOOP_CONTEXT = _NoopSpanContext()
 
 
-class SpanSink:
-    """Base class for span/log consumers attached to a :class:`Tracer`."""
-
-    def on_span_end(self, span: Span) -> None:
-        """Called once per span, when it finishes (children before parents)."""
-
-    def on_log(self, logger_name: str, level: str, message: str) -> None:
-        """Called for log records routed through the obs logging bridge."""
-
-    def on_provenance(self, record: dict[str, Any]) -> None:
-        """Called per provenance record by ``ProvenanceIndex.export``."""
-
-
-class RingBufferSink(SpanSink):
-    """Keeps the last ``capacity`` finished *root* spans in memory.
-
-    Children stay reachable through their root, so the buffer holds whole
-    trees; :meth:`render_tree` formats them for human consumption.
-    """
-
-    def __init__(self, capacity: int = 1024) -> None:
-        self.capacity = capacity
-        self.roots: deque[Span] = deque(maxlen=capacity)
-
-    def on_span_end(self, span: Span) -> None:
-        if span.parent is None:
-            self.roots.append(span)
-
-    def spans(self) -> list[Span]:
-        """Every buffered span, roots first within each tree."""
-        collected: list[Span] = []
-        for root in self.roots:
-            collected.extend(s for s, _ in root.walk())
-        return collected
-
-    def render_tree(self) -> str:
-        """The buffered span trees as indented text, one line per span."""
-        lines: list[str] = []
-        for root in self.roots:
-            for span_, depth in root.walk():
-                lines.append("  " * depth + _span_summary(span_))
-        return "\n".join(lines)
-
-    def clear(self) -> None:
-        """Drop all buffered spans."""
-        self.roots.clear()
-
-
 def _span_summary(span: Span) -> str:
     parts = [span.name, f"{span.duration_ms:.2f}ms", span.status]
     parts.extend(f"{key}={value}" for key, value in span.attributes.items())
@@ -221,136 +153,23 @@ def _span_summary(span: Span) -> str:
     return " ".join(parts)
 
 
-def _logfmt_value(value: Any) -> str:
-    text = str(value)
-    if " " in text or '"' in text or "=" in text or not text:
-        return json.dumps(text)
-    return text
-
-
-def _logfmt_line(pairs: list[tuple[str, Any]]) -> str:
-    return " ".join(f"{key}={_logfmt_value(value)}" for key, value in pairs)
-
-
-class LogfmtSink(SpanSink):
-    """Writes one logfmt line per finished span (and per log record)."""
-
-    def __init__(self, stream: TextIO | None = None) -> None:
-        self._stream = stream
-
-    @property
-    def stream(self) -> TextIO:
-        return self._stream if self._stream is not None else sys.stderr
-
-    def on_span_end(self, span: Span) -> None:
-        pairs: list[tuple[str, Any]] = [
-            ("span", span.name),
-            ("dur_ms", f"{span.duration_ms:.3f}"),
-            ("cpu_ms", f"{span.cpu_ms:.3f}"),
-            ("status", span.status),
-        ]
-        pairs.extend(span.attributes.items())
-        if span.error:
-            pairs.append(("error", span.error))
-        self.stream.write(_logfmt_line(pairs) + "\n")
-
-    def on_log(self, logger_name: str, level: str, message: str) -> None:
-        pairs = [("log", logger_name), ("level", level), ("msg", message)]
-        self.stream.write(_logfmt_line(pairs) + "\n")
-
-    def on_provenance(self, record: dict[str, Any]) -> None:
-        pairs = [("provenance", record.get("target_path", ""))]
-        pairs.extend((key, value) for key, value in sorted(record.items()) if key != "target_path")
-        self.stream.write(_logfmt_line(pairs) + "\n")
-
-
-class JsonLinesSink(SpanSink):
-    """Appends one JSON object per finished span to a file or stream."""
-
-    def __init__(self, target: str | Path | TextIO) -> None:
-        if isinstance(target, (str, Path)):
-            self.path: Path | None = Path(target)
-            self._stream: TextIO | None = None
-        else:
-            self.path = None
-            self._stream = target
-        self._lock = threading.Lock()
-
-    def _write(self, payload: dict[str, Any]) -> None:
-        line = json.dumps(payload, sort_keys=True)
-        with self._lock:
-            if self._stream is not None:
-                self._stream.write(line + "\n")
-            else:
-                assert self.path is not None
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-
-    def on_span_end(self, span: Span) -> None:
-        self._write(span.to_record())
-
-    def on_provenance(self, record: dict[str, Any]) -> None:
-        """Append one provenance record (see ``ProvenanceIndex.export``)."""
-        self._write({"provenance": record})
-
-    def on_log(self, logger_name: str, level: str, message: str) -> None:
-        self._write({"log": logger_name, "level": level, "msg": message})
-
-
 class Tracer:
-    """Thread-safe span collector with pluggable sinks.
+    """Span collector that keeps finished root spans in :attr:`roots`.
 
     The active span is tracked per-context via :mod:`contextvars`, so
-    nesting is correct across threads (and coroutines) without locking on
-    the hot path; the lock only guards sink fan-out and sink mutation.
+    nesting is correct across threads (and coroutines) without locking.
+    :attr:`roots` is a bounded deque (the ring) that
+    :func:`repro.obs.configure` makes; children stay reachable through
+    their root, so the ring holds whole trees.  While it is ``None``
+    spans still nest and time, and only their callers keep them.
     """
 
-    def __init__(self, enabled: bool = True, sinks: list[SpanSink] | None = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._sinks: list[SpanSink] = list(sinks or [])
-        self._lock = threading.Lock()
+        self.roots: deque[Span] | None = None
         self._current: contextvars.ContextVar[Span | None] = contextvars.ContextVar(
             "repro_obs_current_span", default=None
         )
-
-    # -- sinks -------------------------------------------------------------------
-
-    @property
-    def sinks(self) -> list[SpanSink]:
-        """The attached sinks (copy; use add/remove to mutate)."""
-        with self._lock:
-            return list(self._sinks)
-
-    def add_sink(self, sink: SpanSink) -> SpanSink:
-        """Attach a sink; returns it for chaining."""
-        with self._lock:
-            self._sinks.append(sink)
-        return sink
-
-    def remove_sink(self, sink: SpanSink) -> None:
-        """Detach a sink (no error when absent)."""
-        with self._lock:
-            if sink in self._sinks:
-                self._sinks.remove(sink)
-
-    def clear_sinks(self) -> None:
-        """Detach every sink."""
-        with self._lock:
-            self._sinks.clear()
-
-    def ring_buffer(self) -> RingBufferSink | None:
-        """The first attached ring-buffer sink, if any."""
-        with self._lock:
-            for sink in self._sinks:
-                if isinstance(sink, RingBufferSink):
-                    return sink
-        return None
-
-    # -- spans -------------------------------------------------------------------
-
-    def current_span(self) -> Span | None:
-        """The span active in this context, or None."""
-        return self._current.get()
 
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:
@@ -372,20 +191,19 @@ class Tracer:
             self._current.reset(token)
             if parent is not None:
                 parent.children.append(span_)
-            self._emit(span_)
+            else:
+                # One read: configure() on another thread may swap the ring.
+                roots = self.roots
+                if roots is not None:
+                    roots.append(span_)
 
-    def _emit(self, span_: Span) -> None:
-        with self._lock:
-            sinks = list(self._sinks)
-        for sink in sinks:
-            sink.on_span_end(span_)
-
-    def emit_log(self, logger_name: str, level: str, message: str) -> None:
-        """Fan a log record out to every sink (used by the logging bridge)."""
-        with self._lock:
-            sinks = list(self._sinks)
-        for sink in sinks:
-            sink.on_log(logger_name, level, message)
+    def render_tree(self) -> str:
+        """The ring's span trees as indented text, one line per span."""
+        lines: list[str] = []
+        for root in self.roots or ():
+            for span_, depth in root.walk():
+                lines.append("  " * depth + _span_summary(span_))
+        return "\n".join(lines)
 
 
 #: The process-global tracer; disabled until :func:`repro.obs.configure`.

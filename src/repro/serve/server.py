@@ -669,6 +669,8 @@ class UpccServer:
         if self.slow_store is not None and not get_tracer().enabled:
             # Slow capture needs real spans; the module-level span()
             # helper degrades to a shared no-op while tracing is off.
+            # The disabled tracer has no ring, so finished request trees
+            # are kept only by the slow store.
             get_tracer().enabled = True
             self._tracer_enabled_by_us = True
         self._runtime.start()

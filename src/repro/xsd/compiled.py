@@ -912,15 +912,11 @@ class CompilationCache(Lru[str, CompiledSchemaSet]):
 
     def __init__(self, max_entries: int = 32) -> None:
         super().__init__(max_entries)
-        self._hits = counter("instances.compile_hits")
-        self._misses = counter("instances.compile_misses")
-        self._evictions = counter("instances.compile_evictions")
-        self._size = gauge("instances.compile_cache_size")
 
     def clear(self) -> None:
         """Drop every entry."""
         super().clear()
-        self._size.set(0)
+        gauge("instances.compile_cache_size").set(0)
 
 
 _default_cache = CompilationCache()
@@ -952,10 +948,10 @@ def compile_schema_set(
     key = fingerprint_schema_set(schema_set)
     hit = cache.get(key)
     if hit is not None:
-        cache._hits.inc()
+        counter("instances.compile_hits").inc()
         return hit
-    cache._misses.inc()
+    counter("instances.compile_misses").inc()
     compiled = CompiledSchemaSet(schema_set, fingerprint=key)
-    cache._evictions.inc(len(cache.put(key, compiled)))
-    cache._size.set(len(cache))
+    counter("instances.compile_evictions").inc(len(cache.put(key, compiled)))
+    gauge("instances.compile_cache_size").set(len(cache))
     return compiled

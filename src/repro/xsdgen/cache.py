@@ -426,10 +426,6 @@ class GenerationCache:
     def __init__(self, max_entries: int = 256, cache_dir: str | Path | None = None) -> None:
         self._entries: Lru[str, CachedGeneration] = Lru(max_entries)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._hits = counter("xsdgen.cache_hits")
-        self._misses = counter("xsdgen.cache_misses")
-        self._evictions = counter("xsdgen.cache_evictions")
-        self._size = gauge("xsdgen.cache_size")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -442,10 +438,10 @@ class GenerationCache:
         if entry is None:
             entry = self._load_from_disk(key)
             if entry is None:
-                self._misses.inc()
+                counter("xsdgen.cache_misses").inc()
                 return None
             self._insert(entry)
-        self._hits.inc()
+        counter("xsdgen.cache_hits").inc()
         return entry
 
     def put(self, entry: CachedGeneration) -> None:
@@ -457,7 +453,7 @@ class GenerationCache:
     def clear(self) -> None:
         """Drop every in-memory entry (disk files are left alone)."""
         self._entries.clear()
-        self._size.set(0)
+        gauge("xsdgen.cache_size").set(0)
 
     def keys(self) -> list[str]:
         """The in-memory keys, least- to most-recently used."""
@@ -466,8 +462,8 @@ class GenerationCache:
     # -- internals --------------------------------------------------------------
 
     def _insert(self, entry: CachedGeneration) -> None:
-        self._evictions.inc(len(self._entries.put(entry.key, entry)))
-        self._size.set(len(self._entries))
+        counter("xsdgen.cache_evictions").inc(len(self._entries.put(entry.key, entry)))
+        gauge("xsdgen.cache_size").set(len(self._entries))
 
     def _disk_path(self, key: str) -> Path:
         assert self.cache_dir is not None

@@ -400,18 +400,6 @@ class ProvenanceIndex:
         ]
         return cls(records)
 
-    def export(self, sink) -> int:
-        """Fan every record out to an obs sink (``on_provenance``).
-
-        Works with any :class:`repro.obs.SpanSink`; the JSON-lines sink
-        appends one object per record, logfmt writes one line.  Returns
-        the number of records exported.
-        """
-        records = self.records()
-        for record in records:
-            sink.on_provenance(record.to_dict())
-        return len(records)
-
 
 def records_from_schema_text(text: str) -> list[ProvenanceRecord]:
     """Extract embedded ``xs:appinfo`` provenance records from schema text.

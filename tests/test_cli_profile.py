@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-import repro.obs as obs
 from repro.cli import main
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import Tracer, set_tracer
@@ -17,7 +16,6 @@ def _restore_globals():
     try:
         yield
     finally:
-        obs.unwire_logging()
         set_tracer(previous_tracer)
         set_registry(previous_registry)
 

@@ -521,6 +521,28 @@ class TestValidateInstancesCli:
         out = capsys.readouterr().out
         assert "4 document(s), 0 invalid" in out
 
+    def test_metrics_out_counts_the_compile_cache(self, cli_fixture, tmp_path):
+        # ``--metrics-out`` resets the registry after the process-wide
+        # compilation cache was built; its counters must land in the file.
+        from repro.cli import main
+        from repro.obs.metrics import MetricsRegistry, set_registry
+
+        schemas_dir, corpus_dir = cli_fixture
+        metrics = tmp_path / "m.json"
+        previous_cache = set_compilation_cache(CompilationCache())
+        previous_registry = set_registry(MetricsRegistry())
+        try:
+            status = main(["--metrics-out", str(metrics), "validate-instances",
+                           str(schemas_dir), str(corpus_dir)])
+        finally:
+            set_registry(previous_registry)
+            set_compilation_cache(previous_cache)
+        assert status == 0
+        snapshot = json.loads(metrics.read_text(encoding="utf-8"))
+        assert snapshot["instances.docs_total"] == 4
+        assert snapshot["instances.compile_misses"] == 1
+        assert snapshot["instances.compile_cache_size"] == 1
+
     def test_exit_one_and_json_report_on_invalid(self, cli_fixture, capsys):
         from repro.cli import main
 

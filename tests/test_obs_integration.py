@@ -1,4 +1,4 @@
-"""End-to-end observability: instrumented pipeline, logging bridge, CLI."""
+"""End-to-end observability: instrumented pipeline, loggers, CLI."""
 
 import json
 import logging
@@ -22,7 +22,6 @@ def fresh_obs():
     try:
         yield tracer
     finally:
-        obs.unwire_logging()
         set_tracer(previous_tracer)
         set_registry(previous_registry)
 
@@ -30,7 +29,7 @@ def fresh_obs():
 class TestPipelineSpans:
     def test_generation_emits_expected_span_tree(self, fresh_obs, easybiz):
         SchemaGenerator(easybiz.model).generate(easybiz.doc_library, root="HoardingPermit")
-        roots = list(fresh_obs.ring_buffer().roots)
+        roots = list(fresh_obs.roots)
         assert [root.name for root in roots] == ["xsdgen.generate"]
         tree = roots[0]
         # One xsdgen.library span per generated schema, nested by imports.
@@ -92,7 +91,7 @@ class TestPipelineSpans:
         generator = SchemaGenerator(easybiz.model)
         with pytest.raises(GenerationError):
             generator.generate(easybiz.prim_library)
-        roots = list(fresh_obs.ring_buffer().roots)
+        roots = list(fresh_obs.roots)
         assert roots[-1].status == "error"
         assert "GenerationError" in roots[-1].error
 
@@ -107,39 +106,52 @@ class TestXmiSpans:
         snapshot = obs.get_metrics().snapshot()
         assert snapshot["xmi.elements_parsed"] > 0
         assert snapshot["xmi.bytes_read"] > 0
-        names = {root.name for root in fresh_obs.ring_buffer().roots}
+        names = {root.name for root in fresh_obs.roots}
         assert "xmi.read" in names
 
 
 class TestLoggingBridge:
-    def test_pipeline_logs_flow_into_sinks(self, fresh_obs, easybiz):
-        captured = []
-
-        class Capture(obs.SpanSink):
-            def on_log(self, logger_name, level, message):
-                captured.append((logger_name, level, message))
-
-        fresh_obs.add_sink(Capture())
-        obs.wire_logging(fresh_obs)
-        SchemaGenerator(easybiz.model).generate(easybiz.doc_library, root="HoardingPermit")
-        loggers = {name for name, _, _ in captured}
-        assert "repro.xsdgen" in loggers
-        assert "repro.validation" in loggers
-
     def test_get_logger_installs_null_handler(self):
         root = logging.getLogger("repro")
         logger = obs.get_logger("repro.xsdgen")
         assert logger.name == "repro.xsdgen"
         assert any(isinstance(h, logging.NullHandler) for h in root.handlers)
 
-    def test_wire_and_unwire_are_idempotent(self, fresh_obs):
-        obs.wire_logging(fresh_obs)
-        obs.wire_logging(fresh_obs)
+    def test_tracing_leaves_the_logger_level_alone(self):
         root = logging.getLogger("repro")
-        handlers = [h for h in root.handlers if isinstance(h, obs.TraceSinkHandler)]
-        assert len(handlers) == 1
-        obs.unwire_logging()
-        assert not any(isinstance(h, obs.TraceSinkHandler) for h in root.handlers)
+        level, handlers = root.level, list(root.handlers)
+        previous = set_tracer(Tracer(enabled=False))
+        root.setLevel(logging.NOTSET)
+        try:
+            obs.configure(trace=True)
+            assert root.level == logging.NOTSET
+            obs.disable()
+            assert root.level == logging.NOTSET
+            assert root.handlers == handlers
+            # Nothing lowers the level, so no INFO record is ever built.
+            assert not obs.get_logger("repro.xsdgen").isEnabledFor(logging.INFO)
+        finally:
+            root.setLevel(level)
+            set_tracer(previous)
+
+
+class TestConfigure:
+    def test_takes_only_trace_ring_capacity_and_reset_metrics(self):
+        import inspect
+
+        assert list(inspect.signature(obs.configure).parameters) == [
+            "trace", "ring_capacity", "reset_metrics",
+        ]
+
+    def test_ring_is_made_on_trace_and_dropped_on_disable(self):
+        previous = set_tracer(Tracer(enabled=False))
+        try:
+            tracer = obs.configure(trace=True, ring_capacity=3)
+            assert tracer.enabled and tracer.roots.maxlen == 3
+            obs.disable()
+            assert not tracer.enabled and tracer.roots is None
+        finally:
+            set_tracer(previous)
 
 
 class TestCliObservability:
@@ -156,7 +168,6 @@ class TestCliObservability:
         try:
             yield
         finally:
-            obs.unwire_logging()
             set_tracer(previous_tracer)
             set_registry(previous_registry)
 

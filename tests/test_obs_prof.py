@@ -1,6 +1,7 @@
 """Span-tree profiling: aggregation, renderings, CPU capture, cProfile attach."""
 
 import json
+from collections import deque
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.obs.prof import (
     cprofile_stats_text,
     profile_from_tracer,
 )
-from repro.obs.trace import RingBufferSink, Span, Tracer, set_tracer
+from repro.obs.trace import Span, Tracer, set_tracer
 
 
 def _span(name, wall_ms, cpu_ms=None, children=()):
@@ -150,8 +151,9 @@ class TestRenderings:
 
 
 class TestTracerIntegration:
-    def test_profile_from_tracer_folds_ring_buffer(self, tracer):
-        tracer.add_sink(RingBufferSink())
+    def test_profile_from_tracer_folds_ring_buffer(self):
+        tracer = Tracer(enabled=True)
+        tracer.roots = deque(maxlen=1024)
         for _ in range(2):
             with tracer.span("generate"):
                 with tracer.span("library"):
@@ -181,7 +183,7 @@ class TestTracerIntegration:
     def test_to_dict_includes_cpu(self, tracer):
         with tracer.span("timed") as timed:
             pass
-        assert "cpu_ms" in timed.to_dict()
+        assert "cpu_ms" in timed.to_record()
 
 
 class TestCprofileAttach:

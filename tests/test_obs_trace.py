@@ -1,26 +1,20 @@
-"""Tracing core: span nesting, attributes, error capture, sink output."""
+"""Tracing core: span nesting, attributes, error capture, the ring of
+root spans and the flat span record."""
 
-import io
 import json
 import threading
+from collections import deque
 
 import pytest
 
-from repro.obs.trace import (
-    JsonLinesSink,
-    LogfmtSink,
-    RingBufferSink,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    span,
-)
+from repro.obs.trace import Tracer, get_tracer, set_tracer, span
 
 
 @pytest.fixture
 def tracer():
-    """A fresh enabled tracer installed as the global one."""
+    """A fresh enabled tracer with a ring, installed as the global one."""
     fresh = Tracer(enabled=True)
+    fresh.roots = deque(maxlen=1024)
     previous = set_tracer(fresh)
     try:
         yield fresh
@@ -30,7 +24,6 @@ def tracer():
 
 class TestSpanNesting:
     def test_children_attach_to_parent(self, tracer):
-        ring = tracer.add_sink(RingBufferSink())
         with tracer.span("outer") as outer:
             with tracer.span("inner.a"):
                 pass
@@ -39,9 +32,9 @@ class TestSpanNesting:
                     pass
         assert [child.name for child in outer.children] == ["inner.a", "inner.b"]
         assert outer.children[1].children[0].name == "leaf"
-        # Only the root lands in the ring buffer; descendants via the tree.
-        assert [root.name for root in ring.roots] == ["outer"]
-        assert len(ring.spans()) == 4
+        # Only the root lands in the ring; descendants via the tree.
+        assert [root.name for root in tracer.roots] == ["outer"]
+        assert len(list(outer.walk())) == 4
 
     def test_walk_reports_depth(self, tracer):
         with tracer.span("a") as a:
@@ -63,8 +56,6 @@ class TestSpanNesting:
         assert s.duration_ms >= 0.0
 
     def test_threads_get_independent_nesting(self, tracer):
-        ring = tracer.add_sink(RingBufferSink())
-
         def work(name):
             with tracer.span(name):
                 pass
@@ -74,8 +65,8 @@ class TestSpanNesting:
             thread.start()
         for thread in threads:
             thread.join()
-        assert sorted(root.name for root in ring.roots) == ["t0", "t1", "t2", "t3"]
-        assert all(root.parent is None for root in ring.roots)
+        assert sorted(root.name for root in tracer.roots) == ["t0", "t1", "t2", "t3"]
+        assert all(root.parent is None for root in tracer.roots)
 
 
 class TestErrorCapture:
@@ -88,11 +79,10 @@ class TestErrorCapture:
         assert s.finished
 
     def test_error_spans_still_reach_sinks(self, tracer):
-        ring = tracer.add_sink(RingBufferSink())
         with pytest.raises(RuntimeError):
             with tracer.span("failing"):
                 raise RuntimeError("nope")
-        assert [root.status for root in ring.roots] == ["error"]
+        assert [root.status for root in tracer.roots] == ["error"]
 
 
 class TestGlobalSpanHelper:
@@ -106,55 +96,32 @@ class TestGlobalSpanHelper:
             set_tracer(previous)
 
     def test_enabled_tracer_records(self, tracer):
-        ring = tracer.add_sink(RingBufferSink())
         with span("recorded", n=1):
             pass
-        assert [root.name for root in ring.roots] == ["recorded"]
+        assert [root.name for root in tracer.roots] == ["recorded"]
         assert get_tracer() is tracer
 
 
-class TestLogfmtSink:
-    def test_span_line_shape(self, tracer):
-        stream = io.StringIO()
-        tracer.add_sink(LogfmtSink(stream))
-        with tracer.span("xsdgen.library", library="My Lib"):
-            pass
-        line = stream.getvalue().strip()
-        assert line.startswith("span=xsdgen.library dur_ms=")
-        assert "status=ok" in line
-        assert 'library="My Lib"' in line  # spaces get quoted
-
-    def test_log_line_shape(self, tracer):
-        stream = io.StringIO()
-        tracer.add_sink(LogfmtSink(stream))
-        tracer.emit_log("repro.xsdgen", "INFO", "generated 6 schemas")
-        line = stream.getvalue().strip()
-        assert line == 'log=repro.xsdgen level=INFO msg="generated 6 schemas"'
-
-
 class TestJsonLinesSink:
+    """The flat span record (``Span.to_record``) slow captures write, one
+    JSON object per line."""
+
     def test_one_json_object_per_span_with_parent(self, tracer):
-        stream = io.StringIO()
-        tracer.add_sink(JsonLinesSink(stream))
-        with tracer.span("outer"):
+        with tracer.span("outer") as outer:
             with tracer.span("inner", n=2):
                 pass
-        records = [json.loads(line) for line in stream.getvalue().splitlines()]
-        assert [r["name"] for r in records] == ["inner", "outer"]  # children end first
-        assert records[0]["parent"] == "outer"
-        assert records[0]["attributes"] == {"n": 2}
-        assert records[1]["parent"] is None
+        records = [json.loads(json.dumps(s.to_record())) for s, _ in outer.walk()]
+        assert [r["name"] for r in records] == ["outer", "inner"]
+        assert records[1]["parent"] == "outer"
+        assert records[1]["attributes"] == {"n": 2}
+        assert records[0]["parent"] is None
         assert all(r["status"] == "ok" for r in records)
 
     def test_records_carry_w3c_span_ids(self, tracer):
-        stream = io.StringIO()
-        tracer.add_sink(JsonLinesSink(stream))
         with tracer.span("outer") as outer:
-            with tracer.span("inner"):
+            with tracer.span("inner") as inner:
                 pass
-        inner_record, outer_record = [
-            json.loads(line) for line in stream.getvalue().splitlines()
-        ]
+        inner_record, outer_record = inner.to_record(), outer.to_record()
         assert outer_record["id"] == outer.span_id
         assert inner_record["parent_id"] == outer.span_id
         assert outer_record["parent_id"] is None
@@ -164,31 +131,29 @@ class TestJsonLinesSink:
             assert record["id"] == record["id"].lower()
             int(record["id"], 16)
 
-    def test_file_target_appends(self, tracer, tmp_path):
-        target = tmp_path / "spans.jsonl"
-        tracer.add_sink(JsonLinesSink(target))
-        with tracer.span("a"):
-            pass
-        with tracer.span("b"):
-            pass
-        names = [json.loads(line)["name"] for line in target.read_text().splitlines()]
-        assert names == ["a", "b"]
-
 
 class TestRingBuffer:
-    def test_capacity_bounds_roots(self, tracer):
-        ring = tracer.add_sink(RingBufferSink(capacity=2))
+    def test_capacity_bounds_roots(self):
+        tracer = Tracer(enabled=True)
+        tracer.roots = deque(maxlen=2)
         for name in ["a", "b", "c"]:
             with tracer.span(name):
                 pass
-        assert [root.name for root in ring.roots] == ["b", "c"]
+        assert [root.name for root in tracer.roots] == ["b", "c"]
 
     def test_render_tree_indents(self, tracer):
-        ring = tracer.add_sink(RingBufferSink())
         with tracer.span("outer", k="v"):
             with tracer.span("inner"):
                 pass
-        lines = ring.render_tree().splitlines()
+        lines = tracer.render_tree().splitlines()
         assert lines[0].startswith("outer ")
         assert "k=v" in lines[0]
         assert lines[1].startswith("  inner ")
+
+    def test_without_a_ring_roots_are_not_kept(self):
+        tracer = Tracer(enabled=True)
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+        assert tracer.roots is None
+        assert tracer.render_tree() == ""

@@ -84,6 +84,21 @@ class TestCompareReports:
         assert f"latency_p50_ms x3.000 (0/{GATE.ROUNDS} wins)" in line
         assert "layer that rose most: xsd.write_ms (+200% in one traced run)" in line
 
+    def test_layer_figure_discounts_a_slower_machine(self):
+        # The checkout's traced run ran on a machine twice as slow (every
+        # layer and the calibration doubled), and one layer rose 30% more.
+        def traced(scale: float, write_scale: float) -> dict:
+            return _result(layers={"runtime.calibration_ms": 4.0 * scale,
+                                   "xmi.read_ms": 1.0 * scale, "xsd.write_ms": 0.2 * write_scale})
+
+        runs = _runs(3.0)
+        runs["generate_catalog"][GATE.CANDIDATE]["traced"] = traced(2.0, 2.0 * 1.3)
+        runs["generate_catalog"][PARENT]["traced"] = traced(1.0, 1.0)
+        lines, failed = GATE.compare(runs, {"parent": PARENT})
+        assert failed
+        [line] = [line for line in lines if "generate_catalog vs parent" in line]
+        assert line.endswith("layer that rose most: xsd.write_ms (+30% in one traced run)")
+
     def test_soft_regression_warns(self):
         lines, failed = GATE.compare(_runs(SOFT), BASELINES)
         assert not failed

@@ -852,6 +852,22 @@ class TestSlowCapture:
             assert get_tracer().enabled
         assert not get_tracer().enabled
 
+    def test_capture_keeps_no_request_trees_in_the_tracer(self, tmp_path):
+        from repro.obs.trace import get_tracer
+
+        config = ServeConfig(
+            workers=2, queue_size=16, slow_ms=0.0, slow_dir=str(tmp_path / "slow")
+        )
+        with UpccServer(ServeApp(), config) as running:
+            for _ in range(3):
+                assert request_json(running.url, "/healthz")[0] == 200
+            status, listing = request_json(running.url, "/slow")
+            assert status == 200
+            assert len(listing["captures"]) >= 3
+            # Slow capture turns spans on, but only the slow store keeps them.
+            assert not get_tracer().roots
+        assert not get_tracer().roots
+
 
 class TestTopDashboard:
     def test_top_once_renders_a_snapshot(self, server, capsys):

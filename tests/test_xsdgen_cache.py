@@ -103,6 +103,27 @@ class TestGenerationCache:
         assert _schema_texts(second) == _schema_texts(first)
         assert any("Reusing cached schema" in line for line in second.session.messages)
 
+    def test_process_cache_counts_into_a_reset_registry(self, easybiz):
+        # The process-wide cache is built at import; a later registry
+        # reset (every ``configure(reset_metrics=True)``) must not orphan
+        # its counters.
+        from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+        from repro.xsdgen.cache import get_generation_cache
+
+        get_generation_cache().clear()
+        previous = set_registry(MetricsRegistry())
+        try:
+            get_registry().reset()
+            for _ in range(2):
+                SchemaGenerator(easybiz.model, GenerationOptions(use_cache=True)).generate(
+                    easybiz.doc_library, root="HoardingPermit"
+                )
+            snapshot = get_registry().snapshot()
+        finally:
+            set_registry(previous)
+        assert snapshot["xsdgen.cache_misses"] == snapshot["xsdgen.cache_hits"] == 6
+        assert snapshot["xsdgen.cache_size"] == 6
+
     def test_cached_output_matches_uncached(self, easybiz):
         cache = GenerationCache()
         cached_options = GenerationOptions(use_cache=True)

@@ -126,7 +126,7 @@ class TestCollectIsolation:
         tracer = obs.configure(trace=True)
         try:
             collect_generator(easybiz.model).generate(easybiz.doc_library, root="HoardingPermit")
-            [root] = tracer.ring_buffer().roots
+            [root] = tracer.roots
         finally:
             obs.disable()
             set_tracer(previous)

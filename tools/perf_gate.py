@@ -10,7 +10,8 @@ gate fails when the median paired ratio (checkout ÷ tree) of p50 or p95 is
 above ``FAIL_RATIO`` and the checkout was the faster in at most
 ``FAIL_WINS`` of the pairs; a median ratio above ``WARN_RATIO`` is
 annotated.  Either names the traced layer that rose most, from one
-``--trace 1`` run per tree.  An incorrect output or a failed op in the
+``--trace 1`` run per tree, each layer time taken as a share of its own
+run's calibration time.  An incorrect output or a failed op in the
 checkout fails the gate.  Pairs run on one machine at one time, so no
 figure is normalized::
 
@@ -105,11 +106,15 @@ def paired(candidate: list[dict], other: list[dict], name: str) -> tuple[float, 
 def moved_layer(candidate: dict, other: dict) -> str:
     """The traced layer time of ``candidate`` that rose most against ``other``.
 
-    Each tree has one traced run, so a change in machine speed between two
-    of them moves every layer's ratio alike: the name is sound, the
-    figure may carry that change."""
+    Each tree has one traced run, and the machine's speed can change
+    between two of them, so each layer time is taken as a share of its own
+    run's ``runtime.calibration_ms`` (a fixed piece of work timed in the
+    same run) before the two runs are compared: a machine that runs the
+    whole second run at half speed moves no layer."""
     def layers(result: dict) -> dict[str, float]:
-        return {name: metric["value"] for name, metric in result["metrics"].items()
+        metrics = result["metrics"]
+        calibration = metrics.get("runtime.calibration_ms", {}).get("value") or 1.0
+        return {name: metric["value"] / calibration for name, metric in metrics.items()
                 if metric["unit"] == "ms" and not name.startswith("runtime.") and metric["value"] > 0}
 
     base, now = layers(other), layers(candidate)
