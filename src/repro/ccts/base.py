@@ -41,17 +41,13 @@ class ElementWrapper:
         return self.model.qualified_name_of(self.element)
 
     def snapshot_memo(self: WrapperT, compute: Callable[[WrapperT], T]) -> T:
-        """``compute(self)``, kept in the model's snapshot while a
-        :meth:`~repro.uml.model.Model.indexed` pass is active.
+        """``compute(self)``, kept in the model's
+        :meth:`~repro.uml.model.Model.derived` while its version holds.
 
-        ``compute`` must derive its answer from the model alone; outside a
-        pass it runs every time.
+        ``compute`` must derive its answer from the model alone.
         """
-        index = self.model.active_index
-        if index is None:
-            return compute(self)
+        memo = self.model.derived()
         key = (compute, self.element)
-        memo = index.memo
         if key in memo:
             return memo[key]
         value = memo[key] = compute(self)

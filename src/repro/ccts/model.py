@@ -36,6 +36,7 @@ from repro.profile import (
     UPCC,
 )
 from repro.uml.classifier import Class, DataType
+from repro.uml.elements import Element
 from repro.uml.model import Model
 from repro.uml.package import Package
 
@@ -45,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 #: Keys of this module's entries in ``Model.derived()``.
 _LIBRARIES = "ccts.libraries"
+_LIBRARIES_BY_QUALIFIED_NAME = "ccts.libraries_by_qualified_name"
 _BASIC_REPORT = "ccts.basic_report"
 
 
@@ -83,8 +85,7 @@ class CctsModel:
 
         The scan is memoized in :meth:`Model.derived
         <repro.uml.model.Model.derived>`, so repeated lookups on a model
-        whose version has not moved reuse the wrapper list.  Inside an
-        indexed pass the scan reads the pass's snapshot instead of walking.
+        whose version has not moved reuse the wrapper list.
         """
         memo = self.model.derived()
         found = memo.get(_LIBRARIES)
@@ -153,6 +154,17 @@ class CctsModel:
                 return library
         raise CctsError(f"model {self.name!r} contains no library named {name!r}")
 
+    def library_by_qualified_name(self, qualified_name: str) -> Library | None:
+        """The library whose qualified name is ``qualified_name`` (the first
+        in model order should two share it), or None."""
+        memo = self.model.derived()
+        found = memo.get(_LIBRARIES_BY_QUALIFIED_NAME)
+        if found is None:
+            found = memo[_LIBRARIES_BY_QUALIFIED_NAME] = {}
+            for library in self.libraries():
+                found.setdefault(library.qualified_name, library)
+        return found.get(qualified_name)
+
     # -- element queries ---------------------------------------------------------------
 
     def accs(self) -> list[Acc]:
@@ -201,15 +213,15 @@ class CctsModel:
                 return abie
         raise CctsError(f"model {self.name!r} contains no ABIE {name!r}")
 
-    def owning_library_of(self, wrapper) -> Library | None:
-        """The library whose package owns the wrapped element, if any.
+    def owning_library_of(self, element: Element) -> Library | None:
+        """The library whose package owns ``element``, if any.
 
         This is how the generator decides which schema defines a type: the
         *owning* package, not the diagram it is drawn in (paper section 3:
         "Code is originally defined in package 4 and has only been drawn in
         package 3").
         """
-        package = self.model.owning_package_of(wrapper.element)
+        package = self.model.owning_package_of(element)
         while package is not None:
             library = library_wrapper_for(package, self.model)
             if library is not None:

@@ -101,18 +101,17 @@ def find_unused(model: CctsModel) -> dict[str, list[str]]:
         if prop.type is not None:
             used_types.add(id(prop.type))
     used_accs: set[int] = set()
-    with model.model.indexed():
-        for abie in model.abies():
-            base = abie.based_on
-            if base is not None:
-                used_accs.add(id(base.element))
-        for acc in model.accs():
-            for ascc in acc.asccs:
-                used_accs.add(id(ascc.target.element))
-        for qdt in model.qdts():
-            base = qdt.based_on
-            if base is not None:
-                used_types.add(id(base.element))
+    for abie in model.abies():
+        base = abie.based_on
+        if base is not None:
+            used_accs.add(id(base.element))
+    for acc in model.accs():
+        for ascc in acc.asccs:
+            used_accs.add(id(ascc.target.element))
+    for qdt in model.qdts():
+        base = qdt.based_on
+        if base is not None:
+            used_types.add(id(base.element))
 
     unused: dict[str, list[str]] = {"CDT": [], "QDT": [], "ENUM": [], "ACC": []}
     for cdt in model.cdts():
@@ -140,7 +139,7 @@ def impact_of(model: CctsModel, wrapper: ElementWrapper) -> list[str]:
     """
     target_ids = {id(wrapper.element)}
     affected_libraries: set[str] = set()
-    owner_library = model.owning_library_of(wrapper)
+    owner_library = model.owning_library_of(wrapper.element)
     if owner_library is not None:
         affected_libraries.add(owner_library.name)
 

@@ -36,7 +36,7 @@ class _RdfsBuilder:
         self._uri_of: dict[int, str] = {}
 
     def _register(self, wrapper, local: str) -> str:
-        library = self.model.owning_library_of(wrapper)
+        library = self.model.owning_library_of(wrapper.element)
         base = self.policy.namespace_for(library).urn if library is not None else "urn:upcc"
         uri = f"{base}#{local}"
         self._uri_of[id(wrapper.element)] = uri
@@ -49,10 +49,9 @@ class _RdfsBuilder:
             node.add("rdfs:comment").text(definition)
 
     def build(self) -> XmlElement:
-        with self.model.model.indexed():
-            self._build_data_types()
-            self._build_aggregates()
-            self._build_properties()
+        self._build_data_types()
+        self._build_aggregates()
+        self._build_properties()
         return self.root
 
     # -- passes -------------------------------------------------------------------

@@ -1,21 +1,19 @@
-"""A read-only index over a model snapshot.
+"""The index every whole-model query of a model reads.
 
-A whole-model query on a live :class:`~repro.uml.model.Model` walks the
-whole tree: ``all_of_type``, ``all_with_stereotype``,
-``associations_anywhere_from``, ``dependencies_of`` and the library scan
-built on them.  Whole-model passes (generation, validation) ask these
-questions over and over, which makes them quadratic in model size.
+Whole-model questions (``all_of_type``, ``all_with_stereotype``,
+``associations_anywhere_from``, ``dependencies_of``, ``based_on_target``
+and the library scan built on them) would each walk the whole tree, which
+makes a generation or validation pass quadratic in model size.
 :class:`ModelIndex` walks the model once, keeps the elements in walk order,
-and answers every one of those queries from that snapshot: association,
+and answers every one of those queries from that walk: association,
 dependency, ``basedOn`` and stereotype lookups in O(1) from tables filled
 in that walk, type queries by filtering the element list once per type and
 caching the result, so the answers keep model order.  Qualified names are
-computed once per element and snapshot, sharing each owner's name.
+computed once per element, sharing each owner's name.
 
-The index is deliberately *not* self-invalidating: build it at the start of
-a pass that does not mutate the model (the generator and the validation
-engine qualify) and drop it afterwards.  ``Model.indexed`` does both, and
-reuses a snapshot only while the model's version has not moved.
+An index does not follow edits.  ``Model.index`` keeps one in
+``Model.derived``, which empties whenever the model's version moves, so the
+first query after a tracked write builds a new one.
 """
 
 from __future__ import annotations
@@ -35,11 +33,11 @@ ElementT = TypeVar("ElementT", bound=Element)
 
 
 class ModelIndex:
-    """Whole-model queries answered from one walk of a model snapshot."""
+    """Whole-model queries answered from one walk of a model."""
 
     def __init__(self, model: "Model") -> None:
         self.model = model
-        #: Every element of the snapshot, in ``Model.walk`` order.
+        #: Every element of the model, in ``Model.walk`` order.
         self.elements: list[Element] = list(model.walk())
         self._associations_by_source: dict[int, list[Association]] = {}
         self._dependencies_by_client: dict[int, list[Dependency]] = {}
@@ -47,9 +45,6 @@ class ModelIndex:
         self._of_type: dict[type, list] = {}
         self._with_stereotype: dict[str, list[Element]] = {}
         self._qualified_names: dict[NamedElement, str] = {}
-        #: Facts a caller derives from this snapshot, keyed by the caller
-        #: (see :meth:`repro.ccts.base.ElementWrapper.snapshot_memo`).
-        self.memo: dict = {}
         with_stereotype = self._with_stereotype
         for element in self.elements:
             for stereotype in element.stereotype_applications:
@@ -70,7 +65,7 @@ class ModelIndex:
     def of_type(self, element_type: type[ElementT]) -> list[ElementT]:
         """Every element that is an instance of ``element_type``, in walk order.
 
-        The list is shared by every caller of the snapshot; do not modify it.
+        The list is shared by every caller of the index; do not modify it.
         """
         found = self._of_type.get(element_type)
         if found is None:
@@ -83,7 +78,11 @@ class ModelIndex:
         return self._with_stereotype.get(stereotype, [])
 
     def qualified_name(self, element: NamedElement) -> str:
-        """``element.qualified_name``, computed once per element and snapshot."""
+        """``element.qualified_name``, computed once per element and index.
+
+        An element of another model (a wrapper can outlive a move between
+        models) is named live: that model's edits do not reach this index.
+        """
         names = self._qualified_names
         found = names.get(element)
         if found is not None:
@@ -92,6 +91,7 @@ class ModelIndex:
         # the chain back down from it.
         chain = [element]
         prefix = ""
+        top = element
         owner = element.owner
         while owner is not None:
             if isinstance(owner, NamedElement) and owner.name:
@@ -100,7 +100,11 @@ class ModelIndex:
                     prefix = known
                     break
                 chain.append(owner)
+            top = owner
             owner = owner.owner
+        else:
+            if top is not self.model:
+                return element.qualified_name
         for named in reversed(chain):
             prefix = names[named] = f"{prefix}.{named.name}" if prefix else named.name
         return prefix

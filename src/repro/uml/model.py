@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, Iterator, TypeVar
+from typing import Iterator, TypeVar
 
-from repro.errors import ModelError
 from repro.uml.association import Association
 from repro.uml.classifier import Classifier
 from repro.uml.dependency import Dependency
 from repro.uml.elements import Element, NamedElement, _versions
+from repro.uml.index import ModelIndex
 from repro.uml.package import Package
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.uml.index import ModelIndex
 
 ElementT = TypeVar("ElementT", bound=Element)
 
@@ -28,25 +24,17 @@ class Model(Package):
 
     Every cache of facts derived from a model lives in :meth:`derived`
     and lasts only while the model's :attr:`version` has not moved, so
-    building or editing one model never costs another its caches.
-
-    Whole-model passes that do not mutate the model can wrap themselves in
-    :meth:`indexed` -- the generator and the validation engine do.  Inside
-    such a pass every whole-model query (elements by type or stereotype,
-    stereotyped packages, classifiers by name, associations and
-    dependencies) reads from one snapshot :class:`~repro.uml.index.ModelIndex`
-    instead of walking the tree again, and qualified names
-    (:meth:`qualified_name_of`) are computed once per element; outside a
-    pass the queries walk the live tree.  The snapshot does not follow
-    mutations, so the model must not be mutated inside a pass.
+    building or editing one model never costs another its caches.  The
+    whole-model queries all read one :class:`~repro.uml.index.ModelIndex`
+    kept there (:meth:`index`): the first query after a tracked write
+    walks the tree once, and later ones answer from that walk, in walk
+    order.
     """
 
     def __init__(self, name: str = "") -> None:
         super().__init__(name)
         self._version = next(_versions)
         self._derived: tuple[int, dict] = (self._version, {})
-        self._active_index = None
-        self._index_depth = 0
 
     @property
     def version(self) -> int:
@@ -66,61 +54,30 @@ class Model(Package):
             self._derived = (self._version, memo)
         return memo
 
-    @contextlib.contextmanager
-    def indexed(self):
-        """Context manager: answer lookups from a one-shot snapshot index.
-
-        Reentrant; the snapshot is built on first entry and dropped when the
-        outermost context exits.  The model must not be mutated inside.
-        A snapshot is reused across contexts while the model's
-        :attr:`version` has not moved, so repeated passes over an
-        unchanged model skip the rebuild.
-        """
-        from repro.uml.index import ModelIndex
-
-        if self._index_depth == 0:
-            memo = self.derived()
-            index = memo.get(ModelIndex)
-            if index is None:
-                index = memo[ModelIndex] = ModelIndex(self)
-            self._active_index = index
-        self._index_depth += 1
-        try:
-            yield self._active_index
-        finally:
-            self._index_depth -= 1
-            if self._index_depth == 0:
-                self._active_index = None
-
-    @property
-    def active_index(self) -> "ModelIndex | None":
-        """The snapshot :class:`~repro.uml.index.ModelIndex` of the current
-        :meth:`indexed` pass, or None outside one."""
-        return self._active_index
+    def index(self) -> ModelIndex:
+        """The :class:`~repro.uml.index.ModelIndex` of the model at its
+        :attr:`version`, built on the first call after the version moves."""
+        memo = self.derived()
+        index = memo.get(ModelIndex)
+        if index is None:
+            index = memo[ModelIndex] = ModelIndex(self)
+        return index
 
     def qualified_name_of(self, element: NamedElement) -> str:
-        """``element.qualified_name``; inside a pass, named once per snapshot."""
-        if self._active_index is not None:
-            return self._active_index.qualified_name(element)
-        return element.qualified_name
+        """``element.qualified_name``, named once per model version."""
+        return self.index().qualified_name(element)
 
     def all_elements(self) -> Iterator[Element]:
         """Every element in the model, depth first."""
-        if self._active_index is not None:
-            return iter(self._active_index.elements)
-        return self.walk()
+        return iter(self.index().elements)
 
     def all_of_type(self, element_type: type[ElementT]) -> Iterator[ElementT]:
         """Every element that is an instance of ``element_type``."""
-        if self._active_index is not None:
-            return iter(self._active_index.of_type(element_type))
-        return (element for element in self.walk() if isinstance(element, element_type))
+        return iter(self.index().of_type(element_type))
 
     def all_with_stereotype(self, stereotype: str) -> Iterator[Element]:
         """Every element carrying ``stereotype``."""
-        if self._active_index is not None:
-            return iter(self._active_index.with_stereotype(stereotype))
-        return (element for element in self.walk() if element.has_stereotype(stereotype))
+        return iter(self.index().with_stereotype(stereotype))
 
     def packages_with_stereotype(self, stereotype: str) -> list[Package]:
         """All (recursively) contained packages carrying the stereotype."""
@@ -145,31 +102,15 @@ class Model(Package):
         library that draws them, not the library owning the class, so the
         search is model wide and result order is model order.
         """
-        if self._active_index is not None:
-            return self._active_index.associations_from(source)
-        return [a for a in self.all_of_type(Association) if a.source.type is source]
+        return self.index().associations_from(source)
 
     def dependencies_of(self, client: NamedElement, stereotype: str | None = None) -> list[Dependency]:
         """All dependencies whose client is ``client`` (optionally filtered)."""
-        if self._active_index is not None:
-            return self._active_index.dependencies_of(client, stereotype)
-        found = []
-        for dependency in self.all_of_type(Dependency):
-            if dependency.client is client:
-                if stereotype is None or dependency.has_stereotype(stereotype):
-                    found.append(dependency)
-        return found
+        return self.index().dependencies_of(client, stereotype)
 
     def based_on_target(self, client: NamedElement) -> NamedElement | None:
         """The supplier of the client's ``basedOn`` dependency, if any."""
-        if self._active_index is not None:
-            return self._active_index.based_on_target(client)
-        deps = self.dependencies_of(client, "basedOn")
-        if not deps:
-            return None
-        if len(deps) > 1:
-            raise ModelError(f"{client.name!r} has {len(deps)} basedOn dependencies, expected one")
-        return deps[0].supplier
+        return self.index().based_on_target(client)
 
     def owning_package_of(self, element: Element) -> Package | None:
         """The nearest package owning ``element`` (None for the model itself)."""

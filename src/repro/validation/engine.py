@@ -53,18 +53,12 @@ class ValidationEngine:
         return decorate
 
     def validate(self, model: "CctsModel", basic_only: bool = False) -> ValidationReport:
-        """Run all (or only the basic) rules; returns the merged report.
-
-        Rules only read the model, so the run executes under the model's
-        snapshot index (O(1) association/dependency lookups).
-        """
-        import contextlib
+        """Run all (or only the basic) rules; returns the merged report."""
         from time import perf_counter
 
         report = ValidationReport()
         registry, timers = self._rule_timers()
-        context = model.model.indexed() if model is not None else contextlib.nullcontext()
-        with span("validation.run", basic_only=basic_only) as run_span, context:
+        with span("validation.run", basic_only=basic_only) as run_span:
             fired = 0
             for rule in self.rules:
                 if basic_only and not rule.basic:

@@ -70,7 +70,8 @@ _log = get_logger("repro.xsdgen")
 #: Bump when the fingerprint recipe or the disk format changes.
 #: v2: entries carry the schema's provenance records.
 #: v3: ASBIE/ASCC provenance sources name the owning ABIE/ACC plus the role.
-CACHE_FORMAT_VERSION = 3
+#: v4: entries name their dependencies by qualified name.
+CACHE_FORMAT_VERSION = 4
 
 #: Library stereotypes that generate a schema document of their own.
 _SCHEMA_STEREOTYPES = frozenset(
@@ -80,8 +81,10 @@ _SCHEMA_STEREOTYPES = frozenset(
 _FIELD_SEP = "\x1f"
 _RECORD_SEP = "\x1e"
 
-#: First field of this module's keys in ``Model.derived()``.
+#: First fields of this module's keys in ``Model.derived()``.
 _FINGERPRINT = "xsdgen.fingerprint"
+_SUBTREE = "xsdgen.subtree"
+_REFERENCES = "xsdgen.references"
 
 #: The disk layer's file names (a SHA-256 fingerprint), and no other file.
 _CACHE_FILES = "[0-9a-f]" * 64 + ".json"
@@ -136,35 +139,16 @@ def _hash_element(hasher: _Hasher, element: Element) -> None:
         )
 
 
-class FingerprintContext:
-    """Per-run memo for fingerprint computations over an unchanging model.
-
-    Fingerprinting several libraries of one model re-hashes shared
-    subtrees (a CDT referenced by three libraries is walked for each of
-    their fingerprints).  A context deduplicates that work: subtree
-    digests and reference scans are computed once per element.  Create
-    one per generation run and drop it before the model can mutate.
-    """
-
-    __slots__ = ("subtree_digests", "scans")
-
-    def __init__(self) -> None:
-        self.subtree_digests: dict[int, str] = {}
-        self.scans: dict[int, _References] = {}
-
-
-def _subtree_digest(root: Element, context: FingerprintContext | None) -> str:
-    """The standalone digest of one element subtree, memoized per context."""
-    if context is not None:
-        cached = context.subtree_digests.get(id(root))
-        if cached is not None:
-            return cached
-    hasher = _Hasher()
-    for element in root.walk():
-        _hash_element(hasher, element)
-    digest = hasher.hexdigest()
-    if context is not None:
-        context.subtree_digests[id(root)] = digest
+def _subtree_digest(model: "CctsModel", root: Element) -> str:
+    """The standalone digest of one element subtree, memoized per model version."""
+    memo = model.model.derived()
+    key = (_SUBTREE, root)
+    digest = memo.get(key)
+    if digest is None:
+        hasher = _Hasher()
+        for element in root.walk():
+            _hash_element(hasher, element)
+        digest = memo[key] = hasher.hexdigest()
     return digest
 
 
@@ -189,22 +173,19 @@ class _References:
     dependencies: list[Dependency]
 
 
-def _scan_references(
-    model: "CctsModel",
-    library: "Library",
-    context: FingerprintContext | None = None,
-) -> _References:
+def _scan_references(model: "CctsModel", library: "Library") -> _References:
     """Everything a library's schema can reference, in deterministic order.
 
     Covers attribute (BCC/BBIE/CON/SUP) types, association (ASCC/ASBIE)
     targets -- including connectors drawn in *other* packages, which the
     generator follows model-wide -- and ``basedOn`` dependency suppliers
-    (the QDT -> CDT link).
+    (the QDT -> CDT link).  Memoized per model version.
     """
-    if context is not None:
-        cached = context.scans.get(id(library.element))
-        if cached is not None:
-            return cached
+    memo = model.model.derived()
+    key = (_REFERENCES, library.element)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
     classifiers: list[Classifier] = []
     seen: set[int] = set()
 
@@ -229,9 +210,7 @@ def _scan_references(
                 supplier = dependency.supplier
                 if isinstance(supplier, Classifier):
                     note(supplier)
-    references = _References(classifiers, associations, dependencies)
-    if context is not None:
-        context.scans[id(library.element)] = references
+    references = memo[key] = _References(classifiers, associations, dependencies)
     return references
 
 
@@ -240,7 +219,6 @@ def fingerprint_library(
     library: "Library",
     options: "GenerationOptions",
     root_name: str | None = None,
-    context: FingerprintContext | None = None,
 ) -> str:
     """The structural fingerprint keying one library's generated schema.
 
@@ -251,12 +229,10 @@ def fingerprint_library(
     namespace identity of their owning libraries, the output-affecting
     generation options and -- for DOC libraries -- the chosen root.
 
-    ``context`` (a :class:`FingerprintContext`) shares subtree digests and
-    reference scans across fingerprints of the same unmutated model.
-    Results are additionally memoized across runs in the model's
-    :meth:`~repro.uml.model.Model.derived`, so regenerating a model whose
-    version has not moved costs one dict lookup per library instead of a
-    walk.
+    Results, subtree digests and reference scans are memoized in the
+    model's :meth:`~repro.uml.model.Model.derived`, so regenerating a model
+    whose version has not moved costs one dict lookup per library instead
+    of a walk, and libraries sharing a referenced subtree hash it once.
     """
     memo = model.model.derived()
     memo_key = (
@@ -280,37 +256,24 @@ def fingerprint_library(
         options.include_version_in_urn,
     )
     hasher.record("root", root_name or "")
-    hasher.record("walk", _subtree_digest(library.element, context))
-    references = _scan_references(model, library, context)
+    hasher.record("walk", _subtree_digest(model, library.element))
+    references = _scan_references(model, library)
     for association in references.associations:
-        hasher.record("xassoc", _subtree_digest(association, context))
+        hasher.record("xassoc", _subtree_digest(model, association))
     for dependency in references.dependencies:
         _hash_element(hasher, dependency)
     library_element = library.element
     for classifier in references.classifiers:
-        owning = model.owning_library_of(_WrapperShim(classifier))
+        owning = model.owning_library_of(classifier)
         if owning is None or owning.element is library_element:
             continue
         hasher.record("xref", *_library_identity(owning))
-        hasher.record("xwalk", _subtree_digest(classifier, context))
+        hasher.record("xwalk", _subtree_digest(model, classifier))
     digest = memo[memo_key] = hasher.hexdigest()
     return digest
 
 
-class _WrapperShim:
-    """Minimal duck-typed wrapper accepted by ``owning_library_of``."""
-
-    __slots__ = ("element",)
-
-    def __init__(self, element: Element) -> None:
-        self.element = element
-
-
-def library_dependencies(
-    model: "CctsModel",
-    library: "Library",
-    context: FingerprintContext | None = None,
-) -> "list[Library]":
+def library_dependencies(model: "CctsModel", library: "Library") -> "list[Library]":
     """The libraries whose schemas ``library``'s schema may import.
 
     A structural over-approximation of the imports the builders resolve at
@@ -322,8 +285,8 @@ def library_dependencies(
     """
     found: list[Library] = []
     seen: set[int] = set()
-    for classifier in _scan_references(model, library, context).classifiers:
-        owning = model.owning_library_of(_WrapperShim(classifier))
+    for classifier in _scan_references(model, library).classifiers:
+        owning = model.owning_library_of(classifier)
         if owning is None or owning.element is library.element:
             continue
         if owning.stereotype not in _SCHEMA_STEREOTYPES:

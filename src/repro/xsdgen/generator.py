@@ -25,7 +25,7 @@ from repro.ccts.base import ElementWrapper
 from repro.ccts.bie import Abie
 from repro.ccts.libraries import DocLibrary, Library
 from repro.ccts.model import CctsModel
-from repro.errors import CctsError, GenerationError, ReproError
+from repro.errors import GenerationError, ReproError
 from repro.ndr.annotations import CCTS_DOCUMENTATION_NS, annotation_entries_for
 from repro.obs.logging_bridge import get_logger
 from repro.obs.metrics import counter
@@ -53,7 +53,6 @@ from repro.xsd.validator import SchemaSet
 from repro.xsd.writer import schema_to_string
 from repro.xsdgen.cache import (
     CachedGeneration,
-    FingerprintContext,
     GenerationCache,
     cache_for_directory,
     fingerprint_library,
@@ -412,9 +411,6 @@ class SchemaGenerator:
         #: Per-run failure records (collect mode) and the keys this run touched.
         self._failed: dict[_MemoKey, LibraryFailure] = {}
         self._run_keys: dict[_MemoKey, None] = {}
-        self._run_fingerprints: dict[_MemoKey, str] = {}
-        self._fingerprint_context = FingerprintContext()
-        self._libraries_by_name: dict[str, Library] | None = None
         # ensure_library is the hottest instrumented call site; bind its
         # counters once per generator instead of per lookup.
         self._memo_hits = counter("xsdgen.memo_hits")
@@ -438,32 +434,27 @@ class SchemaGenerator:
             # Stable xmi:ids first: assigning ids mutates elements (moving
             # the model version), so it must precede fingerprinting.
             self._ensure_xmi_ids()
-            # Per-run state: the model may have mutated since the last run.
-            self._run_fingerprints = {}
-            self._fingerprint_context = FingerprintContext()
-            self._libraries_by_name = None
             self._failed = {}
             self._run_keys = {}
             collect = self.options.on_error == "collect"
             self.session.status(f"Generating schema for {library.stereotype} {library.name!r}")
             _log.info("generating schema for %s %r", library.stereotype, library.name)
-            with self.model.model.indexed():
-                # Collect mode prebuilds from the structural dependency
-                # graph: a failing library must not hide the independent
-                # libraries an on-demand build would discover through it.
-                if collect:
-                    self._prebuild_in_dependency_order(library, root)
-                root_namespace: str | None = None
-                try:
-                    generated = self.ensure_library(library, root)
-                    root_namespace = generated.namespace.urn
-                except ReproError:
-                    if not collect:
-                        raise
-                if collect:
-                    schemas = self._run_schemas()
-                else:
-                    schemas = self._reachable_schemas(library, root)
+            # Collect mode prebuilds from the structural dependency
+            # graph: a failing library must not hide the independent
+            # libraries an on-demand build would discover through it.
+            if collect:
+                self._prebuild_in_dependency_order(library, root)
+            root_namespace: str | None = None
+            try:
+                generated = self.ensure_library(library, root)
+                root_namespace = generated.namespace.urn
+            except ReproError:
+                if not collect:
+                    raise
+            if collect:
+                schemas = self._run_schemas()
+            else:
+                schemas = self._reachable_schemas(library, root)
             result = GenerationResult(
                 schemas=schemas,
                 session=self.session,
@@ -603,7 +594,7 @@ class SchemaGenerator:
         """Produce one library's schema: cache hit or fresh build."""
         fingerprint: str | None = None
         if self.cache is not None and library.stereotype != PRIM_LIBRARY:
-            fingerprint = self._fingerprint_for(library, key)
+            fingerprint = fingerprint_library(self.model, library, self.options, root_name=key[1])
             entry = self.cache.get(fingerprint)
             if entry is not None:
                 return self._adopt(library, entry)
@@ -617,33 +608,11 @@ class SchemaGenerator:
                 root_name=key[1],
                 namespace=generated.namespace,
                 schema=generated.schema,
-                dependencies=tuple(dep.name for dep in dep_libraries),
+                dependencies=tuple(dep.qualified_name for dep in dep_libraries),
                 provenance=tuple(generated.provenance),
             )
             self.cache.put(generated.cached)
         return generated, dep_keys
-
-    def _fingerprint_for(self, library: Library, key: _MemoKey) -> str:
-        cached = self._run_fingerprints.get(key)
-        if cached is None:
-            cached = fingerprint_library(
-                self.model,
-                library,
-                self.options,
-                root_name=key[1],
-                context=self._fingerprint_context,
-            )
-            self._run_fingerprints[key] = cached
-        return cached
-
-    def _library_named(self, name: str) -> Library:
-        """Name lookup through a per-run map (``library_named`` is O(model))."""
-        if self._libraries_by_name is None:
-            self._libraries_by_name = {lib.name: lib for lib in self.model.libraries()}
-        library = self._libraries_by_name.get(name)
-        if library is None:
-            raise CctsError(f"model {self.model.name!r} contains no library named {name!r}")
-        return library
 
     def _adopt(
         self, library: Library, entry: CachedGeneration
@@ -664,9 +633,8 @@ class SchemaGenerator:
         )
         dep_keys: list[_MemoKey] = []
         for name in entry.dependencies:
-            try:
-                dependency = self._library_named(name)
-            except CctsError:
+            dependency = self.model.library_by_qualified_name(name)
+            if dependency is None:
                 raise GenerationError(
                     f"cached schema for {library.name!r} imports library {name!r}, "
                     f"which no longer exists in model {self.model.name!r}"
@@ -794,9 +762,7 @@ class SchemaGenerator:
             node = id(candidate.element)
             if node in graph:
                 return
-            dependencies = library_dependencies(
-                self.model, candidate, context=self._fingerprint_context
-            )
+            dependencies = library_dependencies(self.model, candidate)
             graph[node] = (candidate, [id(dep.element) for dep in dependencies])
             for dependency in dependencies:
                 discover(dependency)
@@ -860,7 +826,7 @@ class SchemaGenerator:
 
     def library_of(self, wrapper: ElementWrapper) -> Library:
         """The library owning a wrapped element (error when homeless)."""
-        library = self.model.owning_library_of(wrapper)
+        library = self.model.owning_library_of(wrapper.element)
         if library is None:
             raise GenerationError(
                 f"element {wrapper.name!r} is not owned by any library; "

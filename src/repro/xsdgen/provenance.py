@@ -246,8 +246,7 @@ class ProvenanceLog:
                     f"the model changed after generation of {self.schema_file}; "
                     f"generate again to read its provenance"
                 )
-            with model.indexed():
-                self._records = [self._record(*fact) for fact in self.facts]
+            self._records = [self._record(*fact) for fact in self.facts]
         return self._records
 
     def _record(self, kind, name, path, source, rule, imported_namespace) -> ProvenanceRecord:

@@ -142,7 +142,7 @@ class TestLibraries:
 
     def test_owning_library_of(self, base):
         model, business, *_, code, _ = base
-        library = model.owning_library_of(code)
+        library = model.owning_library_of(code.element)
         assert library is not None and library.name == "Cdts"
 
 

@@ -1,12 +1,14 @@
 """Each model has its own version, and its caches key on it.
 
-Five caches hold facts derived from a model: the snapshot index
-(``Model.indexed``), the library list (``CctsModel.libraries``), the basic
-validation report (``CctsModel.basic_validation_report``), the library
-fingerprints (``fingerprint_library``) and the record that every element
-carries an ``xmi:id`` (``IDS_COMPLETE``).  Building another model must
-leave all five of a model's caches warm; editing the model must empty
-them.
+Every fact derived from a model is kept in ``Model.derived``, which
+empties when the version moves.  Five of them are checked here: the index
+every whole-model query reads (``Model.index``), the library list
+(``CctsModel.libraries``), the basic validation report
+(``CctsModel.basic_validation_report``), the library fingerprints
+(``fingerprint_library``, with the subtree digests they are made of) and
+the record that every element carries an ``xmi:id`` (``IDS_COMPLETE``).
+Building another model must leave all five warm; editing the model must
+empty them.
 """
 
 import gc
@@ -38,10 +40,8 @@ def _library(model: CctsModel):
 def _warm(model: CctsModel) -> dict:
     """Fill all five caches of ``model`` and return what they hold."""
     SchemaGenerator(model, OPTIONS)._ensure_xmi_ids()
-    with model.model.indexed() as index:
-        pass
     return {
-        "index": index,
+        "index": model.model.index(),
         "libraries": model.libraries(),
         "report": model.basic_validation_report(),
         "fingerprint": fingerprint_library(model, _library(model), OPTIONS),
@@ -51,8 +51,7 @@ def _warm(model: CctsModel) -> dict:
 def _hits(model: CctsModel, warm: dict, monkeypatch) -> dict[str, bool]:
     """Which of the five caches of ``model`` still answer from ``warm``."""
     ids_complete = IDS_COMPLETE in model.model.derived()
-    with model.model.indexed() as index:
-        pass
+    index = model.model.index()
     libraries = model.libraries()
     walks: list[object] = []
     real = cache_module._subtree_digest

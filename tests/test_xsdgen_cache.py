@@ -280,6 +280,35 @@ class TestDiskCache:
             )
 
 
+    @pytest.mark.parametrize("placement", ["after", "before"])
+    def test_warm_hit_resolves_dependencies_by_qualified_name(self, placement):
+        # A second, empty CDT library with the real one's bare name, in
+        # another business library placed after (or before) the real one.
+        built = build_easybiz_model()
+        other = built.model.add_business_library("Other", "urn:other")
+        other.add_cdt_library("coredatatypes")
+        if placement == "before":
+            packages = built.model.model.packages
+            packages.insert(0, packages.pop())
+            other.package.owner = built.model.model  # a tracked write for the reorder
+        assert [lib.name for lib in built.model.cdt_libraries()].count("coredatatypes") == 2
+        options = GenerationOptions(use_cache=True)
+        cache = GenerationCache()
+
+        def run():
+            generator = SchemaGenerator(built.model, options, cache=cache)
+            result = generator.generate(built.doc_library, root="HoardingPermit")
+            return _schema_texts(result), generator.session.log
+
+        cold, cold_log = run()
+        warm, warm_log = run()
+        assert "Reusing cached schema" not in cold_log
+        assert "Reusing cached schema" in warm_log
+        assert warm == cold
+        assert any("easybiz" in urn and urn.endswith(":coredatatypes") for urn in cold)
+        assert not any(urn.startswith("urn:other") for urn in cold)
+
+
 class TestParallelGeneration:
     """The dependency-ordered prebuild (run by ``on_error="collect"``)
     against the on-demand build of a default run."""
