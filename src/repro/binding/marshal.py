@@ -20,6 +20,7 @@ from repro.xsd.components import (
     ElementDecl,
     SequenceGroup,
     SimpleType,
+    particle_elements,
 )
 from repro.xsd.compiled import _clark_qname, _parse_document, _tree_of
 from repro.xsd.validator import SchemaSet
@@ -39,33 +40,14 @@ def _to_text(value: Any) -> str:
 class _Marshaller:
     def __init__(self, schema_set: SchemaSet) -> None:
         self.schema_set = schema_set
-        self._prefixes = {
-            namespace: f"ns{index}"
-            for index, namespace in enumerate(sorted(schema_set.namespaces), start=1)
-            if namespace
-        }
+        self._prefixes = schema_set.instance_prefixes
 
     def marshal(self, root: QName | str, data: Any) -> XmlElement:
-        qname = self._resolve_root(root)
-        decl = self.schema_set.find_global_element(qname)
-        if decl is None:
-            raise SchemaError(f"no global element {qname.clark()} in the schema set")
+        qname, decl = self.schema_set.root_element(root)
         element = self._element(decl, qname.namespace, data, qname.local)
         for namespace, prefix in sorted(self._prefixes.items()):
             element.attributes[f"xmlns:{prefix}"] = namespace
         return element
-
-    def _resolve_root(self, root: QName | str) -> QName:
-        if isinstance(root, QName):
-            return root
-        matches = [
-            QName(namespace, root)
-            for namespace in self.schema_set.namespaces
-            if self.schema_set.find_global_element(QName(namespace, root)) is not None
-        ]
-        if len(matches) != 1:
-            raise SchemaError(f"global element {root!r} resolves to {len(matches)} namespaces")
-        return matches[0]
 
     def _tag(self, qname: QName) -> str:
         return qname.prefixed(self._prefixes.get(qname.namespace))
@@ -73,12 +55,8 @@ class _Marshaller:
     # -- elements ----------------------------------------------------------------
 
     def _element(self, decl: ElementDecl, schema_ns: str, data: Any, path: str) -> XmlElement:
-        if decl.is_ref:
-            target = self.schema_set.find_global_element(decl.ref)
-            if target is None:
-                raise SchemaError(f"dangling element reference {decl.ref.clark()}")
-            return self._element(target, decl.ref.namespace, data, path)
-        qname = QName(schema_ns, decl.name)
+        qname = decl.ref if decl.is_ref else QName(schema_ns, decl.name)
+        decl = self.schema_set.resolve_element(decl)
         element = XmlElement(self._tag(qname))
         if decl.type is None:
             if data is not None:
@@ -108,8 +86,7 @@ class _Marshaller:
         for attribute in definition.attributes:
             self._set_attribute(element, attribute, data, path)
         if definition.particle is not None:
-            schema = self.schema_set.schema_for(type_name.namespace)
-            self._fill_particle(element, definition.particle, schema.target_namespace, data, path)
+            self._fill_particle(element, definition.particle, type_name.namespace, data, path)
 
     def _plain_value(self, data: Any, path: str) -> Any:
         if isinstance(data, dict):
@@ -124,7 +101,7 @@ class _Marshaller:
     def _fill_simple_content(
         self, element: XmlElement, definition: ComplexType, data: Any, path: str
     ) -> None:
-        attributes = self._effective_attributes(definition)
+        _, attributes, _ = self.schema_set.flatten_content_value(definition)
         if isinstance(data, dict):
             known = {VALUE_KEY} | {ATTR_PREFIX + a.name for a in attributes}
             unknown = [key for key in data if key not in known]
@@ -148,43 +125,15 @@ class _Marshaller:
                     )
             element.text(_to_text(data))
 
-    def _effective_attributes(self, definition: ComplexType) -> list[AttributeDecl]:
-        content = definition.simple_content
-        assert content is not None
-        base = content.base
-        if base.namespace == XSD_NS:
-            return list(content.attributes)
-        base_definition = self.schema_set.find_type(base)
-        if isinstance(base_definition, ComplexType) and base_definition.simple_content is not None:
-            inherited = self._effective_attributes(base_definition)
-            if content.derivation == "extension":
-                return inherited + list(content.attributes)
-            by_name = {a.name: a for a in inherited}
-            for attribute in content.attributes:
-                by_name[attribute.name] = attribute
-            return list(by_name.values())
-        return list(content.attributes)
-
     def _check_keys(self, definition: ComplexType, data: dict, path: str) -> None:
         known = {ATTR_PREFIX + attribute.name for attribute in definition.attributes}
-        for decl in self._declared_elements(definition.particle):
+        for decl in particle_elements(definition.particle):
             known.add(decl.name if not decl.is_ref else decl.ref.local)
         unknown = [key for key in data if key not in known]
         if unknown:
             raise InstanceValidationError(
                 f"{path}: unknown keys {unknown}; declared: {sorted(known)}"
             )
-
-    def _declared_elements(self, particle) -> list[ElementDecl]:
-        if particle is None:
-            return []
-        found: list[ElementDecl] = []
-        for child in particle.particles:
-            if isinstance(child, ElementDecl):
-                found.append(child)
-            elif isinstance(child, (SequenceGroup, ChoiceGroup)):
-                found.extend(self._declared_elements(child))
-        return found
 
     def _set_attribute(self, element: XmlElement, attribute: AttributeDecl, data: dict, path: str) -> None:
         key = ATTR_PREFIX + attribute.name
@@ -226,20 +175,8 @@ class _Unmarshaller:
         self.schema_set = schema_set
 
     def unmarshal(self, root: ET.Element) -> Any:
-        qname = _clark_qname(root.tag)
-        decl = self.schema_set.find_global_element(qname)
-        if decl is None:
-            raise SchemaError(f"no global element {qname.clark()}")
-        return self._value(self._type_of(decl), root)
-
-    def _type_of(self, decl: ElementDecl) -> QName | None:
-        """``decl``'s type, through an element reference."""
-        if decl.is_ref:
-            target = self.schema_set.find_global_element(decl.ref)
-            if target is None:
-                raise SchemaError(f"dangling element reference {decl.ref.clark()}")
-            decl = target
-        return decl.type
+        _, decl = self.schema_set.root_element(_clark_qname(root.tag))
+        return self._value(decl.type, root)
 
     def _value(self, type_name: QName | None, element: ET.Element) -> Any:
         # One frame per level, so that documents up to ``max_depth`` deep
@@ -261,7 +198,7 @@ class _Unmarshaller:
                 return data
             return text_of(element)
         declared = {}
-        for decl in _Marshaller(self.schema_set)._declared_elements(definition.particle):
+        for decl in particle_elements(definition.particle):
             key = decl.name if not decl.is_ref else decl.ref.local
             declared[key] = decl
         for child in element:
@@ -269,7 +206,7 @@ class _Unmarshaller:
             child_decl = declared.get(key)
             if child_decl is None:
                 raise InstanceValidationError(f"unexpected element {key!r} in {definition.name}")
-            child_value = self._value(self._type_of(child_decl), child)
+            child_value = self._value(self.schema_set.resolve_element(child_decl).type, child)
             repeatable = child_decl.max_occurs is None or child_decl.max_occurs > 1
             if repeatable:
                 data.setdefault(key, []).append(child_value)

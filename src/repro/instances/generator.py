@@ -1,9 +1,11 @@
 """Generate valid sample instances from a :class:`SchemaSet`.
 
-The generator walks type definitions exactly like the validator does (same
-flattening of simpleContent chains, same occurrence rules) and emits an
+The generator reads type definitions through the same :class:`SchemaSet`
+methods as the validator (one flattening of simple-type and simpleContent
+chains, one element-reference lookup) and emits an
 :class:`repro.xmlutil.XmlElement` tree with one prefix per target namespace
-declared on the root element.
+declared on the root element.  Where the validator reports a schema defect
+per document, the generator stops at it with :class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from repro.xsd.components import (
     AttributeDecl,
     AttributeUse,
     ChoiceGroup,
-    ComplexType,
     ElementDecl,
     SequenceGroup,
     SimpleType,
@@ -46,10 +47,7 @@ class InstanceGenerator:
         self.fill_optional = fill_optional
         self.repeat_unbounded = repeat_unbounded
         self.max_depth = max_depth
-        self._prefixes: dict[str, str] = {}
-        for index, namespace in enumerate(sorted(schema_set.namespaces), start=1):
-            if namespace:
-                self._prefixes[namespace] = f"ns{index}"
+        self._prefixes = schema_set.instance_prefixes
 
     # -- public API -----------------------------------------------------------------
 
@@ -60,11 +58,8 @@ class InstanceGenerator:
         resolved against ``namespace`` when given, otherwise against every
         registered namespace (must be unambiguous).
         """
-        qname = self._resolve_root(root, namespace)
-        decl = self.schema_set.find_global_element(qname)
-        if decl is None:
-            raise SchemaError(f"no global element {qname.clark()} in the schema set")
-        element = self._element(decl, self.schema_set.schema_for(qname.namespace).target_namespace, 0)
+        qname, decl = self.schema_set.root_element(root, namespace)
+        element = self._element(decl, qname.namespace, 0)
         for namespace_uri, prefix in sorted(self._prefixes.items()):
             element.attributes[f"xmlns:{prefix}"] = namespace_uri
         return element
@@ -75,34 +70,13 @@ class InstanceGenerator:
 
     # -- internals ----------------------------------------------------------------------
 
-    def _resolve_root(self, root: QName | str, namespace: str | None) -> QName:
-        if isinstance(root, QName):
-            return root
-        if namespace is not None:
-            return QName(namespace, root)
-        matches = [
-            QName(candidate, root)
-            for candidate in self.schema_set.namespaces
-            if self.schema_set.find_global_element(QName(candidate, root)) is not None
-        ]
-        if len(matches) != 1:
-            raise SchemaError(
-                f"global element {root!r} resolves to {len(matches)} namespaces; "
-                f"pass the namespace explicitly"
-            )
-        return matches[0]
-
     def _tag(self, qname: QName) -> str:
         prefix = self._prefixes.get(qname.namespace)
         return qname.prefixed(prefix)
 
     def _element(self, decl: ElementDecl, schema_ns: str, depth: int) -> XmlElement:
-        if decl.is_ref:
-            target = self.schema_set.find_global_element(decl.ref)
-            if target is None:
-                raise SchemaError(f"dangling element reference {decl.ref.clark()}")
-            return self._element(target, decl.ref.namespace, depth)
-        qname = QName(schema_ns, decl.name)
+        qname = decl.ref if decl.is_ref else QName(schema_ns, decl.name)
+        decl = self.schema_set.resolve_element(decl)
         element = XmlElement(self._tag(qname))
         if decl.type is None:
             return element
@@ -117,11 +91,11 @@ class InstanceGenerator:
         if definition is None:
             raise SchemaError(f"unresolved type {type_name.clark()}")
         if isinstance(definition, SimpleType):
-            base, facets = self._flatten_simple(type_name)
+            base, facets = self.schema_set.flatten_simple_type(type_name)
             element.text(sample_value(base, facets))
             return
         if definition.simple_content is not None:
-            base, attributes, facets = self._flatten_content(definition)
+            base, attributes, facets = self.schema_set.flatten_content_value(definition)
             for attribute in attributes:
                 self._attribute(element, attribute)
             element.text(sample_value(base, facets))
@@ -129,15 +103,14 @@ class InstanceGenerator:
         for attribute in definition.attributes:
             self._attribute(element, attribute)
         if definition.particle is not None:
-            schema = self.schema_set.schema_for(type_name.namespace)
-            self._particle(element, definition.particle, schema.target_namespace, depth)
+            self._particle(element, definition.particle, type_name.namespace, depth)
 
     def _attribute(self, element: XmlElement, attribute: AttributeDecl) -> None:
         if attribute.use is AttributeUse.PROHIBITED:
             return
         if attribute.use is AttributeUse.OPTIONAL and not self.fill_optional:
             return
-        base, facets = self._flatten_simple(attribute.type)
+        base, facets = self.schema_set.flatten_simple_type(attribute.type)
         element.attributes[attribute.name] = sample_value(base, facets)
 
     def _particle(
@@ -173,37 +146,3 @@ class InstanceGenerator:
         if max_occurs is None:
             return max(min_occurs, self.repeat_unbounded)
         return max(min_occurs, min(1, max_occurs))
-
-    # -- flattening (mirrors the validator) ----------------------------------------------
-
-    def _flatten_simple(self, type_name: QName):
-        if type_name.namespace == XSD_NS:
-            return type_name, []
-        definition = self.schema_set.find_type(type_name)
-        if definition is None or isinstance(definition, ComplexType):
-            raise SchemaError(f"cannot flatten simple type {type_name.clark()}")
-        base, facets = self._flatten_simple(definition.base)
-        return base, facets + list(definition.facets)
-
-    def _flatten_content(self, definition: ComplexType):
-        content = definition.simple_content
-        assert content is not None
-        base = content.base
-        facets = list(content.facets)
-        if base.namespace == XSD_NS:
-            return base, list(content.attributes), facets
-        base_definition = self.schema_set.find_type(base)
-        if base_definition is None:
-            raise SchemaError(f"unresolved simpleContent base {base.clark()}")
-        if isinstance(base_definition, SimpleType):
-            flat_base, flat_facets = self._flatten_simple(base)
-            return flat_base, list(content.attributes), flat_facets + facets
-        inherited_base, inherited_attrs, inherited_facets = self._flatten_content(base_definition)
-        if content.derivation == "extension":
-            merged = inherited_attrs + content.attributes
-        else:
-            by_name = {attribute.name: attribute for attribute in inherited_attrs}
-            for attribute in content.attributes:
-                by_name[attribute.name] = attribute
-            merged = list(by_name.values())
-        return inherited_base, merged, inherited_facets + facets

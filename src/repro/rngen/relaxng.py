@@ -8,8 +8,11 @@ One combined ``<grammar>`` is produced for the whole schema closure:
   *content pattern* (not the element), so local elements reference it,
 * occurrences map to ``optional`` / ``zeroOrMore`` / ``oneOrMore`` (bounded
   ranges unroll: required copies plus optional tail),
-* simpleContent chains flatten to an XSD ``<data>`` pattern (RNG borrows
-  the XSD datatype library) plus attribute patterns,
+* simpleContent chains flatten (through
+  :meth:`~repro.xsd.validator.SchemaSet.flatten_content_value`, which
+  raises :class:`SchemaError` on a broken chain) to an XSD ``<data>``
+  pattern (RNG borrows the XSD datatype library) plus attribute patterns,
+  or to a ``<choice><value>…`` of the chain's enumeration facets,
 * enumeration simple types become ``<choice><value>…``.
 
 Known semantic gap (documented, no RNG counterpart): an XSD restriction
@@ -20,7 +23,6 @@ closed-world per element pattern.
 
 from __future__ import annotations
 
-from repro.errors import SchemaError
 from repro.xmlutil.qname import QName
 from repro.xmlutil.writer import XmlElement, XmlWriter
 from repro.xsd.components import (
@@ -170,7 +172,8 @@ class _RngBuilder:
     def _complex_type_patterns(self, complex_type: ComplexType, schema: Schema) -> list[XmlElement]:
         patterns: list[XmlElement] = []
         if complex_type.simple_content is not None:
-            base, attributes, enum_values = self._flatten_simple_content(complex_type)
+            base, attributes, facets = self.schema_set.flatten_content_value(complex_type)
+            enum_values = [facet.value for facet in facets if facet.kind == "enumeration"]
             for attribute in attributes:
                 patterns.extend(self._attribute_patterns(attribute))
             if enum_values:
@@ -211,30 +214,6 @@ class _RngBuilder:
             return choice
         return XmlElement("data", {"type": simple_type.base.local})
 
-    def _flatten_simple_content(self, complex_type: ComplexType):
-        """(builtin base, effective attributes, enum values) of a content chain."""
-        content = complex_type.simple_content
-        assert content is not None
-        base = content.base
-        if base.namespace == XSD_NS:
-            return base, list(content.attributes), []
-        definition = self.schema_set.find_type(base)
-        if definition is None:
-            raise SchemaError(f"unresolved simpleContent base {base.clark()}")
-        if isinstance(definition, SimpleType):
-            values = definition.enumeration_values
-            flat_base = definition.base if definition.base.namespace == XSD_NS else QName(XSD_NS, "token")
-            return flat_base, list(content.attributes), values
-        inherited_base, inherited_attrs, inherited_values = self._flatten_simple_content(definition)
-        if content.derivation == "extension":
-            merged = inherited_attrs + content.attributes
-        else:
-            by_name = {a.name: a for a in inherited_attrs}
-            for attribute in content.attributes:
-                by_name[attribute.name] = attribute
-            merged = list(by_name.values())
-        return inherited_base, merged, inherited_values
-
 
 def result_to_rng(result: GenerationResult, root: QName | str) -> XmlElement:
     """Translate a whole generation result into one RELAX NG grammar."""
@@ -244,15 +223,7 @@ def result_to_rng(result: GenerationResult, root: QName | str) -> XmlElement:
         prefix = generated.schema.prefix_for(generated.namespace.urn)
         if prefix:
             prefixes[prefix] = generated.namespace.urn
-    if isinstance(root, str):
-        candidates = [
-            QName(namespace, root)
-            for namespace in schema_set.namespaces
-            if schema_set.find_global_element(QName(namespace, root)) is not None
-        ]
-        if len(candidates) != 1:
-            raise SchemaError(f"root element {root!r} resolves to {len(candidates)} namespaces")
-        root = candidates[0]
+    root, _ = schema_set.root_element(root)
     return _RngBuilder(schema_set, prefixes).build(root)
 
 

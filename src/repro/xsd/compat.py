@@ -24,11 +24,10 @@ from typing import Literal
 from repro.xsd.components import (
     AttributeDecl,
     AttributeUse,
-    ChoiceGroup,
     ComplexType,
     ElementDecl,
-    SequenceGroup,
     SimpleType,
+    particle_elements,
 )
 from repro.xsd.validator import SchemaSet
 
@@ -133,18 +132,6 @@ def _compare_simple_type(old: SimpleType, new: SimpleType, location: str, report
         report.add("compatible", location, f"enumeration value {value!r} added")
 
 
-def _particle_elements(particle) -> list[ElementDecl]:
-    if particle is None:
-        return []
-    elements: list[ElementDecl] = []
-    for child in particle.particles:
-        if isinstance(child, ElementDecl):
-            elements.append(child)
-        elif isinstance(child, (SequenceGroup, ChoiceGroup)):
-            elements.extend(_particle_elements(child))
-    return elements
-
-
 def _element_key(element: ElementDecl) -> str:
     return element.name if element.name is not None else f"ref:{element.ref.local}"
 
@@ -166,8 +153,8 @@ def _compare_complex_type(old: ComplexType, new: ComplexType, location: str, rep
         return
     _compare_attributes(old.attributes, new.attributes, location, report)
 
-    old_elements = {_element_key(e): e for e in _particle_elements(old.particle)}
-    new_elements = {_element_key(e): e for e in _particle_elements(new.particle)}
+    old_elements = {_element_key(e): e for e in particle_elements(old.particle)}
+    new_elements = {_element_key(e): e for e in particle_elements(new.particle)}
     for key, old_element in old_elements.items():
         where = f"{location}/{key}"
         new_element = new_elements.get(key)

@@ -6,12 +6,14 @@ validator for those messages (:func:`~repro.xsd.validator.validate_instance`
 is a thin wrapper over it).  It front-loads every schema lookup at
 construction:
 
-* global element and type lookups become dict hits,
+* global element and type lookups are the schema set's own index
+  (:meth:`~repro.xsd.validator.SchemaSet.find_type`),
 * one :class:`~repro.xsd.content_model.CompiledModel` NFA is pre-built per
   complex type (determinized to a DFA when that is provably
   result-identical),
 * simple-type derivation chains and simpleContent hierarchies are
-  flattened once, their facets pre-compiled via
+  flattened once (by the schema set, which reports their defects as
+  messages), their facets pre-compiled via
   :func:`~repro.xsd.datatypes.compile_facets` (patterns compiled once,
   numeric bounds parsed once),
 * every element declaration -- global or nested in a particle -- gets a
@@ -62,6 +64,7 @@ from repro.xsd.components import (
     Facet,
     Schema,
     SimpleType,
+    particle_elements,
 )
 from repro.xsd.content_model import CompiledModel, DeterminizedModel, determinize
 from repro.xsd.validator import (
@@ -651,35 +654,23 @@ class CompiledSchemaSet:
     def __init__(self, schema_set: SchemaSet, fingerprint: str | None = None) -> None:
         self.schema_set = schema_set
         self.fingerprint = fingerprint or fingerprint_schema_set(schema_set)
-        self._schemas: dict[str, Schema] = {
-            namespace: schema_set.schema_for(namespace)
-            for namespace in schema_set.namespaces
-        }
-        self._globals: dict[QName, ElementDecl] = {}
-        self._types: dict[QName, ComplexType | SimpleType] = {}
-        for namespace, schema in self._schemas.items():
-            for item in schema.global_elements:
-                self._globals.setdefault(QName(namespace, item.name), item)
-            for item in schema.items:
-                if isinstance(item, (ComplexType, SimpleType)):
-                    self._types.setdefault(QName(namespace, item.name), item)
         self._type_plans: dict[QName, object] = {}
         self._decl_plans: dict[int, object] = {}
         with span(
             "instances.compile",
-            namespaces=len(self._schemas),
-            types=len(self._types),
-            global_elements=len(self._globals),
+            namespaces=len(schema_set.namespaces),
+            types=len(schema_set.global_types),
+            global_elements=len(schema_set.global_elements),
             fingerprint=self.fingerprint[:12],
         ):
             # Compile every global type and element eagerly so validation
             # never pays a first-touch cost (and schema defects surface
             # deterministically, not input-dependently).
-            for qname in self._types:
+            for qname in schema_set.global_types:
                 self._type_plan(qname)
             self._roots: dict[str, tuple[object, str]] = {
                 qname.clark(): (self._decl_plan(decl, frozenset()), qname.local)
-                for qname, decl in self._globals.items()
+                for qname, decl in schema_set.global_elements.items()
             }
 
     # -- validation ------------------------------------------------------------
@@ -718,7 +709,7 @@ class CompiledSchemaSet:
         if decl.is_ref:
             if id(decl) in resolving:
                 raise SchemaError(f"cyclic element reference {decl.ref.clark()}")
-            target = self._globals.get(decl.ref)
+            target = self.schema_set.find_global_element(decl.ref)
             if target is None:
                 plan = _ErrorPlan(f"dangling element reference {decl.ref.clark()}")
             else:
@@ -737,7 +728,7 @@ class CompiledSchemaSet:
         if type_name.namespace == XSD_NS:
             plan = _SimplePlan(self._value_check(type_name, []))
         else:
-            definition = self._types.get(type_name)
+            definition = self.schema_set.find_type(type_name)
             if definition is None:
                 plan = _ErrorPlan(f"unresolved type {type_name.clark()}")
             elif isinstance(definition, SimpleType):
@@ -754,7 +745,7 @@ class CompiledSchemaSet:
         # Register before compiling children: recursive types resolve to
         # this very plan object.
         self._type_plans[type_name] = plan
-        schema = self._schemas[type_name.namespace]
+        schema = self.schema_set.schema_for(type_name.namespace)
         plan.text_message = (
             f"unexpected character content in complex type {definition.name!r}"
         )
@@ -768,7 +759,7 @@ class CompiledSchemaSet:
             )
             child_plans = {
                 id(decl): self._decl_plan(decl, frozenset())
-                for decl in _particle_decls(definition.particle)
+                for decl in particle_elements(definition.particle)
             }
             # Determinize when provably result-identical; else keep the NFA.
             plan.set_model(determinize(nfa) or nfa, child_plans)
@@ -776,8 +767,8 @@ class CompiledSchemaSet:
 
     def _compile_simple_content(self, definition: ComplexType) -> _SimpleContentPlan:
         messages: list[str] = []
-        base, attributes, facets = self._flatten_simple_content(
-            definition, messages, frozenset()
+        base, attributes, facets = self.schema_set.flatten_simple_content(
+            definition, messages
         )
         value = self._value_check(base, facets) if base is not None else None
         return _SimpleContentPlan(
@@ -789,45 +780,11 @@ class CompiledSchemaSet:
             value=value,
         )
 
-    def _flatten_simple_content(
-        self, definition: ComplexType, messages: list[str], resolving: frozenset[int]
-    ) -> tuple[QName | None, list[AttributeDecl], list[Facet]]:
-        content = definition.simple_content
-        assert content is not None
-        base = content.base
-        facets = list(content.facets)
-        if base.namespace == XSD_NS:
-            return base, list(content.attributes), facets
-        base_definition = self._types.get(base)
-        if base_definition is None:
-            messages.append(f"unresolved simpleContent base {base.clark()}")
-            return None, list(content.attributes), facets
-        if isinstance(base_definition, SimpleType):
-            return base, list(content.attributes), facets
-        if base_definition.simple_content is None:
-            messages.append(
-                f"simpleContent base {base.clark()} is not a simple-content type"
-            )
-            return None, list(content.attributes), facets
-        if id(base_definition) in resolving:
-            raise SchemaError(f"cyclic simpleContent derivation at {base.clark()}")
-        inherited_base, inherited_attrs, inherited_facets = self._flatten_simple_content(
-            base_definition, messages, resolving | {id(base_definition)}
-        )
-        if content.derivation == "extension":
-            merged = inherited_attrs + content.attributes
-        else:
-            by_name = {attribute.name: attribute for attribute in inherited_attrs}
-            for attribute in content.attributes:
-                by_name[attribute.name] = attribute
-            merged = list(by_name.values())
-        return inherited_base, merged, inherited_facets + facets
-
     def _value_check(self, type_name: QName, extra_facets: list[Facet]) -> _ValueCheck | None:
         """The value check for ``type_name`` plus ``extra_facets``; None when
         no value can fail it (plain ``xsd:string`` without facets)."""
         messages: list[str] = []
-        base, facets = self._flatten_simple_type(type_name, messages, frozenset())
+        base, facets = self.schema_set.flatten_simple_type(type_name, messages)
         facets = facets + extra_facets
         if base is None:
             return _ValueCheck(tuple(messages), None, None)
@@ -837,27 +794,6 @@ class CompiledSchemaSet:
         # entirely on the hot path.
         check = datatypes.compile_facets(facets, base) if facets else None
         return _ValueCheck(tuple(messages), base, check)
-
-    def _flatten_simple_type(
-        self, type_name: QName, messages: list[str], resolving: frozenset[QName]
-    ) -> tuple[QName | None, list[Facet]]:
-        if type_name.namespace == XSD_NS:
-            return type_name, []
-        definition = self._types.get(type_name)
-        if definition is None:
-            messages.append(f"unresolved simple type {type_name.clark()}")
-            return None, []
-        if isinstance(definition, ComplexType):
-            messages.append(
-                f"type {type_name.clark()} is complex where a simple type is required"
-            )
-            return None, []
-        if type_name in resolving:
-            raise SchemaError(f"cyclic simple-type derivation at {type_name.clark()}")
-        base, facets = self._flatten_simple_type(
-            definition.base, messages, resolving | {type_name}
-        )
-        return base, facets + list(definition.facets)
 
     def _attr_plan(self, declared: list[AttributeDecl]) -> _AttrPlan:
         if not declared:
@@ -880,21 +816,6 @@ class CompiledSchemaSet:
             schema.target_namespace if schema.element_form_default == "qualified" else ""
         )
         return QName(namespace, decl.name)
-
-
-def _particle_decls(particle: object) -> list[ElementDecl]:
-    """Every element declaration nested anywhere in a particle tree."""
-    found: list[ElementDecl] = []
-
-    def walk(node: object) -> None:
-        if isinstance(node, ElementDecl):
-            found.append(node)
-            return
-        for child in getattr(node, "particles", ()):
-            walk(child)
-
-    walk(particle)
-    return found
 
 
 # -- compilation cache ---------------------------------------------------------

@@ -115,6 +115,20 @@ class ChoiceGroup:
     max_occurs: int | None = 1
 
 
+def particle_elements(particle: SequenceGroup | ChoiceGroup | None) -> list[ElementDecl]:
+    """Every element declaration nested anywhere in ``particle``, in
+    document order (none for ``None``)."""
+    found: list[ElementDecl] = []
+    pending: list[ElementDecl | SequenceGroup | ChoiceGroup] = [] if particle is None else [particle]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ElementDecl):
+            found.append(node)
+        else:
+            pending.extend(reversed(node.particles))
+    return found
+
+
 @dataclass
 class SimpleContent:
     """``xsd:simpleContent`` with an extension or restriction.

@@ -39,7 +39,7 @@ def build(builder: "SchemaBuilder", root: Abie | str | None) -> None:
     ) as build_span, histogram(
         "xsdgen.library_build_ms", stereotype=DOC_LIBRARY
     ).time():
-        root_abie = _resolve_root(library, root, builder)
+        root_abie = _root_abie(library, root, builder)
         session.status(f"Selected root element {root_abie.name!r}")
         build_span.set(root=root_abie.name)
 
@@ -60,7 +60,7 @@ def build(builder: "SchemaBuilder", root: Abie | str | None) -> None:
         )
 
 
-def _resolve_root(library: DocLibrary, root: Abie | str | None, builder: "SchemaBuilder") -> Abie:
+def _root_abie(library: DocLibrary, root: Abie | str | None, builder: "SchemaBuilder") -> Abie:
     """Resolve the user's root selection (the Figure-5 dropdown)."""
     candidates = library.root_candidates()
     if isinstance(root, Abie):

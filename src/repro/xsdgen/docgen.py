@@ -21,12 +21,10 @@ from repro.xmlutil.qname import QName
 from repro.xsd.components import (
     XSD_NS,
     Annotation,
-    ChoiceGroup,
     ComplexType,
-    ElementDecl,
     Schema,
-    SequenceGroup,
     SimpleType,
+    particle_elements,
 )
 from repro.xsdgen.generator import GenerationResult
 
@@ -93,18 +91,6 @@ def _annotation_html(annotation: Annotation | None) -> str:
     return "".join(parts)
 
 
-def _elements_of(particle) -> list[ElementDecl]:
-    if particle is None:
-        return []
-    found: list[ElementDecl] = []
-    for child in particle.particles:
-        if isinstance(child, ElementDecl):
-            found.append(child)
-        elif isinstance(child, (SequenceGroup, ChoiceGroup)):
-            found.extend(_elements_of(child))
-    return found
-
-
 def _complex_type_html(schema: Schema, ct: ComplexType, known: set[tuple[str, str]]) -> str:
     out = [f'<h3 id="{_anchor(schema.target_namespace, ct.name)}">'
            f'<span class="kind">complexType</span>{html.escape(ct.name)}</h3>']
@@ -125,7 +111,7 @@ def _complex_type_html(schema: Schema, ct: ComplexType, known: set[tuple[str, st
                 )
             out.append("</table>")
     elif ct.particle is not None:
-        elements = _elements_of(ct.particle)
+        elements = particle_elements(ct.particle)
         if elements:
             out.append("<table><tr><th>element</th><th>type</th><th>occurs</th></tr>")
             for element in elements:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
-from repro.errors import InstanceValidationError
+from repro.errors import InstanceValidationError, SchemaError
 from repro.instances.pipeline import BatchReport, DocumentReport, discover_corpus
 from repro.xmlutil.qname import XML_NAMESPACE, QName, split_qname
 from repro.xmlutil.writer import XmlElement
@@ -114,6 +114,36 @@ _model_caches: "weakref.WeakKeyDictionary[SchemaSet, dict[int, CompiledModel]]" 
 )
 
 
+def _schema_or_none(schema_set: SchemaSet, namespace: str) -> Schema | None:
+    try:
+        return schema_set.schema_for(namespace)
+    except SchemaError:
+        return None
+
+
+def _find_type(schema_set: SchemaSet, qname: QName) -> ComplexType | SimpleType | None:
+    """The first global type named ``qname``, found by scanning its schema's
+    items (independent of :class:`SchemaSet`'s own index)."""
+    schema = _schema_or_none(schema_set, qname.namespace)
+    if schema is None:
+        return None
+    for item in schema.items:
+        if isinstance(item, (ComplexType, SimpleType)) and item.name == qname.local:
+            return item
+    return None
+
+
+def _find_global_element(schema_set: SchemaSet, qname: QName) -> ElementDecl | None:
+    """The first global element named ``qname``, found by scanning."""
+    schema = _schema_or_none(schema_set, qname.namespace)
+    if schema is None:
+        return None
+    for item in schema.global_elements:
+        if item.name == qname.local:
+            return item
+    return None
+
+
 def _symbol_of(decl: ElementDecl, schema: Schema) -> QName:
     """The instance QName an element declaration matches."""
     if decl.is_ref:
@@ -146,7 +176,7 @@ def reference_validate(
             raise InstanceValidationError(f"document is not well-formed XML: {error}") from error
     root = _resolve_instance(document, {})
     validator = _Validator(schema_set, engine)
-    decl = schema_set.find_global_element(root.qname)
+    decl = _find_global_element(schema_set, root.qname)
     if decl is None:
         return [
             ValidationProblem(
@@ -189,7 +219,7 @@ class _Validator:
         self, element: _ResolvedElement, decl: ElementDecl, schema: Schema, path: str
     ) -> None:
         if decl.is_ref:
-            target = self.schema_set.find_global_element(decl.ref)
+            target = _find_global_element(self.schema_set, decl.ref)
             if target is None:
                 self._report(path, f"dangling element reference {decl.ref.clark()}")
                 return
@@ -203,7 +233,7 @@ class _Validator:
         if type_name.namespace == XSD_NS:
             self._validate_simple(element, type_name, [], path)
             return
-        definition = self.schema_set.find_type(type_name)
+        definition = _find_type(self.schema_set, type_name)
         if definition is None:
             self._report(path, f"unresolved type {type_name.clark()}")
             return
@@ -275,7 +305,7 @@ class _Validator:
         facets = list(content.facets)
         if base.namespace == XSD_NS:
             return base, list(content.attributes), facets
-        base_definition = self.schema_set.find_type(base)
+        base_definition = _find_type(self.schema_set, base)
         if base_definition is None:
             self._report(path, f"unresolved simpleContent base {base.clark()}")
             return None, list(content.attributes), facets
@@ -316,7 +346,7 @@ class _Validator:
         """Resolve a simple type to its built-in base plus accumulated facets."""
         if type_name.namespace == XSD_NS:
             return type_name, []
-        definition = self.schema_set.find_type(type_name)
+        definition = _find_type(self.schema_set, type_name)
         if definition is None:
             self._report(path, f"unresolved simple type {type_name.clark()}")
             return None, []

@@ -1,4 +1,4 @@
-"""Unit tests for the generation cache: fingerprints, LRU, disk, parallel."""
+"""Unit tests for the generation cache: fingerprints, LRU, disk, and the collect-mode prebuild."""
 
 import pytest
 
@@ -309,20 +309,20 @@ class TestDiskCache:
         assert not any(urn.startswith("urn:other") for urn in cold)
 
 
-class TestParallelGeneration:
+class TestCollectModePrebuild:
     """The dependency-ordered prebuild (run by ``on_error="collect"``)
     against the on-demand build of a default run."""
 
-    def test_parallel_output_matches_serial(self, easybiz):
-        serial = SchemaGenerator(easybiz.model).generate(
+    def test_prebuild_matches_on_demand_build(self, easybiz):
+        on_demand = SchemaGenerator(easybiz.model).generate(
             easybiz.doc_library, root="HoardingPermit"
         )
-        parallel = SchemaGenerator(easybiz.model, GenerationOptions(on_error="collect")).generate(
+        prebuilt = SchemaGenerator(easybiz.model, GenerationOptions(on_error="collect")).generate(
             easybiz.doc_library, root="HoardingPermit"
         )
-        assert _schema_texts(parallel) == _schema_texts(serial)
+        assert _schema_texts(prebuilt) == _schema_texts(on_demand)
 
-    def test_parallel_with_cache(self, easybiz):
+    def test_prebuild_with_cache(self, easybiz):
         cache = GenerationCache()
         options = GenerationOptions(on_error="collect", use_cache=True)
         first = SchemaGenerator(easybiz.model, options, cache=cache).generate(
@@ -333,9 +333,9 @@ class TestParallelGeneration:
         )
         assert _schema_texts(second) == _schema_texts(first)
 
-    def test_parallel_cyclic_libraries(self):
+    def test_prebuild_of_cyclic_libraries(self):
         # Reuse the cyclic two-BIE-library construction; the SCC condensation
-        # must build the cycle as one component and match the serial output.
+        # must build the cycle as one component and match the on-demand output.
         from repro.ccts.derivation import derive_abie
         from repro.ccts.model import CctsModel
 
@@ -365,12 +365,12 @@ class TestParallelGeneration:
             return model, lib1
 
         model, lib1 = build()
-        serial = SchemaGenerator(model).generate(lib1)
+        on_demand = SchemaGenerator(model).generate(lib1)
         model2, lib1_again = build()
-        parallel = SchemaGenerator(model2, GenerationOptions(on_error="collect")).generate(
+        prebuilt = SchemaGenerator(model2, GenerationOptions(on_error="collect")).generate(
             lib1_again
         )
-        assert _schema_texts(parallel) == _schema_texts(serial)
+        assert _schema_texts(prebuilt) == _schema_texts(on_demand)
 
 
 def _entry_texts_match_their_schema(cache):
